@@ -87,30 +87,3 @@ func BenchmarkReplication8SeedsSerial(b *testing.B) { benchReplication(b, 1) }
 func BenchmarkReplication8SeedsParallel(b *testing.B) {
 	benchReplication(b, runtime.GOMAXPROCS(0))
 }
-
-// Intra-vehicle parallelism: one 8-zone E19 scenario at increasing worker
-// counts. Unlike the replication pair above — which shards independent
-// seeds — this speeds up a single simulated vehicle, so compare ns/op
-// between Workers1 and WorkersMax with
-//
-//	go test -bench 'E19KernelParWorkers' -benchtime 3x
-//
-// On a single-core host the sweep measures synchronization overhead
-// instead of speedup; both are honest numbers for BENCH_PR7.json.
-
-func benchE19Workers(b *testing.B, workers int) {
-	b.Helper()
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		last = experiments.E19KernelParWith(1, []int{8}, workers)
-	}
-	if last != nil {
-		b.Log("\n" + last.String())
-	}
-}
-
-func BenchmarkE19KernelParWorkers1(b *testing.B) { benchE19Workers(b, 1) }
-func BenchmarkE19KernelParWorkers2(b *testing.B) { benchE19Workers(b, 2) }
-func BenchmarkE19KernelParWorkersMax(b *testing.B) {
-	benchE19Workers(b, runtime.GOMAXPROCS(0))
-}

@@ -14,16 +14,6 @@
 // mean ± 95% CI columns through the same deterministic fold as the
 // experiment tables.
 //
-// Usage:
-//
-// Parallel intra-vehicle simulation: -kernelpar N rebuilds the zonal
-// scenario with one event kernel per zone (core's PerZoneKernels build)
-// and runs the kernel group on N workers. The narrative is byte-identical
-// for every N — CI diffs N=1 against N=8 — but it is a different timeline
-// from the default shared-kernel build, so 0 (the default) keeps the
-// legacy narrative. -trace/-timeline need the shared kernel; they reject
-// -kernelpar.
-//
 // Fleet observability (fleet-compromise scenario): -fleetpar pins the
 // fleet driver's worker count (the narrative and every deterministic
 // artifact are byte-identical for any value — CI diffs 1 against 8),
@@ -37,7 +27,7 @@
 // Usage:
 //
 //	autosim list
-//	autosim run [-seed N] [-seeds N] [-par N] [-kernelpar N] [-trace F] [-timeline F] [-metrics]
+//	autosim run [-seed N] [-seeds N] [-par N] [-trace F] [-timeline F] [-metrics]
 //	            [-fleetpar N] [-prom F] [-fleetrate R] [-fleettrace DIR] [-progress] <scenario>
 package main
 
@@ -80,12 +70,6 @@ type scenario struct {
 	desc string
 	run  func(w io.Writer, seed uint64, ob obsPair)
 }
-
-// kernelPar is the -kernelpar flag: 0 keeps scenarios on their default
-// shared-kernel builds; N >= 1 switches the zonal scenario to a
-// per-zone-kernel vehicle with N group workers. Read-only after flag
-// parsing, so replicated scenario closures may read it concurrently.
-var kernelPar int
 
 // Fleet observability flags, consumed by the fleet-compromise scenario.
 // All read-only after flag parsing.
@@ -154,7 +138,6 @@ func main() {
 		traceFile := fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (single seed only)")
 		timelineFile := fs.String("timeline", "", "write a plain-text event timeline to this file (single seed only)")
 		metrics := fs.Bool("metrics", false, "print the observability metrics snapshot after the run")
-		kpar := fs.Int("kernelpar", 0, "zonal scenario: run one kernel per zone on N workers (0 = legacy shared kernel; any N >= 1 prints identical output)")
 		fpar := fs.Int("fleetpar", 0, "fleet scenario: fleet driver worker count (0 = GOMAXPROCS; any value prints identical output)")
 		frate := fs.Float64("fleetrate", 0, "fleet scenario: flight-recorder sample rate in [0,1] (incident vehicles always kept)")
 		ftrace := fs.String("fleettrace", "", "fleet scenario: export kept flight-recorder traces as Chrome JSON under this directory")
@@ -166,10 +149,6 @@ func main() {
 		}
 		if *par <= 0 {
 			*par = runtime.GOMAXPROCS(0)
-		}
-		if *kpar < 0 {
-			fmt.Fprintln(os.Stderr, "autosim: -kernelpar must be >= 0")
-			os.Exit(2)
 		}
 		if *fpar < 0 || *frate < 0 {
 			fmt.Fprintln(os.Stderr, "autosim: -fleetpar and -fleetrate must be >= 0")
@@ -188,11 +167,6 @@ func main() {
 			os.Exit(2)
 		}
 		fleetPar, fleetRate, fleetTraceDir, fleetProm, fleetProgress = *fpar, *frate, *ftrace, *prom, *prog
-		if *kpar >= 1 && (*traceFile != "" || *timelineFile != "") {
-			fmt.Fprintln(os.Stderr, "autosim: -trace/-timeline need the shared-kernel build; drop -kernelpar (per-member tracing lives in core.InstrumentParallel)")
-			os.Exit(2)
-		}
-		kernelPar = *kpar
 		sc, ok := scenarios[fs.Arg(0)]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "autosim: unknown scenario %q (try 'autosim list')\n", fs.Arg(0))
@@ -307,7 +281,7 @@ func replicate(name string, sc scenario, seed uint64, nseeds, par int, metrics b
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: autosim list | autosim run [-seed N] [-seeds N] [-par N] [-kernelpar N] [-trace F] [-timeline F] [-metrics] <scenario>")
+	fmt.Fprintln(os.Stderr, "usage: autosim list | autosim run [-seed N] [-seeds N] [-par N] [-trace F] [-timeline F] [-metrics] <scenario>")
 	os.Exit(2)
 }
 
@@ -540,24 +514,18 @@ func runZonalCompromise(w io.Writer, seed uint64, ob obsPair) {
 	v, err := core.NewVehicle(core.Config{
 		VIN:   "AUTOSIM-Z4",
 		Seed:  seed,
-		Zonal: &core.ZonalConfig{Zones: 4, PerZoneKernels: kernelPar >= 1},
+		Zonal: &core.ZonalConfig{Zones: 4},
 	})
 	if err != nil {
 		fatal(err)
 	}
-	v.Instrument(ob.tr, ob.reg) // -kernelpar rejects -trace, so tr is nil on parallel builds
-	v.SetParallelism(kernelPar)
+	v.Instrument(ob.tr, ob.reg)
 	v.Zonal.SetDefaultAction(gateway.Allow) // the weak pre-hardening baseline
 	combined := append(workload.PowertrainMatrix(), workload.BodyMatrix()...)
 	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01).Netif())
 	v.ArmAutoQuarantine(core.DomainInfotainment)
 	v.StartTraffic()
 
-	if kernelPar >= 1 {
-		// The worker count deliberately stays out of the narrative: CI
-		// diffs -kernelpar 1 against -kernelpar 8 byte for byte.
-		fmt.Fprintln(w, "engine: one event kernel per zone, conservative backbone-lookahead sync")
-	}
 	fmt.Fprintln(w, "zonal topology (Ethernet backbone, one zone controller each):")
 	for _, z := range v.Zonal.Zones() {
 		locals := strings.Join(z.Locals(), ", ")
@@ -576,14 +544,10 @@ func runZonalCompromise(w io.Writer, seed uint64, ob obsPair) {
 			quarantinedAt = a.At
 		}
 	})
-	// The attacker lives in the infotainment zone: on a -kernelpar build
-	// its injection schedule must run on that zone's member kernel. The
-	// narrative write is safe — this callback is the only in-run writer.
-	atkK := v.KernelFor(core.DomainInfotainment)
 	var stopAtk func()
-	atkK.At(2*sim.Second, func() {
+	v.Kernel.At(2*sim.Second, func() {
 		fmt.Fprintln(w, "t=2s      head unit compromised: injecting torque frames at 1 kHz toward the powertrain zone")
-		stopAtk = can.PeriodicSender(atkK, attacker, can.Frame{ID: 0x0C0, Data: make([]byte, 8)}, sim.Millisecond, 0)
+		stopAtk = can.PeriodicSender(v.Kernel, attacker, can.Frame{ID: 0x0C0, Data: make([]byte, 8)}, sim.Millisecond, 0)
 	})
 	_ = v.RunUntil(10 * sim.Second)
 	if stopAtk != nil {

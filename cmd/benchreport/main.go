@@ -1,10 +1,7 @@
 // Command benchreport regenerates the full experiment suite E1–E22 (plus
 // ablations A1–A2) from DESIGN.md and prints each result table, paper
 // claim included. -fleet trims or extends E18's fleet-size sweep the way
-// -zones does E17's zone counts; -kernelpar N runs E19's per-zone-kernel
-// sweep and E21's medium-IDS vehicles with N workers per vehicle (any N
-// prints the same bytes as the default serial reference — that
-// equivalence is the point of E19, and CI diffs both).
+// -zones does E17's zone counts.
 //
 // With -seeds N it becomes a replication study: the suite runs once per
 // seed (seed, seed+1, …) sharded across a -par-sized worker pool, and the
@@ -100,7 +97,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E3,E8); empty runs all")
 	zones := flag.String("zones", "", "comma-separated zone counts for E17's sweep (e.g. 2,4,8,16); empty uses the golden default")
 	fleet := flag.String("fleet", "", "comma-separated fleet sizes for E18's sweep (e.g. 500,5000); empty uses the golden default (1000,10000,100000)")
-	kernelpar := flag.Int("kernelpar", 1, "worker count for E19's per-zone-kernel group (1 = serial reference; any value prints identical tables)")
 	obsfleet := flag.String("obsfleet", "", "comma-separated fleet sizes for E20's observability sweep (e.g. 500,5000); empty uses the golden default (1000,10000)")
 	fleetpar := flag.Int("fleetpar", 0, "fleet driver worker count for E20 and E22's campaign waves (0 = default; any value prints identical tables — CI diffs 1 vs 8)")
 	progress := flag.Bool("progress", false, "stream fleet drive progress and throughput to stderr (wall-clock telemetry; never in the tables)")
@@ -179,25 +175,6 @@ func main() {
 		}
 	}
 
-	if *kernelpar < 1 {
-		fmt.Fprintln(os.Stderr, "benchreport: -kernelpar must be >= 1")
-		os.Exit(1)
-	}
-	e19 := experiments.E19KernelPar
-	if *kernelpar != 1 {
-		e19 = func(s uint64) *experiments.Table {
-			return experiments.E19KernelParWith(s, []int{2, 4, 8, 16}, *kernelpar)
-		}
-	}
-	// E21 drives its per-zone-kernel vehicles with the same worker
-	// override as E19; every value prints identical bytes and CI diffs it.
-	e21 := experiments.E21MediumIDS
-	if *kernelpar != 1 {
-		e21 = func(s uint64) *experiments.Table {
-			return experiments.E21MediumIDSWith(s, *kernelpar)
-		}
-	}
-
 	if *fleetpar < 0 {
 		fmt.Fprintln(os.Stderr, "benchreport: -fleetpar must be >= 0")
 		os.Exit(1)
@@ -259,9 +236,9 @@ func main() {
 		{"E16", experiments.E16CrossMediumGateway},
 		{"E17", e17},
 		{"E18", e18},
-		{"E19", e19},
+		{"E19", experiments.E19KernelPar},
 		{"E20", e20},
-		{"E21", e21},
+		{"E21", experiments.E21MediumIDS},
 		{"E22", e22},
 		{"A1", experiments.A1MACTruncation},
 		{"A2", experiments.A2BoundingThreshold},

@@ -15,8 +15,8 @@ import (
 // therefore trace bytes) is deterministic.
 func (v *Vehicle) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	if v.Group != nil && tr != nil {
-		// One trace ring cannot take concurrent appends from per-zone
-		// kernels; parallel builds take per-member tracers instead.
+		// One trace ring would interleave per-zone kernels in window
+		// order, not time order; these builds take per-member tracers.
 		panic("core: shared tracer on a per-zone-kernel build; use InstrumentParallel")
 	}
 	if tr == nil && v.reattachMetrics(reg) {

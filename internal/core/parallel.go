@@ -1,13 +1,13 @@
-// Parallel intra-vehicle simulation. A vehicle built with
+// Per-zone-kernel simulation. A vehicle built with
 // ZonalConfig.PerZoneKernels runs each zone on its own sim.Kernel under a
 // conservative sim.KernelGroup: intra-zone traffic (CAN arbitration,
 // workload matrices, IDS inference, local gateway verdicts) dispatches
-// concurrently, and only backbone crossings synchronize, with the
-// Ethernet tunnel latency as lookahead. Execution is byte-deterministic
-// at any SetParallelism setting — the equivalence property
-// TestKernelParSerialParallelEquivalence enforces.
+// in whole lookahead windows on its zone's kernel, and only backbone
+// crossings synchronize, with the Ethernet tunnel latency as lookahead.
+// Execution is byte-deterministic, and a pooled Reset replays a fresh
+// build exactly — the property TestKernelParResetEquivalence enforces.
 //
-// Rules for scenario code driving a parallel vehicle:
+// Rules for scenario code driving a per-zone-kernel vehicle:
 //
 //   - Schedule domain work on KernelFor(domain), never on Vehicle.Kernel
 //     unless the domain shards into zone 0.
@@ -59,7 +59,7 @@ func (v *Vehicle) KernelFor(domain string) *sim.Kernel {
 }
 
 // Run drives the vehicle until its event queues drain: the kernel group
-// on a parallel build, the single kernel otherwise.
+// on a per-zone-kernel build, the single kernel otherwise.
 func (v *Vehicle) Run() error {
 	if v.Group != nil {
 		return v.Group.Run()
@@ -75,14 +75,8 @@ func (v *Vehicle) RunUntil(t sim.Time) error {
 	return v.Kernel.RunUntil(t)
 }
 
-// SetParallelism sets the worker count of a parallel build's kernel
-// group (1 = serial reference execution). No-op on single-kernel builds.
-// Any value produces byte-identical simulation results.
-func (v *Vehicle) SetParallelism(n int) {
-	if v.Group != nil {
-		v.Group.SetWorkers(n)
-	}
-}
+// Deprecated: kernel groups dispatch serially, so SetParallelism does nothing.
+func (v *Vehicle) SetParallelism(int) {}
 
 // stagedAudit is one audit event waiting in a member's staging buffer
 // for the barrier merge.
@@ -93,12 +87,12 @@ type stagedAudit struct {
 }
 
 // mergeAuditStages drains the per-member staging buffers into the sealed
-// audit log in (time, member) order. It runs at every group barrier, on
-// the coordinating goroutine, so Append (and the SHE sealing inside it)
-// is single-threaded; entries within one member's buffer are already in
-// nondecreasing time order because its kernel staged them in dispatch
-// order. The merge order depends only on staged content, never on the
-// worker count — audit chains are byte-identical at any parallelism.
+// audit log in (time, member) order. It runs at every group barrier, so
+// Append (and the SHE sealing inside it) sees events in global time
+// order rather than member dispatch order; entries within one member's
+// buffer are already in nondecreasing time order because its kernel
+// staged them in dispatch order. The merge order depends only on staged
+// content.
 func (v *Vehicle) mergeAuditStages() {
 	idx := v.stageIdx
 	for {

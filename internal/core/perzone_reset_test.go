@@ -33,13 +33,13 @@ func kpRandomConfig(r *eqRng, trial int) Config {
 	return cfg
 }
 
-// kpScenario drives one parallel vehicle through a randomized scenario at
-// the given worker count and returns its fingerprint. Every scheduling
-// choice follows the parallel-build rules: domain traffic goes to
-// KernelFor(domain), shared subsystems (SHE, audit) are only touched from
-// member 0's kernel or between runs, and cross-zone containment rides
+// kpScenario drives one per-zone-kernel vehicle through a randomized
+// scenario and returns its fingerprint. Every scheduling choice follows
+// the per-zone-kernel rules: domain traffic goes to KernelFor(domain),
+// shared subsystems (SHE, audit) are only touched from member 0's kernel
+// or between runs, and cross-zone containment rides
 // RequestZoneQuarantine.
-func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64, workers int) string {
+func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	t.Helper()
 	r := &eqRng{state: scenSeed}
 
@@ -108,7 +108,6 @@ func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64, workers int) string {
 		})
 	}
 
-	v.SetParallelism(workers)
 	if err := v.RunUntil(5 * sim.Millisecond); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -116,9 +115,8 @@ func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64, workers int) string {
 	return kpFingerprint(v, tracers, reg)
 }
 
-// kpFingerprint serializes everything the equivalence clause names:
-// per-member trace bytes in member order, metrics, the audit chain, and
-// per-member clocks and step counts.
+// kpFingerprint serializes per-member trace bytes in member order,
+// metrics, the audit chain, and per-member clocks and step counts.
 func kpFingerprint(v *Vehicle, tracers []*obs.Tracer, reg *obs.Registry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "group: members=%d steps=%d pending=%d\n", v.Group.Members(), v.Group.Steps(), v.Group.Pending())
@@ -152,48 +150,11 @@ func kpFingerprint(v *Vehicle, tracers []*obs.Tracer, reg *obs.Registry) string 
 	return b.String()
 }
 
-// TestKernelParSerialParallelEquivalence is the tentpole acceptance
-// property: across randomized per-zone-kernel builds and scenarios, a
-// parallel run (several workers) must be byte-identical — per-member
-// traces, metrics, audit hash chain — to the serial reference execution
-// (workers=1) of the same build and scenario. Run it under -race to also
-// certify the synchronization protocol.
-func TestKernelParSerialParallelEquivalence(t *testing.T) {
-	trials := 12
-	if testing.Short() {
-		trials = 4
-	}
-	r := &eqRng{state: 0x9A9A}
-	for trial := 0; trial < trials; trial++ {
-		cfg := kpRandomConfig(r, trial)
-		cfg.Seed = r.next()
-		scenSeed := r.next()
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			serialV, err := NewVehicle(cfg)
-			if err != nil {
-				t.Fatalf("build (%+v): %v", cfg, err)
-			}
-			want := kpScenario(t, serialV, scenSeed, 1)
-			for _, workers := range []int{2, 8} {
-				parV, err := NewVehicle(cfg)
-				if err != nil {
-					t.Fatalf("build: %v", err)
-				}
-				got := kpScenario(t, parV, scenSeed, workers)
-				if got != want {
-					t.Fatalf("workers=%d diverged from serial (cfg %+v):\n%s",
-						workers, cfg, eqFirstDiff(want, got))
-				}
-			}
-		})
-	}
-}
-
 // TestKernelParResetEquivalence extends the pooled-vehicle
-// reset-equivalence property to parallel builds: a dirtied and Reset
-// per-zone-kernel vehicle must replay a scenario byte-identically to a
-// fresh build — including the group clocks, undelivered inter-kernel
-// messages (dropped by Reset) and the audit staging buffers.
+// reset-equivalence property to per-zone-kernel builds: a dirtied and
+// Reset vehicle must replay a scenario byte-identically to a fresh build
+// — including the group clocks, undelivered inter-kernel messages
+// (dropped by Reset) and the audit staging buffers.
 func TestKernelParResetEquivalence(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -213,14 +174,14 @@ func TestKernelParResetEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fresh build: %v", err)
 			}
-			want := kpScenario(t, fresh, scenSeed, 4)
+			want := kpScenario(t, fresh, scenSeed)
 
 			pool := NewVehiclePool(cfg)
 			dirty, err := pool.Acquire(dirtySeed)
 			if err != nil {
 				t.Fatalf("pool build: %v", err)
 			}
-			_ = kpScenario(t, dirty, scenDirty, 2)
+			_ = kpScenario(t, dirty, scenDirty)
 			pool.Release(dirty)
 			reused, err := pool.Acquire(runSeed)
 			if err != nil {
@@ -229,9 +190,9 @@ func TestKernelParResetEquivalence(t *testing.T) {
 			if reused != dirty {
 				t.Fatal("pool did not reuse the released vehicle")
 			}
-			got := kpScenario(t, reused, scenSeed, 4)
+			got := kpScenario(t, reused, scenSeed)
 			if got != want {
-				t.Fatalf("reset parallel vehicle diverged from fresh build (cfg %+v):\n%s",
+				t.Fatalf("reset per-zone-kernel vehicle diverged from fresh build (cfg %+v):\n%s",
 					cfg, eqFirstDiff(want, got))
 			}
 		})

@@ -110,8 +110,8 @@ func (v *Vehicle) Reset(seed uint64) {
 	// Kernel first: drops every scheduled event (traffic matrices, FlexRay
 	// cycles, pending transmissions) and reseeds all named streams in
 	// place, so subsystem resets below see an empty timeline at t=now.
-	// Parallel builds reset the whole group (every member kernel plus
-	// undelivered inter-kernel messages) and drop staged audit events.
+	// Per-zone-kernel builds reset the whole group (every member kernel
+	// plus undelivered inter-kernel messages) and drop staged audit events.
 	if v.Group != nil {
 		v.Group.Reset(seed)
 		for m := range v.auditStage {

@@ -92,9 +92,9 @@ type ZonalConfig struct {
 	// Ethernet tunnel latency as lookahead). Vehicle.Group is non-nil,
 	// Vehicle.Kernel is zone 0's member kernel, and each domain's events
 	// live on its owning zone's kernel — schedule through
-	// Vehicle.KernelFor. Execution is byte-deterministic at any
-	// Vehicle.SetParallelism setting, but is a distinct timeline from the
-	// shared-kernel zonal build (per-zone kernels draw per-member seeds).
+	// Vehicle.KernelFor. Execution is byte-deterministic, but is a
+	// distinct timeline from the shared-kernel zonal build (per-zone
+	// kernels draw per-member seeds).
 	PerZoneKernels bool
 }
 
@@ -146,10 +146,12 @@ type Vehicle struct {
 
 	trafficStops []func()
 
-	// auditStage holds per-member staged audit events of a parallel build:
-	// zone kernels cannot Append to the shared (SHE-sealed) log
-	// concurrently, so each member stages its events and the group barrier
-	// merges them in (time, member) order — see mergeAuditStages.
+	// auditStage holds per-member staged audit events of a per-zone-kernel
+	// build: zone kernels dispatch whole windows one after another, so
+	// appending directly would order the shared (SHE-sealed) log by
+	// member rather than by time; each member stages its events and the
+	// group barrier merges them in (time, member) order — see
+	// mergeAuditStages.
 	auditStage [][]stagedAudit
 	stageIdx   []int
 
@@ -293,9 +295,9 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	})
 	switch {
 	case v.Group != nil:
-		// Parallel zonal build: zone kernels cannot Append to the shared
-		// SHE-sealed log concurrently, so each member stages its events and
-		// the group barrier merges them in (time, member) order.
+		// Per-zone-kernel build: each member stages its events and the
+		// group barrier merges them into the shared SHE-sealed log in
+		// (time, member) order.
 		v.auditStage = make([][]stagedAudit, v.Group.Members())
 		v.stageIdx = make([]int, v.Group.Members())
 		v.Zonal.Observe(func(at sim.Time, zone, from string, f *netif.Frame, verdict string) {
@@ -326,7 +328,8 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	}
 	v.IDS.OnAlert(func(a ids.Alert) {
 		// The IDS taps the powertrain domain, which shards into zone 0 —
-		// member 0's kernel — so parallel builds stage its alerts there.
+		// member 0's kernel — so per-zone-kernel builds stage its alerts
+		// there.
 		if v.Group != nil {
 			v.auditStage[0] = append(v.auditStage[0], stagedAudit{at: a.At, src: "ids", msg: a.String()})
 			return

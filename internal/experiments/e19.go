@@ -14,34 +14,24 @@ import (
 )
 
 // E19KernelPar reruns the E17 zonal attack-and-containment scenario on
-// the parallel simulation engine: one conservative event kernel per zone
+// per-zone event kernels: one conservative kernel per zone
 // (sim.KernelGroup), synchronized only at Ethernet-backbone crossings
 // with the tunnel latency as lookahead. The table is the correctness
-// artifact of the parallel engine — every measurement (attack frames
-// through, quarantine reflex, backbone load, end-to-end latency) is
-// byte-identical at any worker count, so the golden file pins both the
-// scenario physics and the determinism of the windowed synchronization
-// protocol. Wall-clock speedup is deliberately absent (machine-
-// dependent); it lives in BenchmarkE19KernelPar and benchreport
-// -kernelpar.
+// artifact of the per-zone engine — attack frames through, quarantine
+// reflex, backbone load and end-to-end latency for 2/4/8/16 zones — so
+// the golden file pins both the scenario physics and the determinism of
+// the windowed synchronization protocol. Wall-clock time is deliberately
+// absent (machine-dependent); BenchmarkE19KernelPar measures it.
 func E19KernelPar(seed uint64) *Table {
-	return E19KernelParWith(seed, []int{2, 4, 8, 16}, 1)
-}
-
-// E19KernelParWith runs the sweep over custom zone counts at the given
-// worker count. benchreport's -kernelpar flag feeds the worker count
-// through here; the golden table uses workers=1 (the serial reference),
-// and any other value must reproduce it byte for byte.
-func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
 	t := &Table{
 		ID:    "E19",
-		Title: "Parallel per-zone kernels: conservative backbone-lookahead sync (§7)",
-		Claim: "partitioning the vehicle at the backbone runs zones concurrently with byte-identical results at any worker count; intra-zone traffic never synchronizes",
+		Title: "Per-zone kernels: conservative backbone-lookahead sync (§7)",
+		Claim: "partitioning the vehicle at the backbone gives each zone its own event kernel with byte-deterministic results; intra-zone traffic never synchronizes",
 		Columns: []string{"topology", "events", "attack through", "legit through",
 			"backbone frames", "backbone deliveries", "p95 e2e latency (us)", "quarantined", "others ok"},
 	}
 	hop := 2 * sim.Microsecond
-	for _, zones := range zoneCounts {
+	for _, zones := range []int{2, 4, 8, 16} {
 		g := sim.NewKernelGroup(seed, ethernet.TunnelLookahead(hop, ethernet.DefaultLinkBps))
 		f := zonal.NewPartitioned(g, hop, ethernet.DefaultLinkBps)
 		zs := make([]*zonal.Zone, zones)
@@ -51,7 +41,7 @@ func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
 		// Same placement policy as E17 and core's zonal build: powertrain
 		// fronts the first zone, chassis the middle, infotainment the last.
 		// Each bus lives on its owning zone's kernel, so its arbitration
-		// and workload events dispatch concurrently with other zones.
+		// and workload events never synchronize with other zones.
 		ptZone, chZone, infoZone := zs[0], zs[(zones-1)/2], zs[zones-1]
 		pt := can.NewBus(ptZone.Kernel(), "powertrain-bus", 500_000)
 		ch := can.NewBus(chZone.Kernel(), "chassis-bus", 500_000)
@@ -73,7 +63,7 @@ func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
 		// IDS at the powertrain attachment point (zone 0's kernel). Its
 		// containment reflex crosses the kernel boundary: the quarantine
 		// request rides an inter-kernel message and lands one backbone
-		// lookahead later, identically at any parallelism.
+		// lookahead later.
 		eng := ids.NewEngine(ids.NewFrequencyDetector(), ids.NewSpecDetector())
 		combined := append(workload.PowertrainMatrix(), workload.BodyMatrix()...)
 		clean := workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01)
@@ -140,7 +130,6 @@ func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
 			}
 		})
 
-		g.SetWorkers(workers)
 		if err := g.RunUntil(10 * sim.Second); err != nil {
 			panic(err)
 		}

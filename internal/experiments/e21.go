@@ -12,6 +12,29 @@ import (
 	"autosec/internal/someip"
 )
 
+// e21Attack labels one attack scenario and installs its events on the
+// measurement vehicle. Install is called after the clean scripts, with
+// every attack event at or after e21AttackStart.
+type e21Attack struct {
+	name    string
+	install func(v *core.Vehicle, s *e21Scenario)
+}
+
+const (
+	e21CaptureEnd  = 2 * sim.Second
+	e21AttackStart = 4 * sim.Second
+	e21RunEnd      = 6 * sim.Second
+)
+
+// e21Scenario carries the handles the clean scripts create that the
+// attack installers need (victim slot, attacker stations, service MACs).
+type e21Scenario struct {
+	frOwnerSilent *bool          // set true when the masqueraded owner must yield its slot
+	ghost         *ethernet.Host // wired but silent station for the spoofing row
+	display       *ethernet.Host // known station that sources the spoofed notifications
+	cameraMAC     ethernet.MAC   // SOME/IP server station
+}
+
 // E21 pits the baseline statistical detector trio (frequency, interval,
 // spec) against the medium-aware registry suite on four attacks, one per
 // non-CAN medium, each tuned to be statistically invisible: it preserves
@@ -37,40 +60,10 @@ import (
 // interval false alerts there — the medium-aware suite adds detection
 // without adding false alerts.
 //
-// The vehicle is a 2-zone per-zone-kernel build, so the golden table
-// also pins worker-count invariance of the detection plane (benchreport
-// -kernelpar reruns it at higher parallelism and byte-diffs).
+// The vehicle is a 2-zone per-zone-kernel build with every attack medium
+// on an extra domain sharded into zone 0, so the detection plane never
+// observes across kernels.
 func E21MediumIDS(seed uint64) *Table {
-	return E21MediumIDSWith(seed, 1)
-}
-
-// e21Attack labels one attack scenario and installs its events on the
-// measurement vehicle. Install is called after the clean scripts, with
-// every attack event at or after e21AttackStart.
-type e21Attack struct {
-	name    string
-	install func(v *core.Vehicle, s *e21Scenario)
-}
-
-const (
-	e21CaptureEnd  = 2 * sim.Second
-	e21AttackStart = 4 * sim.Second
-	e21RunEnd      = 6 * sim.Second
-)
-
-// e21Scenario carries the handles the clean scripts create that the
-// attack installers need (victim slot, attacker stations, service MACs).
-type e21Scenario struct {
-	frOwnerSilent *bool          // set true when the masqueraded owner must yield its slot
-	ghost         *ethernet.Host // wired but silent station for the spoofing row
-	display       *ethernet.Host // known station that sources the spoofed notifications
-	cameraMAC     ethernet.MAC   // SOME/IP server station
-}
-
-// E21MediumIDSWith runs the comparison at the given worker count. The
-// golden table uses workers=1; any other value must reproduce it byte
-// for byte.
-func E21MediumIDSWith(seed uint64, workers int) *Table {
 	t := &Table{
 		ID:    "E21",
 		Title: "Medium-aware IDS vs statistical baseline on per-medium attacks (§5, §7)",
@@ -98,7 +91,6 @@ func E21MediumIDSWith(seed uint64, workers int) *Table {
 			frTr := netif.Recorder(cap.Media["frchassis"])
 			linTr := netif.Recorder(cap.Media["cabin"])
 			ethTr := netif.Recorder(cap.Media["telematics"])
-			cap.SetParallelism(workers)
 			if err := cap.RunUntil(e21CaptureEnd); err != nil {
 				panic(err)
 			}
@@ -112,7 +104,6 @@ func E21MediumIDSWith(seed uint64, workers int) *Table {
 			v, scn := e21BuildVehicle(seed, aware)
 			v.TrainIDS(train)
 			atk.install(v, scn)
-			v.SetParallelism(workers)
 			if err := v.RunUntil(e21RunEnd); err != nil {
 				panic(err)
 			}

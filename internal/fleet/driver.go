@@ -78,7 +78,10 @@ func (a *driveAbort) err() error {
 // rules, observers or traffic it adds are rewound by the next Reset.
 //
 // An error aborts the drive; the lowest-indexed error observed wins the
-// report. ctx cancellation surfaces as that context's error.
+// report. A panic in fn or in the pool's Acquire aborts it the same way,
+// as an error naming the vehicle's index and seed, and that vehicle is
+// discarded rather than reused. ctx cancellation surfaces as that
+// context's error.
 //
 // Drive is the bare loop; DriveObs is the same loop with the fleet
 // observability plane (merged metrics, sampled traces, progress

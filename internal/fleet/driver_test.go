@@ -123,6 +123,42 @@ func TestDriveErrorLowestIndex(t *testing.T) {
 	}
 }
 
+// TestDrivePanicBecomesError pins panic containment: a vehicle whose
+// scenario panics, or whose pooled Reset panics, fails the drive with an
+// error naming its index and seed instead of crashing the process, at
+// one worker and at several, and the error still obeys the lowest-index
+// contract.
+func TestDrivePanicBecomesError(t *testing.T) {
+	cfg := core.Config{VIN: "PANIC", Seed: 5}
+	for _, tc := range []struct {
+		name string
+		fn   func(idx int, v *core.Vehicle) (int, error)
+		want string
+	}{
+		{"scenario", func(idx int, v *core.Vehicle) (int, error) {
+			if idx == 37 {
+				panic("scenario bug")
+			}
+			return idx, nil
+		}, fmt.Sprintf("fleet: vehicle 37 (seed %d): panic: scenario bug", VehicleSeed(cfg.Seed, 37))},
+		// Vehicle 37 breaks its vehicle, so the Reset inside vehicle 38's
+		// Acquire (same shard, same pool at 1 and 4 workers) panics.
+		{"acquire", func(idx int, v *core.Vehicle) (int, error) {
+			if idx == 37 {
+				v.Kernel = nil
+			}
+			return idx, nil
+		}, fmt.Sprintf("fleet: vehicle 38 (seed %d): panic: runtime error", VehicleSeed(cfg.Seed, 38))},
+	} {
+		for _, workers := range []int{1, 4} {
+			_, err := Drive(context.Background(), Driver{Cfg: cfg, N: 64, Workers: workers}, tc.fn)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("%s, workers=%d: err = %v, want prefix %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestDriveContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -309,9 +309,9 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 					break
 				}
 				seed := VehicleSeed(d.Cfg.Seed, idx)
-				v, err := pool.Acquire(seed)
+				v, _, err := contain(idx, seed, func() (*core.Vehicle, error) { return pool.Acquire(seed) })
 				if err != nil {
-					abort.fail(idx, fmt.Errorf("fleet: vehicle %d: %w", idx, err))
+					abort.fail(idx, err)
 					break
 				}
 				var reg *obs.Registry
@@ -335,7 +335,13 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 				if reg != nil || tr != nil {
 					v.Instrument(tr, reg)
 				}
-				out, err := fn(idx, v, reg)
+				out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v, reg) })
+				if panicked {
+					// The vehicle's state is suspect: drop it rather
+					// than hand it to the next Reset.
+					abort.fail(idx, err)
+					break
+				}
 				if err == nil && tracing {
 					interesting := v.SecurityIncidents() > 0
 					if interesting || TraceSampled(d.Cfg.Seed, idx, o.TraceRate) {
@@ -360,7 +366,7 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 				}
 				pool.Release(v)
 				if err != nil {
-					abort.fail(idx, fmt.Errorf("fleet: vehicle %d: %w", idx, err))
+					abort.fail(idx, err)
 					break
 				}
 				results[idx-lo] = out
@@ -442,6 +448,25 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 		o.Observer.DriveDone(stats)
 	}
 	return results, res, nil
+}
+
+// contain runs one pool or scenario call for vehicle idx, wrapping an
+// error with the index and turning a panic into an error that names the
+// index and seed — the way runner.runOne contains a bad replicate — so
+// one bad vehicle fails the drive instead of the process. panicked tells
+// the caller the vehicle must not go back to the pool.
+func contain[R any](idx int, seed uint64, f func() (R, error)) (r R, panicked bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			panicked = true
+			err = fmt.Errorf("fleet: vehicle %d (seed %d): panic: %v", idx, seed, p)
+		}
+	}()
+	r, err = f()
+	if err != nil {
+		err = fmt.Errorf("fleet: vehicle %d: %w", idx, err)
+	}
+	return r, false, err
 }
 
 // WriteChromeTraces exports every kept trace as a Chrome trace_event

@@ -1,6 +1,6 @@
-// Conservative parallel discrete-event simulation: a KernelGroup runs
-// several Kernels — one per model partition, e.g. one per vehicle zone —
-// and lets them dispatch concurrently while keeping the overall event
+// Conservative discrete-event simulation over partitioned models: a
+// KernelGroup runs several Kernels — one per model partition, e.g. one
+// per vehicle zone — under a shared lookahead, keeping the overall event
 // order byte-deterministic.
 //
 // The synchronization protocol is windowed conservative PDES (the
@@ -13,13 +13,13 @@
 //     [m, m+L): no member can receive anything new below m+L, because a
 //     message sent by an event at time t >= m arrives at t+L >= m+L.
 //  2. Dispatch: every member drains its events with deadline < m+L, in
-//     parallel. Members never touch each other's state directly;
-//     cross-member effects go through Send, which buffers a timestamped
-//     message on the *sender*.
+//     member-index order on the calling goroutine. Members never touch
+//     each other's state directly; cross-member effects go through Send,
+//     which buffers a timestamped message on the *sender*.
 //  3. Barrier: buffered messages flush into the receiving kernels in a
 //     fixed order — receiver index, then sender index, then send order —
-//     so tie-breaking at equal deadlines is identical no matter how many
-//     worker goroutines ran the window.
+//     so tie-breaking at equal deadlines never depends on which member
+//     dispatched first.
 //
 // Deadlock freedom is structural: there are no pairwise channel
 // dependencies to cycle on, only the global barrier, and every round
@@ -29,9 +29,7 @@
 // Determinism: the window bound depends only on queue state, each
 // member's in-window dispatch order is its own (when, seq) heap order,
 // and the flush order is fixed — so the group's state evolution is a
-// pure function of (seed, model), independent of SetWorkers. Workers=1
-// is the serial reference the equivalence tests pin parallel runs
-// against, byte for byte.
+// pure function of (seed, model).
 package sim
 
 import "fmt"
@@ -51,9 +49,7 @@ func memberSeed(seed uint64, i int) uint64 {
 
 // xMsg is one pooled inter-kernel message: a callback to inject into the
 // receiving kernel at an absolute deadline. Nodes are owned by the
-// sending member's free list; the coordinator recycles them at the
-// barrier, which is never concurrent with the sender's window, so the
-// pool needs no lock.
+// sending member's free list and recycled at the barrier.
 type xMsg struct {
 	at Time
 	fn func()
@@ -63,8 +59,8 @@ type xMsg struct {
 type groupMember struct {
 	k *Kernel
 	// out[d] buffers messages addressed to member d, in send order.
-	// Only the goroutine running this member's window appends; only the
-	// coordinator (at the barrier) drains.
+	// Only this member's events (or setup code between runs) append;
+	// only the barrier drains.
 	out  [][]*xMsg
 	free []*xMsg
 }
@@ -81,29 +77,24 @@ func (m *groupMember) alloc() *xMsg {
 
 // KernelGroup synchronizes a set of Kernels under a shared lookahead.
 // Construct with NewKernelGroup; create members with Kernel(i). Topology
-// (members, barrier hooks, workers) may only change between runs.
+// (members, barrier hooks) may only change between runs.
 type KernelGroup struct {
 	seed      uint64
 	lookahead Duration
 	members   []*groupMember
-	workers   int
 	barrier   []func(limit Time)
 	halted    bool
-
-	// worker plumbing, live only inside run() when workers > 1.
-	nworkers int
-	start    []chan Time
-	done     chan bool
 }
 
 // NewKernelGroup creates an empty group. lookahead is the minimum
 // virtual-time distance of every cross-member message and must be
-// positive — it is what lets members dispatch a window in parallel.
+// positive — it is what lets each member dispatch a whole window before
+// the barrier.
 func NewKernelGroup(seed uint64, lookahead Duration) *KernelGroup {
 	if lookahead <= 0 {
 		panic("sim: KernelGroup needs a positive lookahead")
 	}
-	return &KernelGroup{seed: seed, lookahead: lookahead, workers: 1}
+	return &KernelGroup{seed: seed, lookahead: lookahead}
 }
 
 // Kernel returns member i's kernel, creating members up to index i on
@@ -133,20 +124,6 @@ func (g *KernelGroup) Members() int { return len(g.members) }
 // Lookahead reports the group's cross-member lookahead.
 func (g *KernelGroup) Lookahead() Duration { return g.lookahead }
 
-// SetWorkers picks how many goroutines dispatch windows: 1 (the
-// default) runs members serially on the calling goroutine — the
-// reference schedule — and n > 1 shards members across n goroutines.
-// Output is byte-identical for every value.
-func (g *KernelGroup) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.workers = n
-}
-
-// Workers reports the configured window parallelism.
-func (g *KernelGroup) Workers() int { return g.workers }
-
 // Steps reports the total events dispatched across all members.
 func (g *KernelGroup) Steps() uint64 {
 	var n uint64
@@ -174,10 +151,10 @@ func (g *KernelGroup) Now() Time {
 	return g.members[0].k.Now()
 }
 
-// AtBarrier registers a hook the coordinator runs single-threaded after
-// every round's flush, with the round's window limit. Hooks are where
-// cross-member state merges safely (e.g. the vehicle audit chain): no
-// member window is in flight while they run.
+// AtBarrier registers a hook the group runs after every round's flush,
+// with the round's window limit. Hooks are where cross-member state
+// merges (e.g. the vehicle audit chain): no member window is in flight
+// while they run.
 func (g *KernelGroup) AtBarrier(fn func(limit Time)) {
 	g.barrier = append(g.barrier, fn)
 }
@@ -190,13 +167,13 @@ func (g *KernelGroup) Halt() { g.halted = true }
 
 // Send buffers a cross-member message: fn will run on member to's
 // kernel at absolute time at. It must be called either from an event
-// executing on member from's kernel, or from the coordinating goroutine
-// between runs; at must be at least from's current time plus the group
-// lookahead — violating that would let a message land inside a window
-// another member already dispatched, so it panics (it always indicates
-// a model bug, exactly like Kernel.At in the past).
+// executing on member from's kernel, or between runs; at must be at
+// least from's current time plus the group lookahead — violating that
+// would let a message land inside a window another member already
+// dispatched, so it panics (it always indicates a model bug, exactly
+// like Kernel.At in the past).
 //
-// fn runs on the receiving kernel's goroutine; to stay allocation-free,
+// fn runs as an event on the receiving kernel; to stay allocation-free,
 // senders should prebind fn once and reuse it (see the pooled message
 // nodes in internal/zonal's partitioned backbone).
 func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
@@ -216,8 +193,8 @@ func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
 
 // flush injects every buffered message into its receiving kernel, in
 // (receiver index, sender index, send order) — the fixed tie-break that
-// makes rounds worker-count-independent — and recycles the nodes.
-// Coordinator-only; never concurrent with member windows.
+// makes rounds independent of member dispatch order — and recycles the
+// nodes.
 func (g *KernelGroup) flush() {
 	for di, dst := range g.members {
 		for _, src := range g.members {
@@ -236,63 +213,16 @@ func (g *KernelGroup) flush() {
 	}
 }
 
-// round dispatches one window on every member and reports false if any
-// member halted mid-window.
+// round dispatches one window on every member, in index order, and
+// reports false if any member halted mid-window.
 func (g *KernelGroup) round(limit Time) bool {
-	if g.start == nil {
-		ok := true
-		for _, m := range g.members {
-			if !m.k.DispatchBefore(limit) {
-				ok = false
-			}
-		}
-		return ok
-	}
-	for _, ch := range g.start {
-		ch <- limit
-	}
 	ok := true
-	for range g.start {
-		if !<-g.done {
+	for _, m := range g.members {
+		if !m.k.DispatchBefore(limit) {
 			ok = false
 		}
 	}
 	return ok
-}
-
-// startWorkers spawns w window goroutines with a static member
-// partition (worker wi owns members wi, wi+w, ...). Channel handoffs
-// order every window after the previous flush and every flush after the
-// windows it drains, which is the entire memory-model story: members
-// only ever touch their own kernel and their own outgoing mailboxes.
-func (g *KernelGroup) startWorkers(w int) {
-	g.nworkers = w
-	g.start = make([]chan Time, w)
-	g.done = make(chan bool, w)
-	for wi := 0; wi < w; wi++ {
-		ch := make(chan Time, 1)
-		g.start[wi] = ch
-		go func(wi int, ch chan Time) {
-			for limit := range ch {
-				ok := true
-				for mi := wi; mi < len(g.members); mi += w {
-					if !g.members[mi].k.DispatchBefore(limit) {
-						ok = false
-					}
-				}
-				g.done <- ok
-			}
-		}(wi, ch)
-	}
-}
-
-// stopWorkers shuts the window goroutines down at the end of a run.
-func (g *KernelGroup) stopWorkers() {
-	for _, ch := range g.start {
-		close(ch)
-	}
-	g.start = nil
-	g.nworkers = 0
 }
 
 // Run dispatches rounds until every member's queue drains (or Halt).
@@ -311,14 +241,6 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 	// Deliver messages buffered between runs (setup-time Sends) so the
 	// first horizon sees them.
 	g.flush()
-	w := g.workers
-	if w > len(g.members) {
-		w = len(g.members)
-	}
-	if w > 1 {
-		g.startWorkers(w)
-		defer g.stopWorkers()
-	}
 	for !g.halted {
 		m := Never
 		for _, mb := range g.members {
@@ -366,9 +288,9 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 
 // Reset rewinds every member kernel to time zero under seeds derived
 // from the new group seed, recycles any undelivered cross-member
-// messages, and clears the halt flag. Barrier hooks and workers are
-// construction wiring and survive — the group analogue of Kernel.Reset,
-// and what core.VehiclePool leans on to recycle parallel vehicles.
+// messages, and clears the halt flag. Barrier hooks are construction
+// wiring and survive — the group analogue of Kernel.Reset, and what
+// core.VehiclePool leans on to recycle per-zone-kernel vehicles.
 func (g *KernelGroup) Reset(seed uint64) {
 	g.seed = seed
 	g.halted = false

@@ -11,12 +11,12 @@ import (
 // following (src, dst, delay) triple seeds one message chain — an event
 // on src that sends to dst at now+L+delay, whose delivery forwards the
 // chain onward with a depth drawn from the delay byte. Every delivery
-// asserts the safe-horizon invariant (arrival >= send time + lookahead)
-// into the log, so a violation diverges the fingerprint and fails the
-// comparison. The script only constructs invariant-respecting sends;
+// checks the safe-horizon invariant (arrival >= send time + lookahead)
+// and the exact arrival instant, logging a VIOLATION or LATE line when
+// either fails. The script only constructs invariant-respecting sends;
 // Send panicking on anything else is pinned separately by
 // TestGroupSendLookaheadViolationPanics.
-func runGroupOrderingScript(data []byte, workers int) string {
+func runGroupOrderingScript(data []byte) string {
 	if len(data) < 5 {
 		return ""
 	}
@@ -62,7 +62,6 @@ func runGroupOrderingScript(data []byte, workers int) string {
 		g.Kernel(src).At(at, func() { chain(src, depth, delay+Duration(idx%5)) })
 	}
 
-	g.SetWorkers(workers)
 	// Run must terminate: windowed rounds always dispatch the horizon
 	// event, so a hang here is a deadlock bug the fuzzer would surface
 	// as a timeout.
@@ -82,21 +81,16 @@ func runGroupOrderingScript(data []byte, workers int) string {
 
 // FuzzKernelGroupOrdering fuzzes the inter-kernel message ordering:
 // arbitrary (source, destination, delay) scripts must never violate the
-// safe-horizon invariant, never deadlock (Run terminates), and must
-// produce byte-identical execution serially and in parallel.
+// safe-horizon invariant, must deliver every message at exactly its
+// deadline, and must never deadlock (Run terminates).
 func FuzzKernelGroupOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3})
 	f.Add([]byte{3, 17, 0, 1, 200, 1, 2, 7, 2, 0, 255, 5, 3, 64})
 	f.Add([]byte{255, 1, 9, 9, 9, 0, 0, 0, 1, 1, 1, 2, 2, 2})
 	f.Add([]byte{2, 100, 0, 50, 10, 1, 50, 10, 0, 25, 128, 1, 25, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		serial := runGroupOrderingScript(data, 1)
-		if strings.Contains(serial, "VIOLATION") || strings.Contains(serial, "LATE") {
-			t.Fatalf("safe-horizon invariant violated:\n%s", serial)
-		}
-		parallel := runGroupOrderingScript(data, 3)
-		if serial != parallel {
-			t.Fatalf("serial and parallel runs diverged:\n--- serial\n%s\n--- parallel\n%s", serial, parallel)
+		if out := runGroupOrderingScript(data); strings.Contains(out, "VIOLATION") || strings.Contains(out, "LATE") {
+			t.Fatalf("safe-horizon invariant violated:\n%s", out)
 		}
 	})
 }

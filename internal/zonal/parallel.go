@@ -10,20 +10,19 @@
 //
 // Because no frame can cross faster than the minimum-size crossing,
 // ethernet.TunnelLookahead(hop, linkBps) bounds every message distance
-// and serves as the group's lookahead: zones dispatch whole windows of
-// intra-zone events in parallel without ever seeing a cross-zone frame
-// arrive in their past.
+// and serves as the group's lookahead: each zone dispatches whole
+// windows of intra-zone events without ever seeing a cross-zone frame
+// arrive in its past.
 //
 // The message path is allocation-free in steady state: frame payloads
 // copy into pooled message nodes (netif.Frame.CopyInto reuses each
-// node's buffer), delivery callbacks are prebound once per node, and the
-// per-port node pools are mutex-guarded because a node is minted by the
-// sending zone's goroutine and recycled by the receiving zone's.
+// node's buffer), delivery callbacks are prebound once per node, and
+// each receiving port keeps its own node pool — minted by the sending
+// zone's events, recycled after delivery by the receiving zone's.
 package zonal
 
 import (
 	"errors"
-	"sync"
 
 	"autosec/internal/ethernet"
 	"autosec/internal/netif"
@@ -106,7 +105,7 @@ func (f *Fabric) BackboneDeliveriesTotal() int64 {
 // fabric, or when both domains share a zone, it applies immediately; on
 // a partitioned fabric the request crosses the kernel boundary as a
 // timestamped control message and takes effect one backbone lookahead
-// later, which is also what keeps it deterministic at any parallelism.
+// later, which is also what keeps it deterministic.
 // Callable from an event on the requesting zone's kernel, or between
 // runs.
 func (f *Fabric) RequestZoneQuarantine(fromDomain, targetDomain string) error {
@@ -166,9 +165,8 @@ type backbonePort struct {
 	frames sim.Counter
 
 	// Pooled in-flight message nodes for frames addressed *to* this
-	// zone. Minted under mu by remote sending kernels, recycled under mu
-	// by this zone's kernel after delivery.
-	mu   sync.Mutex
+	// zone. Minted by remote sending kernels, recycled by this zone's
+	// kernel after delivery.
 	free []*bbMsg
 }
 
@@ -214,15 +212,12 @@ type bbMsg struct {
 }
 
 func (p *backbonePort) allocMsg() *bbMsg {
-	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.mu.Unlock()
 		return m
 	}
-	p.mu.Unlock()
 	m := &bbMsg{port: p}
 	m.fn = m.deliver
 	return m
@@ -236,14 +231,12 @@ func (m *bbMsg) deliver() {
 	if p.recv != nil {
 		p.recv(m.at, &m.frame)
 	}
-	p.mu.Lock()
 	p.free = append(p.free, m)
-	p.mu.Unlock()
 }
 
 // InstrumentZones is Instrument for partitioned fabrics: zone i's
 // gateway attaches to tracers[i] — per-zone tracers, since one shared
-// ring cannot take concurrent appends from several kernels — and the
+// ring would interleave the zones' windows out of time order — and the
 // registry gets per-zone metrics plus the fabric totals. Registry
 // counters are only written by their owning zone's kernel and must only
 // be read between runs. tracers may be nil or shorter than the zone

@@ -351,8 +351,9 @@ func (f *Fabric) Observe(fn ObserveFunc) { f.observers = append(f.observers, fn)
 // observability layer. Zone metrics register as "zone-<name>/..." so
 // several gateways share one registry without key collisions; fabric
 // totals register under "zonal/". A partitioned fabric rejects a shared
-// tracer: its zones run on concurrent kernels and one trace ring cannot
-// take interleaved appends — use InstrumentZones with per-zone tracers.
+// tracer: its zones run on separate kernels whose windows would
+// interleave in one ring out of time order — use InstrumentZones with
+// per-zone tracers.
 func (f *Fabric) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	if f.group != nil && tr != nil {
 		panic("zonal: shared tracer on a partitioned fabric; use InstrumentZones")
