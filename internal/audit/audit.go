@@ -26,33 +26,19 @@ type Entry struct {
 
 	// prev is the hash of the preceding entry (zero for the first).
 	prev [32]byte
-	// hash covers (prev ‖ at ‖ source ‖ event).
+	// hash covers (prev ‖ at ‖ source ‖ 0 ‖ event); see Log.hash.
 	hash [32]byte
 }
 
 // Hash returns the entry's chain hash.
 func (e *Entry) Hash() [32]byte { return e.hash }
 
-func computeHash(prev [32]byte, at sim.Time, source, event string) [32]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(at))
-	h.Write(t[:])
-	h.Write([]byte(source))
-	h.Write([]byte{0})
-	h.Write([]byte(event))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
 // Log is the hash-chained event log.
 type Log struct {
 	entries []Entry
-	// MaxEntries bounds memory; the oldest sealed entries are dropped
-	// once a seal covers them. 0 means unbounded.
-	MaxEntries int
+	// scratch holds the hashed bytes of one entry; Append and VerifyChain
+	// share it, so a warm log hashes without allocating.
+	scratch []byte
 
 	// seal support
 	sealMAC func(msg []byte) ([]byte, error)
@@ -69,8 +55,19 @@ type Log struct {
 	obsCache    [3]*obs.Counter
 
 	// Pooled-reuse baseline; see MarkBaseline/ResetToBaseline.
-	baseSealed     bool
-	baseMaxEntries int
+	baseSealed bool
+}
+
+// hash computes an entry's chain hash: SHA-256 over
+// prev ‖ at (8 bytes, big-endian) ‖ source ‖ 0 ‖ event.
+func (l *Log) hash(prev [32]byte, at sim.Time, source, event string) [32]byte {
+	b := append(l.scratch[:0], prev[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(at))
+	b = append(b, source...)
+	b = append(b, 0)
+	b = append(b, event...)
+	l.scratch = b
+	return sha256.Sum256(b)
 }
 
 // Instrument registers the log's health counters (audit/appends,
@@ -98,17 +95,14 @@ func (l *Log) ReattachMetrics(reg *obs.Registry) bool {
 	return true
 }
 
-// MarkBaseline records the log's post-construction configuration as the
-// reset target for pooled reuse.
-func (l *Log) MarkBaseline() {
-	l.baseSealed = true
-	l.baseMaxEntries = l.MaxEntries
-}
+// MarkBaseline seals the log's construction as the reset target for
+// pooled reuse.
+func (l *Log) MarkBaseline() { l.baseSealed = true }
 
 // ResetToBaseline empties the log for pooled reuse: entries and seals
 // clear (backing arrays retained, contents zeroed so no evidence leaks
-// across runs), MaxEntries restores, observability detaches. The seal
-// MAC closure is construction wiring and survives.
+// across runs) and observability detaches. The seal MAC closure is
+// construction wiring and survives.
 func (l *Log) ResetToBaseline() {
 	if !l.baseSealed {
 		panic("audit: ResetToBaseline before MarkBaseline")
@@ -121,7 +115,6 @@ func (l *Log) ResetToBaseline() {
 		l.seals[i] = Seal{}
 	}
 	l.seals = l.seals[:0]
-	l.MaxEntries = l.baseMaxEntries
 	l.cAppends = nil
 	l.cSeals = nil
 	l.cChainFail = nil
@@ -147,9 +140,7 @@ func (l *Log) Append(at sim.Time, source, event string) {
 	if n := len(l.entries); n > 0 {
 		prev = l.entries[n-1].hash
 	}
-	e := Entry{At: at, Source: source, Event: event, prev: prev}
-	e.hash = computeHash(prev, at, source, event)
-	l.entries = append(l.entries, e)
+	l.entries = append(l.entries, Entry{At: at, Source: source, Event: event, prev: prev, hash: l.hash(prev, at, source, event)})
 	l.cAppends.Inc()
 }
 
@@ -176,7 +167,7 @@ func (l *Log) VerifyChain() error {
 			l.cChainFail.Inc()
 			return fmt.Errorf("%w: entry %d prev-hash mismatch", ErrChainBroken, i)
 		}
-		if computeHash(prev, e.At, e.Source, e.Event) != e.hash {
+		if l.hash(prev, e.At, e.Source, e.Event) != e.hash {
 			l.cChainFail.Inc()
 			return fmt.Errorf("%w: entry %d content mismatch", ErrChainBroken, i)
 		}

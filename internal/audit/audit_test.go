@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -102,7 +104,7 @@ func TestSealsCatchEditBehindSeal(t *testing.T) {
 			prev = l.entries[i-1].hash
 		}
 		l.entries[i].prev = prev
-		l.entries[i].hash = computeHash(prev, l.entries[i].At, l.entries[i].Source, l.entries[i].Event)
+		l.entries[i].hash = l.hash(prev, l.entries[i].At, l.entries[i].Source, l.entries[i].Event)
 	}
 	if err := l.VerifyChain(); err != nil {
 		t.Fatalf("recomputed chain should self-verify: %v", err)
@@ -172,5 +174,61 @@ func TestAnyEditBreaksChainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refHash is the chain-hash layout streamed through hash.Hash, the
+// reference the Log's scratch-buffer hash must reproduce byte for byte.
+func refHash(prev [32]byte, at sim.Time, source, event string) [32]byte {
+	h := sha256.New()
+	h.Write(prev[:])
+	var t [8]byte
+	binary.BigEndian.PutUint64(t[:], uint64(at))
+	h.Write(t[:])
+	h.Write([]byte(source))
+	h.Write([]byte{0})
+	h.Write([]byte(event))
+	var out [32]byte
+	copy(out[:], h.Sum(nil))
+	return out
+}
+
+func TestChainHashMatchesReference(t *testing.T) {
+	l := populated(t)
+	l.Append(-sim.Second, "", "")
+	l.Append(sim.Never, "ids", "[1.000500ms] spec id=0xffffffff: unknown identifier")
+	var prev [32]byte
+	for i, e := range l.Entries() {
+		if want := refHash(prev, e.At, e.Source, e.Event); e.Hash() != want {
+			t.Fatalf("entry %d hash %x, want %x", i, e.Hash(), want)
+		}
+		prev = e.Hash()
+	}
+}
+
+// TestAuditAppendSteadyStateAllocs pins the chain's hot path: once the
+// entry array and the hash scratch are warm, appending and verifying
+// allocate nothing.
+func TestAuditAppendSteadyStateAllocs(t *testing.T) {
+	l := New(nil)
+	l.MarkBaseline()
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			l.Append(sim.Time(i)*sim.Millisecond, "ids", "[1.000ms] spec id=0x123: unknown identifier")
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.ResetToBaseline()
+		fill()
+	}); allocs != 0 {
+		t.Fatalf("Append steady state allocates %v per 64 entries, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := l.VerifyChain(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("VerifyChain allocates %v per 64-entry chain, want 0", allocs)
 	}
 }

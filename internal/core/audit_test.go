@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autosec/internal/can"
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
 )
@@ -79,4 +80,47 @@ func TestAuditLogRecordsIDSAlerts(t *testing.T) {
 	if err := v.Audit.VerifyChain(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAlertAuditAllocs pins the alert→audit path of the canonical fleet
+// vehicle: once the alert history and the audit log have warm capacity,
+// one record the untrained baseline IDS flags ("unknown identifier")
+// costs the spec detector's result slice and the audit string the log
+// keeps — nothing for rendering, notification or hashing.
+func TestAlertAuditAllocs(t *testing.T) {
+	pool := NewVehiclePool(Config{VIN: "ALERT-ALLOC", Seed: 1, Zonal: &ZonalConfig{
+		Zones:        2,
+		LocalDomains: []DomainSpec{{Name: "body", Kind: netif.CAN}},
+	}})
+	rec := netif.Record{Frame: netif.Frame{Medium: netif.CAN, ID: 0x123, Payload: []byte{1, 2}}}
+	observe := func(v *Vehicle) {
+		rec.At += 500 * sim.Microsecond
+		if n := len(v.IDS.Observe(rec)); n != 1 {
+			t.Fatalf("alerts per record = %d, want 1", n)
+		}
+	}
+	// Warm-up grows the alert history and the audit log past the measured
+	// run; the pooled reset keeps their capacity.
+	v, err := pool.Acquire(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		observe(v)
+	}
+	pool.Release(v)
+	if v, err = pool.Acquire(2); err != nil {
+		t.Fatal(err)
+	}
+	rec.At = 0
+	observe(v)
+	if allocs := testing.AllocsPerRun(200, func() { observe(v) }); allocs > 2 {
+		t.Fatalf("allocs per alerting record = %v, want <= 2", allocs)
+	}
+	// The first entry must survive every later render into the reused
+	// buffer.
+	if got, want := v.Audit.Entries()[0].Event, "[500.000us] spec id=0x123: unknown identifier"; got != want {
+		t.Fatalf("audit entry %q, want %q", got, want)
+	}
+	pool.Release(v)
 }

@@ -154,6 +154,9 @@ type Vehicle struct {
 	// mergeAuditStages.
 	auditStage [][]stagedAudit
 	stageIdx   []int
+	// alertBuf is the scratch an IDS alert renders into before its audit
+	// entry copies it out.
+	alertBuf []byte
 
 	// idsSuite is the detector construction set the build selected;
 	// Reset rebuilds the detection plane from it.
@@ -327,14 +330,16 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 		})
 	}
 	v.IDS.OnAlert(func(a ids.Alert) {
+		v.alertBuf = a.AppendTo(v.alertBuf[:0])
+		msg := string(v.alertBuf)
 		// The IDS taps the powertrain domain, which shards into zone 0 —
 		// member 0's kernel — so per-zone-kernel builds stage its alerts
 		// there.
 		if v.Group != nil {
-			v.auditStage[0] = append(v.auditStage[0], stagedAudit{at: a.At, src: "ids", msg: a.String()})
+			v.auditStage[0] = append(v.auditStage[0], stagedAudit{at: a.At, src: "ids", msg: msg})
 			return
 		}
-		v.Audit.Append(a.At, "ids", a.String())
+		v.Audit.Append(a.At, "ids", msg)
 	})
 
 	// Policy plane.

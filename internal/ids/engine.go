@@ -115,20 +115,23 @@ func (e *Engine) OnAlert(fn func(Alert)) { e.onAlert = append(e.onAlert, fn) }
 
 // Observe routes one record through the registry: the global detectors
 // first, then the record's medium bucket, each in install order — the
-// deterministic alert merge order the golden tables pin. The hot path
-// allocates nothing when no detector alerts.
+// deterministic alert merge order the golden tables pin. Alerts append
+// straight to e.Alerts, and the returned slice is that tail of the alert
+// history: it aliases e.Alerts, so it is valid until ResetToBaseline
+// reuses the history's storage. The hot path allocates nothing when no
+// detector alerts.
 func (e *Engine) Observe(rec netif.Record) []Alert {
 	e.observed++
-	var out []Alert
+	start := len(e.Alerts)
 	for _, d := range e.reg.global {
-		out = append(out, d.Observe(rec)...)
+		e.Alerts = append(e.Alerts, d.Observe(rec)...)
 	}
 	if int(rec.Frame.Medium) < len(e.reg.byKind) {
 		for _, d := range e.reg.byKind[rec.Frame.Medium] {
-			out = append(out, d.Observe(rec)...)
+			e.Alerts = append(e.Alerts, d.Observe(rec)...)
 		}
 	}
-	e.Alerts = append(e.Alerts, out...)
+	out := e.Alerts[start:len(e.Alerts):len(e.Alerts)]
 	for _, a := range out {
 		if e.obsTr != nil {
 			e.obsTr.Instant(a.At, e.obsSub, e.obsTr.Label(a.Detector), e.obsTr.Label(a.Reason), int64(a.ID), 0)

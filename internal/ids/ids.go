@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"autosec/internal/netif"
 	"autosec/internal/sim"
@@ -39,12 +40,24 @@ type Alert struct {
 	Reason   string
 }
 
-func (a Alert) String() string {
-	if a.Medium == netif.CAN {
-		// The historical CAN rendering, byte-for-byte.
-		return fmt.Sprintf("[%v] %s id=%#x: %s", a.At, a.Detector, a.ID, a.Reason)
+func (a Alert) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo appends String's rendering of a to dst:
+// "[<at>] <detector> <medium> id=0x<hex id>: <reason>", where CAN alerts
+// omit the medium (the historical CAN rendering, byte-for-byte).
+func (a Alert) AppendTo(dst []byte) []byte {
+	dst = append(dst, '[')
+	dst = a.At.AppendTo(dst)
+	dst = append(dst, "] "...)
+	dst = append(dst, a.Detector...)
+	if a.Medium != netif.CAN {
+		dst = append(dst, ' ')
+		dst = append(dst, a.Medium.String()...)
 	}
-	return fmt.Sprintf("[%v] %s %s id=%#x: %s", a.At, a.Detector, a.Medium, a.ID, a.Reason)
+	dst = append(dst, " id=0x"...)
+	dst = strconv.AppendUint(dst, uint64(a.ID), 16)
+	dst = append(dst, ": "...)
+	return append(dst, a.Reason...)
 }
 
 // alertFor builds an alert for a traffic key.

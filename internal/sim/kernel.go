@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -51,19 +52,65 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // String formats the time with an adaptive unit.
-func (t Time) String() string {
+func (t Time) String() string { return string(t.AppendTo(nil)) }
+
+// exactTimeLimit bounds the times AppendTo renders from integer
+// nanoseconds: below it the float64 quotient that %.6f/%.3f round is
+// within half a unit of the last printed digit of the exact value, so
+// integer rounding agrees with the float rendering unless the exact value
+// is a tie.
+const exactTimeLimit = 1 << 52
+
+// AppendTo appends String's rendering of t to dst: seconds with six
+// decimals, milliseconds or microseconds with three, or integer
+// nanoseconds, whichever is the largest unit |t| reaches. Digits come from
+// the integer nanoseconds; where rounding the exact value can disagree with
+// rounding its float64 quotient (a tie — a remainder of exactly 500 ns — or
+// |t| at or above 2^52 ns), the float is formatted instead.
+func (t Time) AppendTo(dst []byte) []byte {
+	var unit Time
+	var suffix string
+	var prec int
 	switch {
 	case t == Never:
-		return "never"
+		return append(dst, "never"...)
 	case t >= Second || t <= -Second:
-		return fmt.Sprintf("%.6fs", t.Seconds())
+		unit, suffix, prec = Second, "s", 6
 	case t >= Millisecond || t <= -Millisecond:
-		return fmt.Sprintf("%.3fms", t.Millis())
+		unit, suffix, prec = Millisecond, "ms", 3
 	case t >= Microsecond || t <= -Microsecond:
-		return fmt.Sprintf("%.3fus", t.Micros())
+		unit, suffix, prec = Microsecond, "us", 3
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(dst, int64(t), 10), "ns"...)
 	}
+	scale := uint64(1000) // 10^prec
+	if prec == 6 {
+		scale = 1000000
+	}
+	// step is the time the last printed digit stands for: 1 us for
+	// seconds and milliseconds, 1 ns for microseconds.
+	step := uint64(unit) / scale
+	u := uint64(t)
+	if t < 0 {
+		u = uint64(-t)
+	}
+	q, r := u/step, u%step
+	if t >= exactTimeLimit || t <= -exactTimeLimit || (step > 1 && r == step/2) {
+		dst = strconv.AppendFloat(dst, float64(t)/float64(unit), 'f', prec, 64)
+		return append(dst, suffix...)
+	}
+	if r > step/2 {
+		q++
+	}
+	if t < 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, q/scale, 10)
+	dst = append(dst, '.')
+	for d := scale / 10; d > 0; d /= 10 {
+		dst = append(dst, byte('0'+q/d%10))
+	}
+	return append(dst, suffix...)
 }
 
 // eventNode is the kernel-owned storage for one scheduled callback. Nodes
