@@ -40,6 +40,34 @@ func BenchmarkCRC15(b *testing.B) {
 	}
 }
 
+// wireBitsSink keeps BenchmarkClassicWireBits' result live.
+var wireBitsSink int
+
+// BenchmarkClassicWireBits times the bus timing hot path's wire-bit
+// count (once per transmission) for the smallest and the largest classic
+// frame shapes the simulator sends.
+func BenchmarkClassicWireBits(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    Frame
+	}{
+		{"std1", Frame{ID: 0x123, Data: []byte{0x5A}}},
+		{"ext8", Frame{ID: 0x18DAF110, Extended: true, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := bc.f
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := classicWireBits(&f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wireBitsSink = n
+			}
+		})
+	}
+}
+
 // BenchmarkBusSaturated measures the per-frame cost of the bus data path
 // under back-to-back load: a sender whose completion callback immediately
 // refills the queue keeps the wire busy at 100%, with the Bernoulli bit

@@ -23,13 +23,19 @@ func CRC15(bits []bool) uint16 {
 		if b {
 			bit = 1
 		}
-		crcNext := bit ^ (crc >> 14)
-		crc = (crc << 1) & 0x7FFF
-		if crcNext == 1 {
-			crc ^= crc15Poly
-		}
+		crc = crc15Step(crc, bit)
 	}
-	return crc & 0x7FFF
+	return crc
+}
+
+// crc15Step feeds one bit (0 or 1) into a 15-bit CRC register.
+func crc15Step(crc, bit uint16) uint16 {
+	next := bit ^ crc>>14
+	crc = crc << 1 & 0x7FFF
+	if next == 1 {
+		crc ^= crc15Poly
+	}
+	return crc
 }
 
 // Stuff inserts a complement bit after every run of five identical bits,
@@ -265,63 +271,73 @@ func WireLength(f *Frame) (int, error) {
 	return len(wire) + 3, nil
 }
 
-// bitCounter streams the stuffed-region bits of a classic frame without
-// materializing them, accumulating the CRC-15 and the stuff-bit count in
-// one pass. It is the allocation-free equivalent of
-// len(Stuff(headerBits+CRC)) and exists for the bus timing hot path;
-// Marshal remains the reference bit-level encoder, and
-// TestClassicWireBitsMatchesMarshal pins the two together.
-type bitCounter struct {
-	crc   uint16
-	run   int
-	last  bool
-	any   bool
-	count int
+// The bus timing hot path counts a classic frame's wire bits without
+// materializing them. classicWireBits streams SOF..data through a shift
+// register a byte at a time: crc15Table advances the CRC-15 and
+// stuffTable the stuffing run. The at most 7 bits left over enter the CRC
+// one at a time (crc15Step). They are then stuffed together with the
+// 15-bit CRC sequence, whole bytes through stuffTable and the last few
+// bits one at a time (stuffStep). Marshal remains the reference
+// bit-level encoder; TestClassicWireBitsMatchesMarshal and
+// FuzzClassicWireBits pin the two together.
+
+// crc15Table[v] is the CRC-15 register after feeding byte v, MSB first,
+// into a zero register. The CRC is linear, so feeding v into a register
+// crc gives crc<<8 (15 bits) xor crc15Table[crc>>7 xor v].
+var crc15Table = func() (t [256]uint16) {
+	for v := range t {
+		var crc uint16
+		for i := 7; i >= 0; i-- {
+			crc = crc15Step(crc, uint16(v>>i)&1)
+		}
+		t[v] = crc
+	}
+	return t
+}()
+
+// stuffState is the bit-stuffing state between two bits: stuffStart
+// before the first bit, otherwise 1 + 4*last + (run-1) for the last bit
+// sent and the length (1–4) of the run of identical bits it ends. A run
+// never rests at 5: its fifth bit is followed by a complement stuff bit,
+// which starts a run of 1.
+type stuffState uint8
+
+const stuffStart stuffState = 0
+
+// stuffStep advances s by one bit b (0 or 1) and returns the stuff bits
+// that follow it (0 or 1).
+func stuffStep(s stuffState, b uint8) (stuffState, int) {
+	run := uint8(1)
+	if s != stuffStart && uint8(s-1)>>2 == b {
+		run = uint8(s-1)&3 + 2
+	}
+	if run == 5 {
+		return stuffState(1 + (b^1)<<2), 1
+	}
+	return stuffState(1 + b<<2 + run - 1), 0
 }
 
-// crcOnly feeds one bit into the CRC accumulator.
-func (bc *bitCounter) crcOnly(b bool) {
-	bit := uint16(0)
-	if b {
-		bit = 1
-	}
-	next := bit ^ (bc.crc >> 14)
-	bc.crc = (bc.crc << 1) & 0x7FFF
-	if next == 1 {
-		bc.crc ^= crc15Poly
-	}
+// stuffEntry is stuffStep applied to the eight bits of one byte.
+type stuffEntry struct {
+	next    stuffState
+	stuffed uint8 // stuff bits inserted within the byte (0–2)
 }
 
-// stuffOnly feeds one bit into the stuffing counter: the bit itself, plus
-// a complement stuff bit after every run of five.
-func (bc *bitCounter) stuffOnly(b bool) {
-	if bc.any && b == bc.last {
-		bc.run++
-	} else {
-		bc.run = 1
+// stuffTable[s][v] advances state s by byte v, MSB first.
+var stuffTable = func() (t [9][256]stuffEntry) {
+	for s := range t {
+		for v := range t[s] {
+			st, n := stuffState(s), 0
+			for i := 7; i >= 0; i-- {
+				var k int
+				st, k = stuffStep(st, uint8(v>>i)&1)
+				n += k
+			}
+			t[s][v] = stuffEntry{next: st, stuffed: uint8(n)}
+		}
 	}
-	bc.count++
-	bc.last = b
-	bc.any = true
-	if bc.run == 5 {
-		bc.count++ // stuff bit, complement of b
-		bc.last = !b
-		bc.run = 1
-	}
-}
-
-// bit feeds one header/data bit: CRC-covered and stuffed.
-func (bc *bitCounter) bit(b bool) {
-	bc.crcOnly(b)
-	bc.stuffOnly(b)
-}
-
-// bits feeds the low n bits of v, MSB first.
-func (bc *bitCounter) bits(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		bc.bit(v>>uint(i)&1 == 1)
-	}
-}
+	return t
+}()
 
 // classicWireBits returns exactly what WireLength returns for a valid
 // classic frame — stuffed SOF..CRC region, 10 tail bits (CRC delimiter,
@@ -334,33 +350,58 @@ func classicWireBits(f *Frame) (int, error) {
 	if err := f.Validate(); err != nil {
 		return 0, err
 	}
-	var bc bitCounter
-	bc.bit(false) // SOF (dominant)
-	if !f.Extended {
-		bc.bits(uint64(f.ID), 11)
-		bc.bit(f.Remote) // RTR
-		bc.bit(false)    // IDE = standard
-		bc.bit(false)    // r0
-	} else {
-		bc.bits(uint64(f.ID>>18), 11) // base ID
-		bc.bit(true)                  // SRR (recessive)
-		bc.bit(true)                  // IDE = extended
-		bc.bits(uint64(f.ID)&0x3FFFF, 18)
-		bc.bit(f.Remote) // RTR
-		bc.bit(false)    // r1
-		bc.bit(false)    // r0
+	rtr := uint64(0)
+	if f.Remote {
+		rtr = 1
 	}
-	bc.bits(uint64(f.DLC()), 4)
+	// reg is a shift register of wire bits, MSB first, starting with
+	// SOF..DLC; its low n bits are not counted yet.
+	var reg uint64
+	var n uint
+	if !f.Extended {
+		// SOF, ID(11), RTR, IDE=0, r0, DLC(4).
+		reg, n = uint64(f.ID)<<7|rtr<<6|uint64(f.DLC()), 19
+	} else {
+		// SOF, base ID(11), SRR=1, IDE=1, ID extension(18), RTR, r1, r0, DLC(4).
+		reg = uint64(f.ID>>18)<<27 | 3<<25 | (uint64(f.ID)&0x3FFFF)<<7 | rtr<<6 | uint64(f.DLC())
+		n = 39
+	}
+	var crc uint16
+	s := stuffStart
+	bits := 0
+	stuff := func(v uint8) {
+		e := stuffTable[s][v]
+		s = e.next
+		bits += 8 + int(e.stuffed)
+	}
+	feed := func(v uint8) {
+		crc = crc<<8&0x7FFF ^ crc15Table[uint8(crc>>7)^v]
+		stuff(v)
+	}
+	for ; n >= 8; n -= 8 {
+		feed(uint8(reg >> (n - 8)))
+	}
 	if !f.Remote {
 		for _, b := range f.Data {
-			bc.bits(uint64(b), 8)
+			reg = reg<<8 | uint64(b)
+			feed(uint8(reg >> n))
 		}
 	}
-	crc := bc.crc & 0x7FFF
-	for i := 14; i >= 0; i-- {
-		bc.stuffOnly(crc>>uint(i)&1 == 1)
+	// The leftover bits enter the CRC one at a time; then they and the
+	// CRC sequence are stuffed, whole bytes through the table.
+	for i := n; i > 0; i-- {
+		crc = crc15Step(crc, uint16(reg>>(i-1))&1)
 	}
-	return bc.count + 10 + 3, nil
+	reg, n = reg<<15|uint64(crc), n+15
+	for ; n >= 8; n -= 8 {
+		stuff(uint8(reg >> (n - 8)))
+	}
+	for ; n > 0; n-- {
+		var k int
+		s, k = stuffStep(s, uint8(reg>>(n-1))&1)
+		bits += 1 + k
+	}
+	return bits + 10 + 3, nil
 }
 
 // BitLength estimates on-wire bits for timing purposes, handling both

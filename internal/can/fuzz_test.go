@@ -2,6 +2,7 @@ package can
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -134,6 +135,47 @@ func FuzzFrameRoundtrip(f *testing.F) {
 		got, err := Unmarshal(mut)
 		if err == nil && !got.Equal(fr) {
 			t.Fatalf("single-bit corruption at %d decoded to a different frame: %v -> %v", flip, fr, got)
+		}
+	})
+}
+
+// FuzzClassicWireBits checks the table-driven wire-bit counter of the
+// bus timing path against the reference encoder on any valid classic
+// frame: classicWireBits must equal WireLength and allocate nothing.
+// The input decodes as b[0] flags (bit 0 extended, bit 1 remote), b[1:5]
+// the big-endian identifier masked to 11 or 29 bits, and up to 8 data
+// bytes from b[5:] (a remote frame's bytes set only its DLC); missing
+// header bytes read as zero. The committed corpus covers the extreme
+// identifiers, remote frames at DLC 0 and 8, the constant and
+// alternating data patterns, and a stuffed run of five bits across the
+// header→data and the data→CRC boundaries and at the end of the CRC.
+func FuzzClassicWireBits(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var hdr [5]byte
+		copy(hdr[:], b)
+		fr := Frame{Extended: hdr[0]&1 != 0, Remote: hdr[0]&2 != 0}
+		id := ID(binary.BigEndian.Uint32(hdr[1:]))
+		if fr.Extended {
+			fr.ID = id & MaxExtendedID
+		} else {
+			fr.ID = id & MaxStandardID
+		}
+		if len(b) > 5 {
+			fr.Data = b[5:min(len(b), 13)]
+		}
+		want, err := WireLength(&fr)
+		if err != nil {
+			t.Fatalf("WireLength rejected a valid frame %v: %v", &fr, err)
+		}
+		got, err := classicWireBits(&fr)
+		if err != nil {
+			t.Fatalf("classicWireBits rejected a valid frame %v: %v", &fr, err)
+		}
+		if got != want {
+			t.Fatalf("classicWireBits(%v)=%d, WireLength=%d", &fr, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = classicWireBits(&fr) }); allocs != 0 {
+			t.Fatalf("classicWireBits(%v) allocates %v per call, want 0", &fr, allocs)
 		}
 	})
 }

@@ -92,7 +92,8 @@ type Entity struct {
 	// LogicalAddress is the entity's own address.
 	LogicalAddress uint16
 	// Auth, when non-nil, must approve a routing activation (OEM
-	// authentication extension); nil means open activation.
+	// authentication extension); nil means open activation. key aliases
+	// the received frame and is valid only during the call.
 	Auth func(source uint16, key []byte) bool
 
 	// activated maps tester logical address -> activated.
@@ -126,7 +127,9 @@ func NewEntity(host *ethernet.Host, vin string, logical uint16) *Entity {
 }
 
 // RegisterECU exposes an ECU at a logical address. The handler receives
-// a UDS request and returns the UDS response.
+// a UDS request and returns the UDS response. The request aliases the
+// received frame and is valid only during the call; a handler that keeps
+// it must copy it (uds.Server copies what it stores).
 func (e *Entity) RegisterECU(logical uint16, handler func(req []byte) []byte) {
 	e.ecus[logical] = handler
 }

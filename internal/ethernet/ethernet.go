@@ -48,8 +48,10 @@ type Frame struct {
 
 // WireBytes returns the on-wire size including header, VLAN tag, FCS,
 // preamble and IFG, with minimum-frame padding applied.
-func (f *Frame) WireBytes() int {
-	n := len(f.Payload)
+func (f *Frame) WireBytes() int { return wireBytes(len(f.Payload)) }
+
+func wireBytes(payloadLen int) int {
+	n := payloadLen
 	if n < 46 {
 		n = 46
 	}
@@ -70,14 +72,10 @@ func (f *Frame) Validate() error {
 	return nil
 }
 
-// Clone deep-copies the frame.
-func (f *Frame) Clone() Frame {
-	c := *f
-	c.Payload = append([]byte(nil), f.Payload...)
-	return c
-}
-
-// ReceiveFunc handles a frame arriving at a host.
+// ReceiveFunc handles a frame arriving at a host. The frame and its
+// payload are valid only for the duration of the call: the switch reuses
+// the buffer for later frames, so a handler that keeps any of it must
+// copy it.
 type ReceiveFunc func(at sim.Time, f *Frame)
 
 // Host is an end node attached to one switch port.
@@ -100,7 +98,9 @@ func NewHost(name string, addr MAC) *Host {
 func (h *Host) OnReceive(fn ReceiveFunc) { h.handlers = append(h.handlers, fn) }
 
 // Send transmits a frame out of the host's port. The source address is
-// forced to the host's own MAC unless Spoof is used.
+// forced to the host's own MAC unless Spoof is used. The switch copies
+// the payload on ingress, so the caller may reuse its buffer as soon as
+// Send returns.
 func (h *Host) Send(f Frame) error {
 	f.Src = h.Addr
 	return h.send(f)
@@ -118,7 +118,7 @@ func (h *Host) send(f Frame) error {
 		return err
 	}
 	h.FramesSent.Inc()
-	return h.port.ingress(f)
+	return h.port.ingress(&f)
 }
 
 func (h *Host) deliver(at sim.Time, f *Frame) {
@@ -186,7 +186,9 @@ func (p *Port) carries(vlan uint16) bool {
 	return p.Allowed[vlan]
 }
 
-func (p *Port) ingress(f Frame) error {
+// ingress admits the sender's frame f (untagged frames take the port's
+// PVID) and copies it into an in-flight node for the switch.
+func (p *Port) ingress(f *Frame) error {
 	now := p.sw.kernel.Now()
 	if f.VLAN == 0 {
 		f.VLAN = p.PVID
@@ -202,10 +204,8 @@ func (p *Port) ingress(f Frame) error {
 		return nil
 	}
 	// Store-and-forward: serialize on the ingress link, then switch.
-	serial := sim.Duration(float64(f.WireBytes()*8) / float64(p.LinkBps) * 1e9)
-	p.sw.kernel.After(serial+p.sw.Latency, func() {
-		p.sw.forward(p, f)
-	})
+	n := p.sw.alloc(p, f)
+	p.sw.kernel.After(WireDuration(len(f.Payload), p.LinkBps)+p.sw.Latency, n.ingressFn)
 	return nil
 }
 
@@ -223,6 +223,11 @@ type Switch struct {
 	Policed         sim.Counter
 
 	observers []func(at sim.Time, f *Frame, in *Port)
+
+	// nodes is every in-flight node the switch ever created; free holds
+	// the idle ones.
+	nodes []*inflight
+	free  []*inflight
 
 	// base is the post-construction snapshot recorded by MarkBaseline for
 	// pooled reuse; see ResetToBaseline.
@@ -249,33 +254,69 @@ func (s *Switch) Connect(h *Host, pvid uint16) *Port {
 }
 
 // Observe registers a monitor-port style observer of all frames entering
-// the switching fabric.
+// the switching fabric. As with ReceiveFunc, the frame and its payload
+// are valid only for the duration of the call.
 func (s *Switch) Observe(fn func(at sim.Time, f *Frame, in *Port)) {
 	s.observers = append(s.observers, fn)
 }
 
-func (s *Switch) forward(in *Port, f Frame) {
+// inflight is one pooled frame inside the switch: on ingress it waits
+// out serialization plus the switch latency before forward, on egress
+// it waits out serialization on port before delivery. The node owns its
+// payload buffer and reuses it for later frames; ingressFn and egressFn
+// are bound once when the node is created, so a warm switch moves
+// frames without allocating.
+type inflight struct {
+	sw        *Switch
+	port      *Port
+	frame     Frame
+	ingressFn func()
+	egressFn  func()
+}
+
+// alloc takes an idle node (or creates one) and copies f into it.
+func (s *Switch) alloc(p *Port, f *Frame) *inflight {
+	var n *inflight
+	if k := len(s.free); k > 0 {
+		n = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+	} else {
+		n = &inflight{sw: s}
+		n.ingressFn = n.ingress
+		n.egressFn = n.egress
+		s.nodes = append(s.nodes, n)
+	}
+	n.port = p
+	buf := n.frame.Payload[:0]
+	n.frame = *f
+	n.frame.Payload = append(buf, f.Payload...)
+	return n
+}
+
+func (n *inflight) ingress() {
+	n.sw.forward(n.port, &n.frame)
+	n.sw.free = append(n.sw.free, n)
+}
+
+func (n *inflight) egress() {
+	n.port.host.deliver(n.sw.kernel.Now(), &n.frame)
+	n.sw.free = append(n.sw.free, n)
+}
+
+func (s *Switch) forward(in *Port, f *Frame) {
 	now := s.kernel.Now()
 	for _, fn := range s.observers {
-		fn(now, &f, in)
+		fn(now, f, in)
 	}
 	// Learn the source.
 	s.table[macVLAN{f.Src, f.VLAN}] = in
-
-	deliverTo := func(p *Port) {
-		if p == in || p.host == nil || !p.carries(f.VLAN) {
-			return
-		}
-		serial := sim.Duration(float64(f.WireBytes()*8) / float64(p.LinkBps) * 1e9)
-		cp := f.Clone()
-		s.kernel.After(serial, func() { p.host.deliver(s.kernel.Now(), &cp) })
-	}
 
 	if !f.Dst.IsBroadcast() {
 		if out, ok := s.table[macVLAN{f.Dst, f.VLAN}]; ok {
 			if out != in {
 				s.FramesForwarded.Inc()
-				deliverTo(out)
+				s.egress(in, out, f)
 			}
 			return
 		}
@@ -283,6 +324,17 @@ func (s *Switch) forward(in *Port, f Frame) {
 	// Flood within the VLAN.
 	s.FramesFlooded.Inc()
 	for _, p := range s.ports {
-		deliverTo(p)
+		s.egress(in, p, f)
 	}
+}
+
+// egress copies f into a node that delivers it out of p after egress
+// serialization, unless p is the ingress port, has no host or does not
+// carry f's VLAN.
+func (s *Switch) egress(in, p *Port, f *Frame) {
+	if p == in || p.host == nil || !p.carries(f.VLAN) {
+		return
+	}
+	n := s.alloc(p, f)
+	s.kernel.After(WireDuration(len(f.Payload), p.LinkBps), n.egressFn)
 }

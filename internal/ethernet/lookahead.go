@@ -8,16 +8,11 @@ const DefaultLinkBps int64 = 100_000_000
 
 // WireDuration reports the serialization delay of an Ethernet frame
 // carrying payloadLen bytes at linkBps — minimum-frame padding, VLAN
-// tag, FCS, preamble and inter-frame gap included, matching
-// Frame.WireBytes and the per-port timing the switch model uses (same
-// float arithmetic, so derived timestamps agree bit for bit).
+// tag, FCS, preamble and inter-frame gap included (Frame.WireBytes). The
+// switch times both ingress and egress with it, so a model that derives
+// crossing times from it agrees with the switch bit for bit.
 func WireDuration(payloadLen int, linkBps int64) sim.Duration {
-	n := payloadLen
-	if n < 46 {
-		n = 46
-	}
-	bytes := 14 + 4 + n + 4 + 8 + 12
-	return sim.Duration(float64(bytes*8) / float64(linkBps) * 1e9)
+	return sim.Duration(float64(wireBytes(payloadLen)*8) / float64(linkBps) * 1e9)
 }
 
 // TunnelLookahead reports the minimum residence time of any frame

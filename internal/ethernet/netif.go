@@ -100,10 +100,6 @@ func (p *netifPort) Send(f *netif.Frame) error {
 	if err != nil {
 		return err
 	}
-	// The switch pipeline retains the frame (store-and-forward closures),
-	// so the port owns the payload it hands over — the per-Send clone every
-	// medium makes.
-	ef.Payload = append([]byte(nil), ef.Payload...)
 	return p.host.Send(ef)
 }
 

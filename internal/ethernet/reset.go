@@ -61,8 +61,8 @@ func (s *Switch) MarkBaseline() {
 }
 
 // ResetToBaseline rewinds the switch to its MarkBaseline snapshot. The
-// kernel must have been Reset first (any in-flight serialization events
-// are gone with the queue).
+// kernel must have been Reset first: in-flight serialization events are
+// gone with the queue, so every in-flight node returns to the free list.
 func (s *Switch) ResetToBaseline() {
 	if !s.base.sealed {
 		panic("ethernet: ResetToBaseline before MarkBaseline")
@@ -119,4 +119,8 @@ func (s *Switch) ResetToBaseline() {
 		s.observers[i] = nil
 	}
 	s.observers = s.observers[:s.base.observers]
+	for _, n := range s.nodes {
+		n.port = nil // detached scenario ports must not stay reachable
+	}
+	s.free = append(s.free[:0], s.nodes...)
 }

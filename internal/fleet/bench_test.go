@@ -12,16 +12,22 @@ import (
 	"autosec/internal/sim"
 )
 
+// canonicalConfig is the canonical fleet vehicle's build: two zones,
+// each with a local CAN body domain.
+func canonicalConfig() core.Config {
+	return core.Config{VIN: "BENCH-FLEET", Seed: 1, Zonal: &core.ZonalConfig{
+		Zones:        2,
+		LocalDomains: []core.DomainSpec{{Name: "body", Kind: netif.CAN}},
+	}}
+}
+
 // BenchmarkFleetVehiclesPerSec is the fleet-throughput headline pinned
 // in CI's bench-smoke job: b.N pooled vehicles driven end to end through
 // the sharded driver (zonal topology, cross-domain traffic, quarantine
 // reflex), reported as vehicles/sec. Track this when touching the reset
 // path — fleet wall-clock is per-vehicle cost times population.
 func BenchmarkFleetVehiclesPerSec(b *testing.B) {
-	cfg := core.Config{VIN: "BENCH-FLEET", Seed: 1, Zonal: &core.ZonalConfig{
-		Zones:        2,
-		LocalDomains: []core.DomainSpec{{Name: "body", Kind: netif.CAN}},
-	}}
+	cfg := canonicalConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := Drive(context.Background(), Driver{Cfg: cfg, N: b.N}, driveScenario); err != nil {
@@ -38,10 +44,7 @@ func BenchmarkFleetVehiclesPerSec(b *testing.B) {
 // disabled benchmark above, which itself must not move — disabled means
 // nil instruments and one branch per hot-path site.
 func BenchmarkFleetVehiclesPerSecObs(b *testing.B) {
-	cfg := core.Config{VIN: "BENCH-FLEET", Seed: 1, Zonal: &core.ZonalConfig{
-		Zones:        2,
-		LocalDomains: []core.DomainSpec{{Name: "body", Kind: netif.CAN}},
-	}}
+	cfg := canonicalConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	_, res, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: b.N},

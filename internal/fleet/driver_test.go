@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -239,4 +240,32 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state allocs per run window = %v, want 0", allocs)
 	}
 	pool.Release(v)
+}
+
+// TestFleetVehicleAllocs pins the allocations of one canonical fleet
+// vehicle — BenchmarkFleetVehiclesPerSec's build and scenario — over a
+// warm drive: pooled reset, scenario set-up, CAN traffic, gateway and
+// zonal backbone crossings, the IDS and its audit entries. The marginal
+// count between two drive sizes cancels the pool's construction and the
+// driver's fixed costs.
+func TestFleetVehicleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	drive := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Drive(context.Background(), Driver{Cfg: canonicalConfig(), N: n, Workers: 1}, driveScenario); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	drive(50) // first use: lazily built package state, warm caches
+	small, large := drive(100), drive(500)
+	perVehicle := float64(large-small) / 400
+	t.Logf("%.2f allocs per vehicle", perVehicle)
+	if perVehicle > 64 {
+		t.Fatalf("%.2f allocs per canonical fleet vehicle, want <= 64", perVehicle)
+	}
 }
