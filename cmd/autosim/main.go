@@ -269,7 +269,7 @@ func replicate(name string, sc scenario, seed uint64, nseeds, par int, metrics b
 		}
 	}
 	if metrics {
-		agg, err := runner.Aggregate(perSeed)
+		agg, err := experiments.Aggregate(perSeed)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,49 +7,40 @@
 //     failure, never a tolerance. Wall-clock is additionally gated for
 //     macro experiments (baseline >= 1s, where 15% is signal rather than
 //     scheduler noise): slower than 1.15x baseline fails.
-//  2. Fleet microbenchmark probes: the fleet drive with observability
-//     off, with the metrics plane on, and the registry merge point are
-//     re-measured in-process via testing.Benchmark. Probes named in the
-//     baseline's "microbenchmarks" block are held to the same 15% ns
-//     tolerance, and any allocs/op increase is a hard failure.
+//  2. Microbenchmark probes: the package benchmarks the baseline's
+//     "microbenchmarks" block pins (fleet drive with observability off
+//     and on, registry merge, IDS observe, campaign verify) are run in
+//     their own packages through `go test -bench`, the fastest of a few
+//     rounds kept. Pinned probes are held to the same 15% ns tolerance,
+//     and any allocs/op increase is a hard failure.
 //  3. Standing gates independent of the baseline: the metrics-plane
-//     overhead ratio (obs/off) must stay under 1.10, and the merge probe
-//     must stay at 0 allocs/op.
+//     overhead ratio (obs/off) must stay under 1.10, the merge, IDS
+//     observe and memoized-verify probes must stay at 0 allocs/op, and
+//     memoized verify must stay 10x faster than cold.
+//
+// A probe whose go test fails or prints no result line fails, and so
+// does every standing gate that reads it. Because the probes are built
+// from the module's _test.go files, -compare must run inside the module
+// (as `go run ./cmd/benchreport` does).
 //
 // Committed baselines are generated at seed 1; run -compare without
 // -seed (or with -seed 1) or the hash checks are skipped with a warning.
 package main
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"sort"
-	"testing"
+	"strconv"
+	"strings"
 	"time"
 
-	"autosec/internal/can"
-	"autosec/internal/core"
 	"autosec/internal/experiments"
-	"autosec/internal/fleet"
-	"autosec/internal/gateway"
-	"autosec/internal/ids"
-	"autosec/internal/netif"
-	"autosec/internal/obs"
-	"autosec/internal/ota"
-	"autosec/internal/sim"
 )
-
-// idRunner pairs an experiment id with its table generator; main builds
-// the list (with any sweep overrides from flags) and compare re-runs the
-// subset the baseline pins.
-type idRunner struct {
-	id  string
-	run func(uint64) *experiments.Table
-}
 
 // comparedExperiment is one pinned experiment in a baseline file.
 type comparedExperiment struct {
@@ -58,8 +49,7 @@ type comparedExperiment struct {
 }
 
 // comparedMicro is one pinned microbenchmark in a baseline file. Only
-// probes compare knows how to regenerate (the Benchmark* names below)
-// participate; others are reported as skipped.
+// the probes listed below participate; other pins are ignored.
 type comparedMicro struct {
 	NSPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -128,7 +118,7 @@ const obsOverheadBudget = 1.10
 const campaignMemoSpeedup = 10.0
 
 // runCompare executes the gate and returns the process exit code.
-func runCompare(path string, seed uint64, runners []idRunner) int {
+func runCompare(path string, seed uint64, runners []experiments.Experiment) int {
 	base, err := loadBaseline(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: -compare: %v\n", err)
@@ -149,7 +139,7 @@ func runCompare(path string, seed uint64, runners []idRunner) int {
 
 	byID := map[string]func(uint64) *experiments.Table{}
 	for _, r := range runners {
-		byID[r.id] = r.run
+		byID[r.ID] = r.Run
 	}
 	ids := make([]string, 0, len(base.experiments))
 	for id := range base.experiments {
@@ -195,74 +185,72 @@ func runCompare(path string, seed uint64, runners []idRunner) int {
 	}
 
 	fmt.Println()
-	off := benchBest(3, probeFleetDrive)
-	obsOn := benchBest(3, probeFleetDriveObs)
-	merge := benchBest(2, probeFleetMerge)
-	idsBase := benchBest(2, probeIDSObserveBaseline)
-	idsMedium := benchBest(2, probeIDSObserveMediumAware)
-	verifyCold := benchBest(2, probeCampaignVerifyCold)
-	verifyMemo := benchBest(3, probeCampaignVerifyMemoized)
-	probes := []struct {
-		name string
-		res  testing.BenchmarkResult
-	}{
-		{"BenchmarkFleetVehiclesPerSec", off},
-		{"BenchmarkFleetVehiclesPerSecObs", obsOn},
-		{"BenchmarkFleetRegistryMerge", merge},
-		{"BenchmarkIDSObserveBaseline", idsBase},
-		{"BenchmarkIDSObserveMediumAware", idsMedium},
-		{"BenchmarkCampaignVerifyThroughputCold", verifyCold},
-		{"BenchmarkCampaignVerifyThroughputMemoized", verifyMemo},
-	}
+	results := map[string]benchResult{}
 	for _, p := range probes {
-		pin, pinned := base.Microbenchmarks[p.name]
-		ns, allocs := float64(p.res.NsPerOp()), float64(p.res.AllocsPerOp())
-		if !pinned {
-			ok("%s: %.0f ns/op, %.0f allocs/op (no baseline pin)", p.name, ns, allocs)
+		r := runBench(p)
+		results[p.name] = r
+		if r.err != nil {
+			fail("%s: %v", p.name, r.err)
 			continue
 		}
-		if pin.NSPerOp > 0 && ns > nsTolerance*pin.NSPerOp {
-			fail("%s: %.0f ns/op vs pinned %.0f (> %.0f%% slower)", p.name, ns, pin.NSPerOp, 100*(nsTolerance-1))
-		} else {
-			ok("%s: %.0f ns/op vs pinned %.0f", p.name, ns, pin.NSPerOp)
+		pin, pinned := base.Microbenchmarks[p.name]
+		if !pinned {
+			ok("%s: %.0f ns/op, %.0f allocs/op (no baseline pin)", p.name, r.ns, r.allocs)
+			continue
 		}
-		if allocs > pin.AllocsPerOp {
+		if pin.NSPerOp > 0 && r.ns > nsTolerance*pin.NSPerOp {
+			fail("%s: %.0f ns/op vs pinned %.0f (> %.0f%% slower)", p.name, r.ns, pin.NSPerOp, 100*(nsTolerance-1))
+		} else {
+			ok("%s: %.0f ns/op vs pinned %.0f", p.name, r.ns, pin.NSPerOp)
+		}
+		if r.allocs > pin.AllocsPerOp {
 			fail("%s: %.0f allocs/op vs pinned %.0f (allocation regression is a hard failure)",
-				p.name, allocs, pin.AllocsPerOp)
+				p.name, r.allocs, pin.AllocsPerOp)
 		}
 	}
 
-	ratio := float64(obsOn.NsPerOp()) / float64(off.NsPerOp())
-	if ratio > obsOverheadBudget {
-		fail("metrics-plane overhead: obs/off = %.3fx (budget %.2fx)", ratio, obsOverheadBudget)
-	} else {
-		ok("metrics-plane overhead: obs/off = %.3fx (budget %.2fx)", ratio, obsOverheadBudget)
+	// measured returns the named probes' results, or fails gate and
+	// returns false when any of them has none.
+	measured := func(gate string, names ...string) ([]benchResult, bool) {
+		rs := make([]benchResult, len(names))
+		for i, name := range names {
+			if rs[i] = results[name]; rs[i].err != nil {
+				fail("%s: no result from %s", gate, name)
+				return nil, false
+			}
+		}
+		return rs, true
 	}
-	if a := merge.AllocsPerOp(); a != 0 {
-		fail("registry merge point: %d allocs/op (must be 0 in steady state)", a)
-	} else {
-		ok("registry merge point: 0 allocs/op")
-	}
-	for _, p := range []struct {
-		name string
-		res  testing.BenchmarkResult
-	}{{"baseline", idsBase}, {"medium-aware", idsMedium}} {
-		if a := p.res.AllocsPerOp(); a != 0 {
-			fail("ids observe hot path (%s): %d allocs/op (must be 0 in steady state)", p.name, a)
+	if rs, found := measured("metrics-plane overhead", "BenchmarkFleetVehiclesPerSec", "BenchmarkFleetVehiclesPerSecObs"); found {
+		ratio := rs[1].ns / rs[0].ns
+		if ratio > obsOverheadBudget {
+			fail("metrics-plane overhead: obs/off = %.3fx (budget %.2fx)", ratio, obsOverheadBudget)
 		} else {
-			ok("ids observe hot path (%s): 0 allocs/op", p.name)
+			ok("metrics-plane overhead: obs/off = %.3fx (budget %.2fx)", ratio, obsOverheadBudget)
 		}
 	}
-	if a := verifyMemo.AllocsPerOp(); a != 0 {
-		fail("campaign memoized verify: %d allocs/op (must be 0 on the hot path)", a)
-	} else {
-		ok("campaign memoized verify: 0 allocs/op")
+	for _, g := range []struct{ gate, name, why string }{
+		{"registry merge point", "BenchmarkFleetRegistryMerge", "must be 0 in steady state"},
+		{"ids observe hot path (baseline)", "BenchmarkIDSObserveBaseline", "must be 0 in steady state"},
+		{"ids observe hot path (medium-aware)", "BenchmarkIDSObserveMediumAware", "must be 0 in steady state"},
+		{"campaign memoized verify", "BenchmarkCampaignVerifyThroughputMemoized", "must be 0 on the hot path"},
+	} {
+		rs, found := measured(g.gate, g.name)
+		switch {
+		case !found:
+		case rs[0].allocs != 0:
+			fail("%s: %.0f allocs/op (%s)", g.gate, rs[0].allocs, g.why)
+		default:
+			ok("%s: 0 allocs/op", g.gate)
+		}
 	}
-	speedup := float64(verifyCold.NsPerOp()) / float64(verifyMemo.NsPerOp())
-	if speedup < campaignMemoSpeedup {
-		fail("campaign verify memoization: %.1fx over cold (floor %.0fx)", speedup, campaignMemoSpeedup)
-	} else {
-		ok("campaign verify memoization: %.1fx over cold (floor %.0fx)", speedup, campaignMemoSpeedup)
+	if rs, found := measured("campaign verify memoization", "BenchmarkCampaignVerifyThroughputCold", "BenchmarkCampaignVerifyThroughputMemoized"); found {
+		speedup := rs[0].ns / rs[1].ns
+		if speedup < campaignMemoSpeedup {
+			fail("campaign verify memoization: %.1fx over cold (floor %.0fx)", speedup, campaignMemoSpeedup)
+		} else {
+			ok("campaign verify memoization: %.1fx over cold (floor %.0fx)", speedup, campaignMemoSpeedup)
+		}
 	}
 
 	fmt.Println()
@@ -274,224 +262,74 @@ func runCompare(path string, seed uint64, runners []idRunner) int {
 	return 0
 }
 
-// benchBest runs f through testing.Benchmark rounds times and keeps the
-// fastest result — single-shot wall-clock on a shared runner is too
-// noisy to gate on directly.
-func benchBest(rounds int, f func(b *testing.B)) testing.BenchmarkResult {
-	best := testing.Benchmark(f)
-	for i := 1; i < rounds; i++ {
-		if r := testing.Benchmark(f); r.NsPerOp() < best.NsPerOp() {
+// probe is one pinned package benchmark. -compare runs it where it is
+// defined, so the gate times exactly the code its baseline pins.
+type probe struct {
+	name   string // benchmark function name, as pinned in the baseline
+	pkg    string // import path of the package that defines it
+	rounds int    // go test -count; the fastest round is kept
+}
+
+// probes are run and printed in this order. Single-shot wall-clock on a
+// shared runner is too noisy to gate on directly, hence the rounds.
+var probes = []probe{
+	{"BenchmarkFleetVehiclesPerSec", "autosec/internal/fleet", 3},
+	{"BenchmarkFleetVehiclesPerSecObs", "autosec/internal/fleet", 3},
+	{"BenchmarkFleetRegistryMerge", "autosec/internal/fleet", 2},
+	{"BenchmarkIDSObserveBaseline", "autosec/internal/ids", 2},
+	{"BenchmarkIDSObserveMediumAware", "autosec/internal/ids", 2},
+	{"BenchmarkCampaignVerifyThroughputCold", "autosec/internal/ota", 2},
+	{"BenchmarkCampaignVerifyThroughputMemoized", "autosec/internal/ota", 3},
+}
+
+// benchResult is the fastest round of one probe, or the reason there is
+// none.
+type benchResult struct {
+	ns, allocs float64
+	err        error
+}
+
+// runBench runs p through go test and keeps its fastest round.
+func runBench(p probe) benchResult {
+	out, err := exec.Command("go", "test", "-run", "^$", "-bench", "^"+p.name+"$",
+		"-benchmem", "-count", strconv.Itoa(p.rounds), p.pkg).CombinedOutput()
+	if err != nil {
+		return benchResult{err: fmt.Errorf("go test %s: %v\n%s", p.pkg, err, indent(out))}
+	}
+	best := benchResult{err: errors.New("go test printed no result line")}
+	for _, line := range strings.Split(string(out), "\n") {
+		if r, found := parseResult(p.name, line); found && (best.err != nil || r.ns < best.ns) {
 			best = r
 		}
 	}
 	return best
 }
 
-// compareCfg mirrors the fleet benchmark topology: two zones plus a
-// local body CAN domain.
-func compareCfg() core.Config {
-	return core.Config{VIN: "COMPARE-FLEET", Seed: 1, Zonal: &core.ZonalConfig{
-		Zones:        2,
-		LocalDomains: []core.DomainSpec{{Name: "body", Kind: netif.CAN}},
-	}}
-}
-
-// compareVehicle is one probe vehicle's scenario, shaped like the
-// internal/fleet benchmark scenario the overhead gate is defined on:
-// periodic infotainment traffic crossing the zonal backbone into the
-// powertrain, quarantine reflex on a subset of vehicles, 4ms virtual so
-// testing.B can scale the fleet size. Matching that per-vehicle weight
-// matters — a lighter scenario inflates the fixed observability cost
-// into a larger ratio than the one the acceptance gate pins.
-func compareVehicle(idx int, v *core.Vehicle) (int, error) {
-	k := v.Kernel
-	v.Zonal.SetRules([]*gateway.Rule{{
-		Name: "probe", From: core.DomainInfotainment, To: []string{core.DomainPowertrain},
-		IDLo: 0, IDHi: uint32(can.MaxStandardID), Action: gateway.Allow,
-	}})
-	tx := can.NewController("probe-ecu")
-	v.Buses[core.DomainInfotainment].Attach(tx)
-	st := k.Stream("compare-probe")
-	k.Every(st.Duration(100*sim.Microsecond, sim.Millisecond), 500*sim.Microsecond, func() {
-		_ = tx.Send(can.Frame{ID: can.ID(0x100 + idx%8), Data: []byte{byte(idx)}}, nil)
-	})
-	if idx%7 == 3 {
-		k.At(2*sim.Millisecond, func() {
-			_ = v.Zonal.QuarantineZoneOf(core.DomainInfotainment)
-		})
+// parseResult reads one benchmark result line of name, e.g.
+// "BenchmarkX-2  1000  1234 ns/op  56 B/op  7 allocs/op".
+func parseResult(name, line string) (benchResult, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || (f[0] != name && !strings.HasPrefix(f[0], name+"-")) {
+		return benchResult{}, false
 	}
-	return 0, k.RunUntil(4 * sim.Millisecond)
-}
-
-// probeFleetDrive measures the fleet drive with observability off; b.N
-// is the fleet size, so ns/op is per-vehicle cost.
-func probeFleetDrive(b *testing.B) {
-	b.ReportAllocs()
-	if _, err := fleet.Drive(context.Background(), fleet.Driver{Cfg: compareCfg(), N: b.N}, compareVehicle); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// probeFleetDriveObs is probeFleetDrive with the metrics plane on — the
-// numerator of the overhead gate.
-func probeFleetDriveObs(b *testing.B) {
-	b.ReportAllocs()
-	_, res, err := fleet.DriveObs(context.Background(), fleet.Driver{Cfg: compareCfg(), N: b.N},
-		fleet.ObsOptions{Metrics: true}, compareVehicle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Registry.Snapshot()) == 0 {
-		b.Fatal("metrics plane produced an empty fleet registry")
-	}
-}
-
-// idsProbeRecord builds one fabric record for the observe-path probes.
-func idsProbeRecord(at sim.Time, medium netif.Kind, id uint32, sender string, n int) netif.Record {
-	return netif.Record{At: at, Frame: netif.Frame{
-		Medium: medium, ID: id, Sender: sender,
-		Src: netif.HWAddr{0x02, 0, 0, 0, 0, 0x51}, Aux: 1, Payload: make([]byte, n),
-	}}
-}
-
-// idsProbeEngine returns a suite engine trained on a small mixed-media
-// trace, plus conforming steady-state records — the same shape as the
-// internal/ids observe benchmarks the alloc gate mirrors.
-func idsProbeEngine(s ids.Suite) (*ids.Engine, []netif.Record) {
-	e := ids.NewEngineFromSuite(s)
-	var train []netif.Record
-	for i := 0; i < 8; i++ {
-		at := sim.Time(i) * 5 * sim.Millisecond
-		train = append(train, idsProbeRecord(at, netif.FlexRay, 9, "steer-ecu", 8))
-	}
-	for round := 0; round < 4; round++ {
-		for i, id := range []uint32{0x10, 0x11, 0x21, 0x30} {
-			at := sim.Time(round*40+i*10) * sim.Millisecond
-			train = append(train, idsProbeRecord(at, netif.LIN, id, "slave", 2))
+	var r benchResult
+	var haveNS, haveAllocs bool
+	for i := 2; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return benchResult{}, false
+		}
+		switch f[i+1] {
+		case "ns/op":
+			r.ns, haveNS = v, true
+		case "allocs/op":
+			r.allocs, haveAllocs = v, true
 		}
 	}
-	for i := 0; i < 8; i++ {
-		at := sim.Time(i) * 10 * sim.Millisecond
-		train = append(train, idsProbeRecord(at, netif.Ethernet, 0x88B6, "", 8))
-	}
-	e.Train(&netif.Trace{Records: train})
-	recs := []netif.Record{
-		idsProbeRecord(0, netif.FlexRay, 9, "steer-ecu", 8),
-		idsProbeRecord(0, netif.LIN, 0x10, "slave", 2),
-		idsProbeRecord(0, netif.LIN, 0x11, "slave", 2),
-		idsProbeRecord(0, netif.LIN, 0x21, "slave", 2),
-		idsProbeRecord(0, netif.LIN, 0x30, "slave", 2),
-		idsProbeRecord(0, netif.Ethernet, 0x88B6, "", 8),
-	}
-	for i := range recs {
-		e.Observe(recs[i]) // settle window/interval state
-	}
-	return e, recs
+	return r, haveNS && haveAllocs
 }
 
-// probeIDSObserve measures the trained observe hot path; the standing
-// gate requires 0 allocs/op for both suites.
-func probeIDSObserve(b *testing.B, s ids.Suite) {
-	e, recs := idsProbeEngine(s)
-	var at sim.Time = 10 * sim.Second
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%len(recs)]
-		r.At = at
-		e.Observe(r)
-		at += 5 * sim.Millisecond
-	}
-}
-
-func probeIDSObserveBaseline(b *testing.B)    { probeIDSObserve(b, ids.BaselineSuite()) }
-func probeIDSObserveMediumAware(b *testing.B) { probeIDSObserve(b, ids.MediumAwareSuite()) }
-
-// campaignProbeFixture builds the same group-addressed bundle the
-// internal/ota campaign benchmarks use: a director+image pair signing a
-// single brake-firmware target for one model line. The vehicle is left
-// one ApplyCached short of steady state so the cold probe installs and
-// the memoized probe re-polls.
-func campaignProbeFixture(b *testing.B) (*ota.Bundle, *ota.Client, *ota.VerifyCache) {
-	b.Helper()
-	d, err := ota.NewRepository("director")
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, err := ota.NewRepository("image")
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("brake firmware v2 image bytes ........")
-	target := ota.MakeTarget("brake-fw", 2, "brake-mcu-r2", payload)
-	bundle := &ota.Bundle{
-		Director: d.Sign("model-S", []ota.Target{target}, sim.Hour),
-		Image:    im.Sign("", []ota.Target{target}, sim.Hour),
-		Payloads: map[string][]byte{"brake-fw": payload},
-	}
-	c := ota.NewClient("VIN-probe", d.PublicKey(), im.PublicKey())
-	c.Group = "model-S"
-	c.AddECU("brake-mcu-r2", 1)
-	return bundle, c, ota.NewVerifyCache()
-}
-
-// probeCampaignVerifyCold measures the per-poll cost with a fresh cache
-// every iteration — every signature runs through ed25519 and the
-// attestation is rebuilt, the pre-memoization fleet cost.
-func probeCampaignVerifyCold(b *testing.B) {
-	bundle, c, _ := campaignProbeFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cold := ota.NewVerifyCache()
-		if err := c.ApplyCached(bundle, sim.Minute, cold); err != nil && !errors.Is(err, ota.ErrNoUpdate) {
-			b.Fatal(err)
-		}
-	}
-}
-
-// probeCampaignVerifyMemoized measures the steady-state campaign
-// check-in: warm cache, every proof memoized. The standing gates pin
-// this at 0 allocs/op and >= campaignMemoSpeedup over the cold probe.
-func probeCampaignVerifyMemoized(b *testing.B) {
-	bundle, c, vc := campaignProbeFixture(b)
-	if err := c.ApplyCached(bundle, sim.Minute, vc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.ApplyCached(bundle, sim.Minute, vc); !errors.Is(err, ota.ErrNoUpdate) {
-			b.Fatal(err)
-		}
-	}
-}
-
-// probeFleetMerge isolates the merge point: folding one materialized
-// per-vehicle registry into a warm fleet registry, the exact per-vehicle
-// operation at the drive barrier. Steady state must be allocation-free.
-func probeFleetMerge(b *testing.B) {
-	pool := core.NewVehiclePool(compareCfg())
-	v, err := pool.Acquire(fleet.VehicleSeed(1, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	shard := obs.NewRegistry()
-	v.Instrument(nil, shard)
-	if _, err := compareVehicle(0, v); err != nil {
-		b.Fatal(err)
-	}
-	shard.Materialize()
-	pool.Release(v)
-	fleetReg := obs.NewRegistry()
-	if err := fleetReg.Merge(shard); err != nil { // warm-up creates the keys
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fleetReg.Merge(shard); err != nil {
-			b.Fatal(err)
-		}
-	}
+// indent prefixes every line of go test's output for the FAIL report.
+func indent(out []byte) string {
+	return "        " + strings.ReplaceAll(strings.TrimRight(string(out), "\n"), "\n", "\n        ")
 }

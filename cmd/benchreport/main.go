@@ -40,9 +40,12 @@
 // -compare BASELINE.json is the perf regression gate: it re-runs every
 // experiment pinned in a committed BENCH_PRn.json, requires byte-identical
 // table hashes, fails macro experiments (>= 1s baseline) that slowed by
-// more than 15%, re-measures the fleet drive/merge microbenchmark probes
+// more than 15%, runs the pinned package benchmarks (fleet drive/merge,
+// IDS observe, campaign verify) in their own packages through go test
 // (allocation increases are a hard failure), and enforces the < 10%
-// metrics-plane overhead gate on the fleet drive.
+// metrics-plane overhead gate on the fleet drive. It builds those
+// benchmarks from the module's _test.go files, so it must run inside the
+// module, as `go run ./cmd/benchreport` does.
 //
 // Usage:
 //
@@ -154,25 +157,33 @@ func main() {
 		}()
 	}
 
-	e17 := experiments.E17Zonal
+	// The suite in report order; the sweep flags swap in their own
+	// runners for E17, E18, E20 and E22.
+	runners := experiments.Suite()
+	override := func(id string, run func(uint64) *experiments.Table) {
+		for i := range runners {
+			if runners[i].ID == id {
+				runners[i].Run = run
+			}
+		}
+	}
 	if *zones != "" {
 		counts, err := parseZones(*zones)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 			os.Exit(1)
 		}
-		e17 = func(s uint64) *experiments.Table { return experiments.E17ZonalWith(s, counts) }
+		override("E17", func(s uint64) *experiments.Table { return experiments.E17ZonalWith(s, counts) })
 	}
-	e18 := experiments.E18Fleet
 	if *fleet != "" {
 		sizes, err := parseFleet(*fleet)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 			os.Exit(1)
 		}
-		e18 = func(s uint64) *experiments.Table {
+		override("E18", func(s uint64) *experiments.Table {
 			return experiments.E18FleetWith(s, sizes, []int{1, 2, 4})
-		}
+		})
 	}
 
 	if *fleetpar < 0 {
@@ -182,13 +193,11 @@ func main() {
 	// E22 drives its campaign waves with the -fleetpar worker count; the
 	// default 0 keeps the serial golden reference. Any value prints
 	// identical bytes — CI byte-diffs 1 against 8.
-	e22 := experiments.E22Campaign
 	if *fleetpar > 1 {
-		e22 = func(s uint64) *experiments.Table {
+		override("E22", func(s uint64) *experiments.Table {
 			return experiments.E22CampaignWith(s, *fleetpar)
-		}
+		})
 	}
-	e20 := experiments.E20Observability
 	if *obsfleet != "" || *fleetpar != 0 || *progress {
 		sizes := []int{1_000, 10_000}
 		if *obsfleet != "" {
@@ -205,9 +214,9 @@ func main() {
 				return fleetpkg.NewProgressWriter(os.Stderr, n)
 			}
 		}
-		e20 = func(s uint64) *experiments.Table {
+		override("E20", func(s uint64) *experiments.Table {
 			return experiments.E20ObservabilityObserved(s, sizes, *fleetpar, observe)
-		}
+		})
 	}
 
 	want := map[string]bool{}
@@ -215,33 +224,6 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
-	}
-
-	runners := []idRunner{
-		{"E1", experiments.E1BusDoS},
-		{"E2", experiments.E2SideChannel},
-		{"E3", experiments.E3FleetCompromise},
-		{"E4", experiments.E4Pseudonym},
-		{"E5", experiments.E5Tradeoff},
-		{"E6", experiments.E6Verification},
-		{"E7", experiments.E7AuthenticatedCAN},
-		{"E8", experiments.E8Gateway},
-		{"E9", experiments.E9Relay},
-		{"E10", experiments.E10OTA},
-		{"E11", experiments.E11IDS},
-		{"E12", experiments.E12Lifetime},
-		{"E13", experiments.E13DiagnosticAccess},
-		{"E14", experiments.E14BusOff},
-		{"E15", experiments.E15VerifyScaling},
-		{"E16", experiments.E16CrossMediumGateway},
-		{"E17", e17},
-		{"E18", e18},
-		{"E19", experiments.E19KernelPar},
-		{"E20", e20},
-		{"E21", experiments.E21MediumIDS},
-		{"E22", e22},
-		{"A1", experiments.A1MACTruncation},
-		{"A2", experiments.A2BoundingThreshold},
 	}
 
 	if *compareFile != "" {
@@ -254,7 +236,7 @@ func main() {
 
 	selected := runners[:0:0]
 	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+		if len(want) > 0 && !want[r.ID] {
 			continue
 		}
 		selected = append(selected, r)
@@ -269,12 +251,12 @@ func main() {
 		quiet := *jsonOut == "-" // keep stdout parseable
 		for _, r := range selected {
 			start := time.Now()
-			table := r.run(*seed)
+			table := r.Run(*seed)
 			elapsed := time.Since(start)
 			rendered := table.String()
 			report.TotalNS += elapsed.Nanoseconds()
 			report.Experiments = append(report.Experiments, jsonExperiment{
-				ID:   r.id,
+				ID:   r.ID,
 				NS:   elapsed.Nanoseconds(),
 				Hash: fmt.Sprintf("%x", sha256.Sum256([]byte(rendered))),
 			})
@@ -312,7 +294,7 @@ func main() {
 	suite := func(s uint64) []*experiments.Table {
 		tables := make([]*experiments.Table, len(selected))
 		for i, r := range selected {
-			tables[i] = r.run(s)
+			tables[i] = r.Run(s)
 		}
 		return tables
 	}

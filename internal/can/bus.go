@@ -133,9 +133,6 @@ func (b *Bus) SetDataBitrate(rate int64) {
 	b.dataBitrate = rate
 }
 
-// Bitrate reports the nominal bitrate.
-func (b *Bus) Bitrate() int64 { return b.bitrate }
-
 // Attach connects a controller to the bus.
 func (b *Bus) Attach(c *Controller) {
 	c.bus = b
@@ -428,9 +425,6 @@ func (c *Controller) State() ControllerState { return c.state }
 
 // Counters reports (TEC, REC).
 func (c *Controller) Counters() (tec, rec int) { return c.tec, c.rec }
-
-// QueueLen reports the number of frames waiting to transmit.
-func (c *Controller) QueueLen() int { return c.txLen }
 
 // txFront returns the head transmit request in place. Only valid while
 // txLen > 0, and only until the next push/pop.

@@ -69,12 +69,6 @@ func (v *Vehicle) EnableBackbone(alg uds.SeedKeyAlgorithm, activationAuth func(s
 	return b
 }
 
-// ConnectHost attaches a host to the backbone on a VLAN and returns its
-// port for policing/trunk configuration.
-func (b *Backbone) ConnectHost(h *ethernet.Host, vlan uint16) *ethernet.Port {
-	return b.Switch.Connect(h, vlan)
-}
-
 // NewDiagTester attaches an external test tool to the diagnostics VLAN.
 func (b *Backbone) NewDiagTester(name string, mac uint32, logical uint16) *doip.Tester {
 	h := ethernet.NewHost(name, ethernet.LocalMAC(mac))

@@ -10,41 +10,17 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice; skipped in -short mode")
 	}
-	runs := []struct {
-		id  string
-		run func(uint64) *Table
-	}{
-		{"E1", E1BusDoS},
-		{"E2", E2SideChannel},
-		{"E3", E3FleetCompromise},
-		{"E4", E4Pseudonym},
-		{"E5", E5Tradeoff},
-		{"E6", E6Verification},
-		{"E7", E7AuthenticatedCAN},
-		{"E8", E8Gateway},
-		{"E9", E9Relay},
-		{"E10", E10OTA},
-		{"E11", E11IDS},
-		{"E12", E12Lifetime},
-		{"E13", E13DiagnosticAccess},
-		{"E14", E14BusOff},
-		{"E15", E15VerifyScaling},
-		{"E16", E16CrossMediumGateway},
-		{"E17", E17Zonal},
-		{"E18", E18Fleet},
-		{"E19", E19KernelPar},
-		{"E20", E20Observability},
-		{"A1", A1MACTruncation},
-		{"A2", A2BoundingThreshold},
-	}
-	for _, tc := range runs {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
+	for _, e := range Suite() {
+		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			a := tc.run(7).String()
-			b := tc.run(7).String()
+			first := e.Run(7)
+			if first.ID != e.ID {
+				t.Fatalf("suite entry %s returned table %s", e.ID, first.ID)
+			}
+			a := first.String()
+			b := e.Run(7).String()
 			if a != b {
-				t.Fatalf("%s not deterministic:\n--- first\n%s\n--- second\n%s", tc.id, a, b)
+				t.Fatalf("%s not deterministic:\n--- first\n%s\n--- second\n%s", e.ID, a, b)
 			}
 		})
 	}

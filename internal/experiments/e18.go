@@ -65,7 +65,7 @@ func E18FleetWith(seed uint64, fleetSizes, zoneCounts []int) *Table {
 		}
 		for _, n := range fleetSizes {
 			d := fleet.Driver{Cfg: cfg, N: n}
-			perVehicle, err := fleet.Drive(context.Background(), d, func(idx int, v *core.Vehicle) (*Table, error) {
+			perVehicle, _, err := fleet.DriveObs(context.Background(), d, fleet.ObsOptions{}, func(idx int, v *core.Vehicle) (*Table, error) {
 				return e18Vehicle(v, e18Compromised(idx)), nil
 			})
 			if err != nil {

@@ -7,7 +7,7 @@ import (
 // MetricsTable renders an obs registry snapshot through the experiments
 // table machinery, so `-metrics` output gets the same alignment,
 // rendering and — crucially — the same multi-seed replication merge as
-// the experiment tables: runner.Aggregate folds per-seed MetricsTables
+// the experiment tables: Aggregate folds per-seed MetricsTables
 // into mean ± 95% CI / sd / min..max columns exactly like any other
 // table, because every value cell is formatted to parse back as a
 // float64.

@@ -136,33 +136,53 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// Experiment is one entry of the suite: the ID its table carries and
+// the function that regenerates that table at a seed.
+type Experiment struct {
+	ID  string
+	Run func(seed uint64) *Table
+}
+
+// Suite returns every experiment in report order: E1–E22, then the
+// ablations A1–A2. It is the one list of the suite; All, cmd/benchreport
+// and the determinism test iterate it. Each call returns a fresh slice,
+// so a caller may swap in its own Run for an entry.
+func Suite() []Experiment {
+	return []Experiment{
+		{"E1", E1BusDoS},
+		{"E2", E2SideChannel},
+		{"E3", E3FleetCompromise},
+		{"E4", E4Pseudonym},
+		{"E5", E5Tradeoff},
+		{"E6", E6Verification},
+		{"E7", E7AuthenticatedCAN},
+		{"E8", E8Gateway},
+		{"E9", E9Relay},
+		{"E10", E10OTA},
+		{"E11", E11IDS},
+		{"E12", E12Lifetime},
+		{"E13", E13DiagnosticAccess},
+		{"E14", E14BusOff},
+		{"E15", E15VerifyScaling},
+		{"E16", E16CrossMediumGateway},
+		{"E17", E17Zonal},
+		{"E18", E18Fleet},
+		{"E19", E19KernelPar},
+		{"E20", E20Observability},
+		{"E21", E21MediumIDS},
+		{"E22", E22Campaign},
+		{"A1", A1MACTruncation},
+		{"A2", A2BoundingThreshold},
+	}
+}
+
 // All runs every experiment at the given seed and returns the tables in
 // order. This is the one-call full reproduction.
 func All(seed uint64) []*Table {
-	return []*Table{
-		E1BusDoS(seed),
-		E2SideChannel(seed),
-		E3FleetCompromise(seed),
-		E4Pseudonym(seed),
-		E5Tradeoff(seed),
-		E6Verification(seed),
-		E7AuthenticatedCAN(seed),
-		E8Gateway(seed),
-		E9Relay(seed),
-		E10OTA(seed),
-		E11IDS(seed),
-		E12Lifetime(seed),
-		E13DiagnosticAccess(seed),
-		E14BusOff(seed),
-		E15VerifyScaling(seed),
-		E16CrossMediumGateway(seed),
-		E17Zonal(seed),
-		E18Fleet(seed),
-		E19KernelPar(seed),
-		E20Observability(seed),
-		E21MediumIDS(seed),
-		E22Campaign(seed),
-		A1MACTruncation(seed),
-		A2BoundingThreshold(seed),
+	suite := Suite()
+	tables := make([]*Table, len(suite))
+	for i, e := range suite {
+		tables[i] = e.Run(seed)
 	}
+	return tables
 }

@@ -30,7 +30,7 @@ func BenchmarkFleetVehiclesPerSec(b *testing.B) {
 	cfg := canonicalConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := Drive(context.Background(), Driver{Cfg: cfg, N: b.N}, driveScenario); err != nil {
+	if _, _, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: b.N}, ObsOptions{}, driveScenario); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()

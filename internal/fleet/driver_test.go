@@ -73,13 +73,13 @@ func TestDriveParInvariance(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 96
-			serial, err := Drive(context.Background(),
-				Driver{Cfg: tc.cfg, N: n, Workers: 1}, driveScenario)
+			serial, _, err := DriveObs(context.Background(),
+				Driver{Cfg: tc.cfg, N: n, Workers: 1}, ObsOptions{}, driveScenario)
 			if err != nil {
 				t.Fatalf("par=1: %v", err)
 			}
-			par, err := Drive(context.Background(),
-				Driver{Cfg: tc.cfg, N: n, Workers: 8}, driveScenario)
+			par, _, err := DriveObs(context.Background(),
+				Driver{Cfg: tc.cfg, N: n, Workers: 8}, ObsOptions{}, driveScenario)
 			if err != nil {
 				t.Fatalf("par=8: %v", err)
 			}
@@ -109,16 +109,16 @@ func TestDriveErrorLowestIndex(t *testing.T) {
 		}
 		return idx, nil
 	}
-	_, err := Drive(context.Background(),
-		Driver{Cfg: core.Config{VIN: "ERR"}, N: 40, Workers: 1}, failFrom5)
+	_, _, err := DriveObs(context.Background(),
+		Driver{Cfg: core.Config{VIN: "ERR"}, N: 40, Workers: 1}, ObsOptions{}, failFrom5)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want wrapped boom, got %v", err)
 	}
 	if want := "fleet: vehicle 5:"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("want error for %q, got %v", want, err)
 	}
-	_, err = Drive(context.Background(),
-		Driver{Cfg: core.Config{VIN: "ERR"}, N: 40, Workers: 4}, failFrom5)
+	_, _, err = DriveObs(context.Background(),
+		Driver{Cfg: core.Config{VIN: "ERR"}, N: 40, Workers: 4}, ObsOptions{}, failFrom5)
 	if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "fleet: vehicle ") {
 		t.Fatalf("want a per-vehicle wrapped boom, got %v", err)
 	}
@@ -152,7 +152,7 @@ func TestDrivePanicBecomesError(t *testing.T) {
 		}, fmt.Sprintf("fleet: vehicle 38 (seed %d): panic: runtime error", VehicleSeed(cfg.Seed, 38))},
 	} {
 		for _, workers := range []int{1, 4} {
-			_, err := Drive(context.Background(), Driver{Cfg: cfg, N: 64, Workers: workers}, tc.fn)
+			_, _, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: 64, Workers: workers}, ObsOptions{}, tc.fn)
 			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 				t.Fatalf("%s, workers=%d: err = %v, want prefix %q", tc.name, workers, err, tc.want)
 			}
@@ -163,7 +163,7 @@ func TestDrivePanicBecomesError(t *testing.T) {
 func TestDriveContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Drive(ctx, Driver{Cfg: core.Config{VIN: "CTX"}, N: 8},
+	_, _, err := DriveObs(ctx, Driver{Cfg: core.Config{VIN: "CTX"}, N: 8}, ObsOptions{},
 		func(idx int, v *core.Vehicle) (int, error) { return idx, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -172,7 +172,7 @@ func TestDriveContextCancel(t *testing.T) {
 
 func TestDriveRejectsNonPositivePopulation(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if _, err := Drive(context.Background(), Driver{Cfg: core.Config{VIN: "N"}, N: n},
+		if _, _, err := DriveObs(context.Background(), Driver{Cfg: core.Config{VIN: "N"}, N: n}, ObsOptions{},
 			func(idx int, v *core.Vehicle) (int, error) { return idx, nil }); err == nil {
 			t.Fatalf("N=%d must be rejected", n)
 		}
@@ -255,7 +255,7 @@ func TestFleetVehicleAllocs(t *testing.T) {
 	drive := func(n int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Drive(context.Background(), Driver{Cfg: canonicalConfig(), N: n, Workers: 1}, driveScenario); err != nil {
+		if _, _, err := DriveObs(context.Background(), Driver{Cfg: canonicalConfig(), N: n, Workers: 1}, ObsOptions{}, driveScenario); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -1,11 +1,12 @@
-// Fleet observability plane: DriveObs is Drive with three attachments —
-// merged metrics (per-vehicle obs.Registry shards folded into one fleet
-// registry in vehicle-index order at the drive barrier, so the snapshot
-// is byte-identical at any worker count), a deterministic flight
-// recorder (per-vehicle traces kept for a seed-hash sample of the fleet
-// plus every vehicle with a security incident, under a hard memory
-// bound), and runtime telemetry (per-worker progress and wall-clock
-// throughput, strictly excluded from the deterministic artifacts).
+// Fleet observability plane: DriveObs is the sharded drive loop with
+// three attachments, each off in a zero ObsOptions — merged metrics
+// (per-vehicle obs.Registry shards folded into one fleet registry in
+// vehicle-index order at the drive barrier, so the snapshot is
+// byte-identical at any worker count), a deterministic flight recorder
+// (per-vehicle traces kept for a seed-hash sample of the fleet plus every
+// vehicle with a security incident, under a hard memory bound), and
+// runtime telemetry (per-worker progress and wall-clock throughput,
+// strictly excluded from the deterministic artifacts).
 //
 // The determinism split is deliberate: everything reachable from
 // ObsResult.Registry and ObsResult.Traces is a pure function of
@@ -26,11 +27,12 @@ import (
 
 	"autosec/internal/core"
 	"autosec/internal/obs"
+	"autosec/internal/sim"
 )
 
 // ObsOptions selects which parts of the observability plane a DriveObs
-// call attaches. The zero value disables everything and makes DriveObs
-// behave exactly like Drive.
+// call attaches. The zero value disables everything: the bare drive
+// loop.
 type ObsOptions struct {
 	// Metrics instruments every vehicle with a fresh registry and folds
 	// all of them, in vehicle-index order, into ObsResult.Registry.
@@ -141,12 +143,7 @@ func TraceSampled(base uint64, idx int, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	z := VehicleSeed(base, idx) ^ 0xD1B54A32D192ED03
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
+	z := sim.Mix64(VehicleSeed(base, idx) ^ 0xD1B54A32D192ED03)
 	// Top 53 bits as a uniform float in [0,1): exact, no rounding bias.
 	return float64(z>>11)/(1<<53) < rate
 }
@@ -211,9 +208,20 @@ func selectTraces(all []VehicleTrace, max int) []VehicleTrace {
 	return sel
 }
 
-// DriveObs runs fn once per vehicle like Drive and additionally operates
-// the observability plane selected by o. The returned ObsResult is
-// non-nil even when o is zero (Stats is always populated).
+// DriveObs runs fn once per vehicle index over d's population and
+// returns the per-vehicle results in index order, operating the
+// observability plane selected by o. Each worker owns a contiguous index
+// shard and a private pool: the first acquisition constructs a vehicle,
+// every later one resets it, so steady-state sharding does no
+// construction work. fn must treat the vehicle as scenario scratch — any
+// rules, observers or traffic it adds are rewound by the next Reset.
+//
+// An error aborts the drive; the lowest-indexed error observed wins the
+// report. A panic in fn or in the pool's Acquire aborts it the same way,
+// as an error naming the vehicle's index and seed, and that vehicle is
+// discarded rather than reused. ctx cancellation surfaces as that
+// context's error. The returned ObsResult is non-nil even when o is zero
+// (Stats is always populated).
 //
 // Tracing requires a shared-kernel build: per-zone-kernel vehicles take
 // per-member tracers that cannot share one flight-recorder ring, so

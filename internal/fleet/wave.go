@@ -53,23 +53,16 @@ func StageWaves(n, canary, factor int) []Wave {
 	return waves
 }
 
-// DriveWave runs fn over one wave of d's population and returns the
-// wave's results indexed by idx-w.Lo. Sharding, pooling and the error
-// contract match Drive; vehicle seeds come from the absolute index, so
-// the same vehicle behaves identically whatever wave plan contains it.
-func DriveWave[T any](ctx context.Context, d Driver, w Wave, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, error) {
-	results, _, err := DriveWaveObs(ctx, d, ObsOptions{}, w, func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) {
-		return fn(idx, v)
-	})
-	return results, err
-}
-
-// DriveWaveObs runs fn over one wave with the observability plane
-// attached, merging that wave's per-vehicle registries at the wave
-// barrier. Unlike DriveObs, fn receives each vehicle's live registry
-// (nil unless o.Metrics) so campaign code can count scenario-level
-// outcomes (installs, rejections, blast radius) as mergeable instruments
-// folded in vehicle-index order — the per-wave deterministic merge.
+// DriveWaveObs runs fn over one wave of d's population with the
+// observability plane attached and returns the wave's results indexed
+// by idx-w.Lo, merging that wave's per-vehicle registries at the wave
+// barrier. Sharding, pooling and the error contract match DriveObs;
+// vehicle seeds come from the absolute index, so the same vehicle
+// behaves identically whatever wave plan contains it. Unlike DriveObs,
+// fn receives each vehicle's live registry (nil unless o.Metrics) so
+// campaign code can count scenario-level outcomes (installs, rejections,
+// blast radius) as mergeable instruments folded in vehicle-index order —
+// the per-wave deterministic merge.
 // Wave-level aggregation across waves is the caller's job (fold each
 // wave's Registry into a campaign registry with Merge).
 func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, w Wave, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {

@@ -39,7 +39,7 @@ func TestStageWaves(t *testing.T) {
 func TestDriveWaveRangeValidation(t *testing.T) {
 	d := Driver{Cfg: core.Config{VIN: "WAVE-V", Seed: 3}, N: 10, Workers: 2}
 	for _, w := range []Wave{{-1, 5}, {5, 11}, {5, 5}, {7, 3}} {
-		if _, err := DriveWave(context.Background(), d, w, func(idx int, v *core.Vehicle) (int, error) {
+		if _, _, err := DriveWaveObs(context.Background(), d, ObsOptions{}, w, func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) {
 			return idx, nil
 		}); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("wave %v: err=%v", w, err)
@@ -54,7 +54,7 @@ func TestDriveWaveRangeValidation(t *testing.T) {
 func TestDriveWaveEquivalence(t *testing.T) {
 	const n = 96
 	d := Driver{Cfg: core.Config{VIN: "WAVE-E", Seed: 17}, N: n, Workers: 1}
-	full, err := Drive(context.Background(), d, driveScenario)
+	full, _, err := DriveObs(context.Background(), d, ObsOptions{}, driveScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,8 @@ func TestDriveWaveEquivalence(t *testing.T) {
 		dw.Workers = workers
 		var waved []string
 		for _, w := range StageWaves(n, 5, 3) {
-			part, err := DriveWave(context.Background(), dw, w, driveScenario)
+			part, _, err := DriveWaveObs(context.Background(), dw, ObsOptions{}, w,
+				func(idx int, v *core.Vehicle, _ *obs.Registry) (string, error) { return driveScenario(idx, v) })
 			if err != nil {
 				t.Fatalf("workers=%d wave %v: %v", workers, w, err)
 			}

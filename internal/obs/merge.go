@@ -10,7 +10,7 @@
 // is not — merging shards in different orders can differ in the last ULP.
 // Callers that need byte-identical aggregates at any worker count must
 // therefore fold shards in one fixed order at a single merge point;
-// fleet.DriveObs does exactly that (vehicle-index order at the Drive
+// fleet.DriveObs does exactly that (vehicle-index order at the drive
 // barrier — see DESIGN.md "Merge at the barrier").
 //
 // The merge hot path allocates nothing once the destination registry

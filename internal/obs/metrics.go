@@ -308,7 +308,7 @@ func (r *Registry) Snapshot() []Metric {
 // FormatValue renders a metric value the way the experiments tables
 // expect: integral values print as integers, everything else with up to
 // six significant digits — both forms parse back as float64, which is
-// what lets runner.Aggregate fold replicated snapshots into mean ± CI.
+// what lets experiments.Aggregate fold replicated snapshots into mean ± CI.
 func FormatValue(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))

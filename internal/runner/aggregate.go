@@ -33,21 +33,12 @@ func Replicate(ctx context.Context, suite Suite, seeds []uint64, workers int) ([
 	return out, nil
 }
 
-// ReplicateAggregate is Replicate followed by Aggregate: the one-call
-// multi-seed evaluation.
+// ReplicateAggregate is Replicate followed by experiments.Aggregate: the
+// one-call multi-seed evaluation.
 func ReplicateAggregate(ctx context.Context, suite Suite, seeds []uint64, workers int) ([]*experiments.Table, error) {
 	perSeed, err := Replicate(ctx, suite, seeds, workers)
 	if err != nil {
 		return nil, err
 	}
-	return Aggregate(perSeed)
-}
-
-// Aggregate merges per-seed runs of the same experiment suite into one
-// table per experiment; it delegates to experiments.Aggregate, which
-// documents the column-typing fold (constant pass-through, numeric
-// mean ± 95% CI expansion, mixed tally). Kept here so existing callers
-// keep their import.
-func Aggregate(perSeed [][]*experiments.Table) ([]*experiments.Table, error) {
 	return experiments.Aggregate(perSeed)
 }

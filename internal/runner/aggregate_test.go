@@ -26,7 +26,7 @@ func TestAggregateColumns(t *testing.T) {
 		{mkTable("500", 2.0, 0.25, "yes")},
 		{mkTable("500", 3.0, 0.25, "no")},
 	}
-	agg, err := Aggregate(perSeed)
+	agg, err := experiments.Aggregate(perSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAggregateSentinels(t *testing.T) {
 		tb.AddRow(">8192", 1.0) // sentinel row, invariant across seeds
 		return tb
 	}
-	agg, err := Aggregate([][]*experiments.Table{
+	agg, err := experiments.Aggregate([][]*experiments.Table{
 		{mk("64", 1.0)}, {mk(">128", 2.0)},
 	})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestAggregateSentinels(t *testing.T) {
 }
 
 func TestAggregateShapeMismatch(t *testing.T) {
-	if _, err := Aggregate([][]*experiments.Table{
+	if _, err := experiments.Aggregate([][]*experiments.Table{
 		{mkTable("1", 1, 1, "yes")},
 		{mkTable("1", 1, 1, "yes"), mkTable("2", 1, 1, "no")},
 	}); err == nil {
@@ -104,12 +104,12 @@ func TestAggregateShapeMismatch(t *testing.T) {
 	}
 	bad := mkTable("1", 1, 1, "yes")
 	bad.ID = "OTHER"
-	if _, err := Aggregate([][]*experiments.Table{
+	if _, err := experiments.Aggregate([][]*experiments.Table{
 		{mkTable("1", 1, 1, "yes")}, {bad},
 	}); err == nil {
 		t.Fatal("mismatched experiment IDs should fail")
 	}
-	if _, err := Aggregate(nil); err == nil {
+	if _, err := experiments.Aggregate(nil); err == nil {
 		t.Fatal("empty replicate set should fail")
 	}
 }

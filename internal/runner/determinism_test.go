@@ -42,11 +42,11 @@ func TestParallelReplicationDeterministic(t *testing.T) {
 		}
 	}
 
-	serialAgg, err := Aggregate(serialPerSeed)
+	serialAgg, err := experiments.Aggregate(serialPerSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parAgg, err := Aggregate(parPerSeed)
+	parAgg, err := experiments.Aggregate(parPerSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,15 +281,6 @@ func (e *Engine) EncryptECB(id KeyID, plain []byte) ([]byte, error) {
 	return encryptECB(k[:], plain)
 }
 
-// DecryptECB decrypts block-aligned data (CMD_DEC_ECB).
-func (e *Engine) DecryptECB(id KeyID, ct []byte) ([]byte, error) {
-	k, err := e.useKey(id, false)
-	if err != nil {
-		return nil, err
-	}
-	return decryptECB(k[:], ct)
-}
-
 // EncryptCBC encrypts block-aligned data with the given IV (CMD_ENC_CBC).
 func (e *Engine) EncryptCBC(id KeyID, iv, plain []byte) ([]byte, error) {
 	k, err := e.useKey(id, false)

@@ -34,22 +34,8 @@ package sim
 
 import "fmt"
 
-// memberSeed derives member i's kernel seed from the group seed with a
-// splitmix64 finalizer, so member streams are statistically independent
-// and stable under topology growth (the derivation depends only on the
-// index, never on creation order).
-func memberSeed(seed uint64, i int) uint64 {
-	z := seed + 0x9E3779B97F4A7C15*uint64(i+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// xMsg is one pooled inter-kernel message: a callback to inject into the
-// receiving kernel at an absolute deadline. Nodes are owned by the
-// sending member's free list and recycled at the barrier.
+// xMsg is one inter-kernel message: a callback to inject into the
+// receiving kernel at an absolute deadline.
 type xMsg struct {
 	at Time
 	fn func()
@@ -60,19 +46,9 @@ type groupMember struct {
 	k *Kernel
 	// out[d] buffers messages addressed to member d, in send order.
 	// Only this member's events (or setup code between runs) append;
-	// only the barrier drains.
-	out  [][]*xMsg
-	free []*xMsg
-}
-
-func (m *groupMember) alloc() *xMsg {
-	if n := len(m.free); n > 0 {
-		x := m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
-		return x
-	}
-	return &xMsg{}
+	// only the barrier drains, keeping the backing array for the next
+	// round.
+	out [][]xMsg
 }
 
 // KernelGroup synchronizes a set of Kernels under a shared lookahead.
@@ -108,7 +84,7 @@ func (g *KernelGroup) Kernel(i int) *Kernel {
 	}
 	for len(g.members) <= i {
 		idx := len(g.members)
-		g.members = append(g.members, &groupMember{k: NewKernel(memberSeed(g.seed, idx))})
+		g.members = append(g.members, &groupMember{k: NewKernel(ChildSeed(g.seed, idx))})
 	}
 	for _, m := range g.members {
 		for len(m.out) < len(g.members) {
@@ -185,16 +161,14 @@ func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
 		panic(fmt.Sprintf("sim: inter-kernel message at %v from member %d at %v violates lookahead %v",
 			at, from, s.k.now, g.lookahead))
 	}
-	n := s.alloc()
-	n.at = at
-	n.fn = fn
-	s.out[to] = append(s.out[to], n)
+	s.out[to] = append(s.out[to], xMsg{at: at, fn: fn})
 }
 
 // flush injects every buffered message into its receiving kernel, in
 // (receiver index, sender index, send order) — the fixed tie-break that
-// makes rounds independent of member dispatch order — and recycles the
-// nodes.
+// makes rounds independent of member dispatch order — and empties the
+// mailboxes. Each callback is dropped as it is injected: a clear of the
+// box would cost a runtime call per mailbox per round.
 func (g *KernelGroup) flush() {
 	for di, dst := range g.members {
 		for _, src := range g.members {
@@ -202,11 +176,9 @@ func (g *KernelGroup) flush() {
 			if len(box) == 0 {
 				continue
 			}
-			for i, msg := range box {
-				dst.k.At(msg.at, msg.fn)
-				msg.fn = nil
-				src.free = append(src.free, msg)
-				box[i] = nil
+			for i := range box {
+				dst.k.At(box[i].at, box[i].fn)
+				box[i].fn = nil
 			}
 			src.out[di] = box[:0]
 		}
@@ -287,21 +259,17 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 }
 
 // Reset rewinds every member kernel to time zero under seeds derived
-// from the new group seed, recycles any undelivered cross-member
-// messages, and clears the halt flag. Barrier hooks are construction
-// wiring and survive — the group analogue of Kernel.Reset, and what
+// from the new group seed, drops any undelivered cross-member messages,
+// and clears the halt flag. Barrier hooks are construction wiring and
+// survive — the group analogue of Kernel.Reset, and what
 // core.VehiclePool leans on to recycle per-zone-kernel vehicles.
 func (g *KernelGroup) Reset(seed uint64) {
 	g.seed = seed
 	g.halted = false
 	for i, m := range g.members {
-		m.k.Reset(memberSeed(seed, i))
+		m.k.Reset(ChildSeed(seed, i))
 		for d, box := range m.out {
-			for j, msg := range box {
-				msg.fn = nil
-				m.free = append(m.free, msg)
-				box[j] = nil
-			}
+			clear(box)
 			m.out[d] = box[:0]
 		}
 	}

@@ -50,7 +50,7 @@ func TestGroupSingleMemberMatchesKernel(t *testing.T) {
 	gk := g.Kernel(0)
 	got := runScript(gk, func(t Time) { _ = g.RunUntil(t) })
 
-	ref := NewKernel(memberSeed(42, 0))
+	ref := NewKernel(ChildSeed(42, 0))
 	want := runScript(ref, func(t Time) { _ = ref.RunUntil(t) })
 
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -136,11 +136,7 @@ type eventNode struct {
 type Event struct {
 	node *eventNode
 	gen  uint64
-	when Time
 }
-
-// When reports the virtual time the event was scheduled for.
-func (e Event) When() Time { return e.when }
 
 // Cancelled reports whether the event is currently cancelled and still
 // queued. Once the kernel reclaims the node (the event ran, or a
@@ -250,7 +246,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	k.seq++
 	k.push(n)
 	k.pending++
-	return Event{node: n, gen: n.gen, when: t}
+	return Event{node: n, gen: n.gen}
 }
 
 // After schedules fn to run d after the current time.

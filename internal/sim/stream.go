@@ -41,10 +41,23 @@ func (s *Stream) Reseed(seed uint64, name string) {
 // Uint64 returns the next 64 pseudo-random bits (splitmix64).
 func (s *Stream) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	return Mix64(s.state)
+}
+
+// Mix64 is the splitmix64 finalizer: a bijection on 64-bit words in
+// which every input bit flips each output bit with probability about 1/2.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// ChildSeed derives child i's seed from a parent seed: Mix64 of the
+// parent advanced i+1 splitmix64 steps. Neighbouring indices get
+// decorrelated streams, and the seed depends only on (seed, i), never on
+// how many children exist or the order they are created in.
+func ChildSeed(seed uint64, i int) uint64 {
+	return Mix64(seed + 0x9e3779b97f4a7c15*uint64(i+1))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
