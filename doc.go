@@ -6,9 +6,9 @@
 // The implementation lives under internal/: simulated in-vehicle networks
 // (CAN/LIN/FlexRay/automotive Ethernet), the SHE secure-hardware model,
 // an IEEE 1609.2-style V2X stack, the central security gateway, intrusion
-// detection, Uptane-style OTA, side-channel attacks, keyless entry, the
-// ISO 26262 safety model, and the 4+1-layer extensible architecture that
-// composes them (internal/core). The per-claim experiment harness is in
+// detection, Uptane-style OTA, side-channel attacks, keyless entry, and
+// the 4+1-layer extensible architecture that composes them
+// (internal/core). The per-claim experiment harness is in
 // internal/experiments; bench_test.go in this directory regenerates every
 // experiment table, and cmd/benchreport prints them all. internal/runner
 // replicates any experiment suite across seeds on a parallel worker pool

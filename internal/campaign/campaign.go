@@ -254,9 +254,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Waves returns the campaign's wave plan.
-func (e *Engine) Waves() []fleet.Wave { return e.waves }
-
 // States exposes the per-vehicle campaign states (index order).
 func (e *Engine) States() []*VehicleState { return e.states }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -56,7 +57,9 @@ func WriteTrace(w io.Writer, t *Trace) error {
 }
 
 // ParseTrace reads the text format back into a Trace. Blank lines and
-// lines starting with '#' are skipped.
+// lines starting with '#' are skipped. Times round to the nearest
+// nanosecond, so ParseTrace(WriteTrace(t)) reproduces t's timestamps; a
+// time that is not finite, is negative or overflows sim.Time is an error.
 func ParseTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -76,12 +79,16 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("can: trace line %d: time: %v", lineNo, err)
 		}
+		ns := secs * float64(sim.Second)
+		if !(ns >= 0 && ns < math.MaxInt64) { // also false for NaN
+			return nil, fmt.Errorf("can: trace line %d: time %s out of range", lineNo, fields[0])
+		}
 		id64, err := strconv.ParseUint(fields[2], 16, 32)
 		if err != nil {
 			return nil, fmt.Errorf("can: trace line %d: id: %v", lineNo, err)
 		}
 		rec := Record{
-			At:     sim.Time(secs * float64(sim.Second)),
+			At:     sim.Time(math.Round(ns)),
 			Sender: fields[1],
 			Frame:  Frame{ID: ID(id64)},
 		}

@@ -33,8 +33,7 @@ func TestTraceWriteParseRoundTrip(t *testing.T) {
 		if !g.Frame.Equal(&o.Frame) || g.Sender != o.Sender || g.Corrupted != o.Corrupted {
 			t.Fatalf("record %d: %+v != %+v", i, g, o)
 		}
-		// Time preserved to within a nanosecond of rounding.
-		if d := g.At - o.At; d < -1 || d > 1 {
+		if g.At != o.At {
 			t.Fatalf("record %d time %v vs %v", i, g.At, o.At)
 		}
 	}
@@ -60,6 +59,10 @@ func TestParseTraceErrors(t *testing.T) {
 		"0.001 a 100 01 WHAT",                    // bad flag
 		"0.001 a FFFFFFFF 01",                    // id out of range (validate)
 		"0.001 a 100 " + strings.Repeat("00", 9), // 9-byte classic payload
+		"NaN a 100 01",                           // non-finite time
+		"Inf a 100 01",                           // non-finite time
+		"-1 a 100 01",                            // negative time
+		"1e300 a 100 01",                         // beyond sim.Time's range
 	}
 	for _, in := range cases {
 		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
@@ -68,14 +71,15 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-// Property: write/parse round-trips synthetic standard frames.
+// Property: write/parse round-trips synthetic standard frames and their
+// nanosecond-resolution timestamps exactly.
 func TestTraceIORoundTripProperty(t *testing.T) {
-	f := func(rawID uint16, data []byte, ms uint16) bool {
+	f := func(rawID uint16, data []byte, secs uint16, ns uint32) bool {
 		if len(data) > 8 {
 			data = data[:8]
 		}
 		orig := &Trace{Records: []Record{{
-			At:     sim.Time(ms) * sim.Millisecond,
+			At:     sim.Time(secs)*sim.Second + sim.Time(ns%1_000_000_000),
 			Sender: "s",
 			Frame:  Frame{ID: ID(rawID) & MaxStandardID, Data: data},
 		}}}
@@ -87,7 +91,8 @@ func TestTraceIORoundTripProperty(t *testing.T) {
 		if err != nil || got.Len() != 1 {
 			return false
 		}
-		return got.Records[0].Frame.Equal(&orig.Records[0].Frame)
+		return got.Records[0].At == orig.Records[0].At &&
+			got.Records[0].Frame.Equal(&orig.Records[0].Frame)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

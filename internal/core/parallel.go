@@ -11,7 +11,7 @@
 //
 //   - Schedule domain work on KernelFor(domain), never on Vehicle.Kernel
 //     unless the domain shards into zone 0.
-//   - Drive time with Vehicle.Run/RunUntil (the group), not the member
+//   - Drive time with Vehicle.RunUntil (the group), not the member
 //     kernels' own Run methods.
 //   - Shared subsystems that are not kernel-local — the SHE, the audit
 //     log, Fusion, Keyless — may only be touched from member 0's kernel
@@ -56,15 +56,6 @@ func (v *Vehicle) KernelFor(domain string) *sim.Kernel {
 		}
 	}
 	return v.Kernel
-}
-
-// Run drives the vehicle until its event queues drain: the kernel group
-// on a per-zone-kernel build, the single kernel otherwise.
-func (v *Vehicle) Run() error {
-	if v.Group != nil {
-		return v.Group.Run()
-	}
-	return v.Kernel.Run()
 }
 
 // RunUntil drives the vehicle to virtual time t (inclusive).

@@ -14,6 +14,7 @@ import (
 	"autosec/internal/netif"
 	"autosec/internal/obs"
 	"autosec/internal/sim"
+	"autosec/internal/workload"
 )
 
 // eqRng is a self-contained splitmix64 for the property generator, so the
@@ -84,6 +85,13 @@ func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	tr := obs.NewTracer(1 << 12)
 	reg := obs.NewRegistry()
 	v.Instrument(tr, reg)
+
+	// A trained IDS half the time, so trained detector state that
+	// survives Reset into an untrained scenario shows up as divergent
+	// alerts.
+	if r.chance(50) {
+		v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), sim.Second, r.next(), 0.01).Netif())
+	}
 
 	// Policy-layer churn: a randomized cross-domain rule set.
 	rules := eqRandomRules(r)

@@ -12,7 +12,6 @@ package ecu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"autosec/internal/sim"
@@ -232,32 +231,4 @@ func (c *CPU) complete(j *job) {
 		j.onDone(now, missed)
 	}
 	c.dispatch()
-}
-
-// RateMonotonic assigns priorities by period (shortest period = highest
-// priority), the optimal fixed-priority order for implicit deadlines.
-func RateMonotonic(tasks []*Task) {
-	sorted := append([]*Task(nil), tasks...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Period < sorted[j].Period })
-	for i, t := range sorted {
-		t.Priority = i
-	}
-}
-
-// UtilizationBound reports the Liu-Layland schedulability bound for n
-// tasks under rate-monotonic scheduling: n(2^(1/n)-1).
-func UtilizationBound(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
-}
-
-// TaskSetUtilization sums WCET/Period.
-func TaskSetUtilization(tasks []*Task) float64 {
-	u := 0.0
-	for _, t := range tasks {
-		u += float64(t.WCET) / float64(t.Period)
-	}
-	return u
 }

@@ -134,42 +134,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestRateMonotonic(t *testing.T) {
-	a := &Task{Name: "a", Period: 100 * sim.Millisecond}
-	b := &Task{Name: "b", Period: 10 * sim.Millisecond}
-	c := &Task{Name: "c", Period: 50 * sim.Millisecond}
-	RateMonotonic([]*Task{a, b, c})
-	if b.Priority != 0 || c.Priority != 1 || a.Priority != 2 {
-		t.Fatalf("priorities: a=%d b=%d c=%d", a.Priority, b.Priority, c.Priority)
-	}
-}
-
-func TestUtilizationBound(t *testing.T) {
-	if got := UtilizationBound(1); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("U(1)=%v", got)
-	}
-	if got := UtilizationBound(2); math.Abs(got-0.8284) > 0.001 {
-		t.Fatalf("U(2)=%v", got)
-	}
-	if UtilizationBound(0) != 0 {
-		t.Fatal("U(0)")
-	}
-	// Monotone decreasing toward ln 2.
-	if UtilizationBound(100) < math.Ln2-0.01 || UtilizationBound(100) > UtilizationBound(2) {
-		t.Fatal("bound shape wrong")
-	}
-}
-
-func TestTaskSetUtilization(t *testing.T) {
-	ts := []*Task{
-		{Period: 10 * sim.Millisecond, WCET: 2 * sim.Millisecond},
-		{Period: 100 * sim.Millisecond, WCET: 30 * sim.Millisecond},
-	}
-	if u := TaskSetUtilization(ts); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("U=%v", u)
-	}
-}
-
 func TestPendingAndIdle(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewCPU(k, "mcu")

@@ -24,7 +24,6 @@ var (
 	ErrSlotRange    = errors.New("flexray: slot out of range")
 	ErrSlotOwned    = errors.New("flexray: slot already assigned")
 	ErrPayloadRange = errors.New("flexray: payload must be 0..254 bytes, even length")
-	ErrNotStarted   = errors.New("flexray: cluster not started")
 )
 
 // Config fixes the cluster's timing parameters. All durations derive from

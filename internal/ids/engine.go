@@ -96,10 +96,6 @@ func NewEngineFromSuite(s Suite) *Engine { return NewEngine(s.Build()...) }
 // the registry layout.
 func (e *Engine) Add(d Detector) { e.reg.Register(d) }
 
-// AddFor installs a detector scoped to one medium regardless of its
-// type.
-func (e *Engine) AddFor(k netif.Kind, d Detector) { e.reg.RegisterFor(k, d) }
-
 // Remove uninstalls a detector by name; it reports whether one was found.
 func (e *Engine) Remove(name string) bool { return e.reg.Remove(name) }
 

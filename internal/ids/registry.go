@@ -43,17 +43,6 @@ func (r *Registry) Register(d Detector) {
 	r.global = append(r.global, d)
 }
 
-// RegisterFor installs a detector in one medium's bucket regardless of
-// whether it implements MediumDetector — the hook for scoping a
-// statistical detector to a single network.
-func (r *Registry) RegisterFor(k netif.Kind, d Detector) {
-	if int(k) >= len(r.byKind) {
-		r.global = append(r.global, d)
-		return
-	}
-	r.byKind[k] = append(r.byKind[k], d)
-}
-
 // Remove uninstalls the first detector with the given name, searching
 // the global set first, then the media buckets in Kind order. It
 // reports whether one was found.

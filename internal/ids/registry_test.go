@@ -119,22 +119,19 @@ func e21StyleTrace() *netif.Trace {
 
 func TestRegistryAddForAndRemove(t *testing.T) {
 	e := NewEngine()
-	// Scope a statistical detector to one medium: LIN records reach it,
-	// FlexRay records do not.
-	spec := NewSpecDetector()
-	spec.DLC[netif.MakeKey(netif.LIN, 0x10)] = 2
-	e.AddFor(netif.LIN, spec)
-	if as := e.Observe(frRec(0, 9, 0, "x", false, 8)); len(as) != 0 {
-		t.Fatalf("scoped detector saw foreign medium: %v", as)
-	}
+	// Add routes a MediumDetector to its medium's bucket: LIN records
+	// reach it.
+	lin := NewLINScheduleDetector()
+	lin.Train(&netif.Trace{Records: []netif.Record{linRec(0, 0x10, "x", 2)}})
+	e.Add(lin)
 	if as := e.Observe(linRec(1, 0x3A, "x", 2)); len(as) != 1 {
-		t.Fatalf("scoped detector missed its medium: %v", as)
+		t.Fatalf("bucketed detector missed its medium: %v", as)
 	}
 	// Remove finds detectors in media buckets too.
-	if !e.Remove("spec") {
+	if !e.Remove("lin-schedule") {
 		t.Fatal("Remove failed for bucketed detector")
 	}
-	if e.Remove("spec") {
+	if e.Remove("lin-schedule") {
 		t.Fatal("double Remove succeeded")
 	}
 }

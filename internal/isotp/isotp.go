@@ -39,11 +39,9 @@ const MaxMessage = 4095
 
 // Errors.
 var (
-	ErrTooLong    = errors.New("isotp: message exceeds 4095 bytes")
-	ErrBusy       = errors.New("isotp: transfer already in progress")
-	ErrOverflow   = errors.New("isotp: receiver signalled overflow")
-	ErrSequence   = errors.New("isotp: consecutive-frame sequence error")
-	ErrUnexpected = errors.New("isotp: unexpected protocol frame")
+	ErrTooLong  = errors.New("isotp: message exceeds 4095 bytes")
+	ErrBusy     = errors.New("isotp: transfer already in progress")
+	ErrOverflow = errors.New("isotp: receiver signalled overflow")
 )
 
 // Config tunes an endpoint.

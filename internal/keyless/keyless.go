@@ -1,8 +1,7 @@
 // Package keyless models the paper's "+1" layer — physical access
-// security: an RFID immobilizer and a passive keyless entry and start
-// (PKES) system, the relay attack of Francillon et al. [8 in the paper]
-// that defeats naive PKES, and the round-trip-time distance-bounding
-// countermeasure.
+// security: a passive keyless entry and start (PKES) system, the relay
+// attack of Francillon et al. [8 in the paper] that defeats naive PKES,
+// and the round-trip-time distance-bounding countermeasure.
 //
 // Radio timing uses free-space propagation (≈3.34 ns/m); a relay attack
 // cannot beat physics, so every relayed exchange arrives late by the
@@ -253,61 +252,4 @@ func (c *Car) finish(rtt sim.Duration, ch [8]byte, resp []byte) (sim.Duration, e
 	c.Unlocks.Inc()
 	c.emitVerdict(true, "", rtt)
 	return rtt, nil
-}
-
-// Immobilizer is the engine-start transponder check: same challenge-
-// response, but over the near-field coil (centimetres), so relaying is
-// impractical and the threat model is key cracking instead. KeyBits
-// models weak legacy transponders (the 40-bit DST of Bono et al. [5]).
-type Immobilizer struct {
-	key     [16]byte
-	KeyBits int
-
-	Starts  sim.Counter
-	Rejects sim.Counter
-}
-
-// NewImmobilizer creates an immobilizer; keyBits ≤ 128 masks the shared
-// key down to legacy sizes.
-func NewImmobilizer(key [16]byte, keyBits int) *Immobilizer {
-	im := &Immobilizer{KeyBits: keyBits}
-	im.key = maskKey(key, keyBits)
-	return im
-}
-
-func maskKey(key [16]byte, bits int) [16]byte {
-	if bits >= 128 {
-		return key
-	}
-	var out [16]byte
-	full := bits / 8
-	copy(out[:full], key[:full])
-	if rem := bits % 8; rem > 0 && full < 16 {
-		out[full] = key[full] & (0xFF << (8 - rem))
-	}
-	return out
-}
-
-// StartEngine verifies a transponder holding tkey.
-func (im *Immobilizer) StartEngine(tkey [16]byte) bool {
-	masked := maskKey(tkey, im.KeyBits)
-	ch := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
-	want, _ := she.CMAC(im.key[:], ch[:])
-	got, _ := she.CMAC(masked[:], ch[:])
-	ok := subtle.ConstantTimeCompare(want, got) == 1
-	if ok {
-		im.Starts.Inc()
-	} else {
-		im.Rejects.Inc()
-	}
-	return ok
-}
-
-// CrackCost returns the expected brute-force work factor (number of CMAC
-// trials) against the immobilizer's key space — 2^(KeyBits-1) on average.
-// With 40-bit legacy transponders this is ~5.5e11, hours on commodity
-// hardware; with 128-bit keys it is cryptographically infeasible. This is
-// the quantitative form of reference [5]'s result.
-func (im *Immobilizer) CrackCost() float64 {
-	return math.Pow(2, float64(im.KeyBits-1))
 }

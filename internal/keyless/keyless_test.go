@@ -2,7 +2,6 @@ package keyless
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"autosec/internal/sim"
@@ -173,53 +172,6 @@ func TestResponseReplayRejected(t *testing.T) {
 	}
 	if car.Unlocks.Value != 2 {
 		t.Fatalf("unlocks=%d", car.Unlocks.Value)
-	}
-}
-
-func TestImmobilizer(t *testing.T) {
-	key := sharedKey()
-	im := NewImmobilizer(key, 128)
-	if !im.StartEngine(key) {
-		t.Fatal("correct transponder rejected")
-	}
-	bad := key
-	bad[5] ^= 1
-	if im.StartEngine(bad) {
-		t.Fatal("wrong transponder accepted")
-	}
-	if im.Starts.Value != 1 || im.Rejects.Value != 1 {
-		t.Fatalf("counters %d/%d", im.Starts.Value, im.Rejects.Value)
-	}
-}
-
-func TestWeakImmobilizerKeyMasking(t *testing.T) {
-	key := sharedKey()
-	im := NewImmobilizer(key, 40)
-	// A transponder that matches only in the first 40 bits still starts
-	// the engine — the legacy weakness.
-	partial := [16]byte{}
-	copy(partial[:5], key[:5])
-	if !im.StartEngine(partial) {
-		t.Fatal("40-bit-equal transponder rejected")
-	}
-	// Crack cost: 2^39 for 40-bit vs 2^127 for full keys.
-	if got := im.CrackCost(); got != math.Pow(2, 39) {
-		t.Fatalf("crack cost %.3g", got)
-	}
-	strong := NewImmobilizer(key, 128)
-	if strong.CrackCost() <= im.CrackCost() {
-		t.Fatal("full-width key not harder to crack")
-	}
-}
-
-func TestMaskKeyPartialByte(t *testing.T) {
-	key := [16]byte{0xFF, 0xFF}
-	m := maskKey(key, 12)
-	if m[0] != 0xFF || m[1] != 0xF0 {
-		t.Fatalf("mask 12 bits: %x", m[:2])
-	}
-	if maskKey(key, 128) != key {
-		t.Fatal("full mask altered key")
 	}
 }
 

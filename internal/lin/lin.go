@@ -27,8 +27,6 @@ var (
 	ErrIDRange      = errors.New("lin: frame ID out of range")
 	ErrDataLength   = errors.New("lin: payload must be 1..8 bytes")
 	ErrParity       = errors.New("lin: PID parity error")
-	ErrChecksum     = errors.New("lin: checksum mismatch")
-	ErrNoPublisher  = errors.New("lin: no slave publishes this frame")
 	ErrDupPublisher = errors.New("lin: frame already has a publisher")
 )
 

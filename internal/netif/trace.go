@@ -3,7 +3,6 @@ package netif
 import (
 	"sort"
 
-	"autosec/internal/obs"
 	"autosec/internal/sim"
 )
 
@@ -63,17 +62,6 @@ func (t *Trace) ByKey(k Key) []Record {
 	return out
 }
 
-// Between returns records with lo <= At < hi.
-func (t *Trace) Between(lo, hi sim.Time) []Record {
-	var out []Record
-	for _, r := range t.Records {
-		if r.At >= lo && r.At < hi {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Intervals returns the successive inter-arrival times of the given key —
 // the primary feature used by frequency-based intrusion detection.
 func (t *Trace) Intervals(k Key) []sim.Duration {
@@ -86,27 +74,4 @@ func (t *Trace) Intervals(k Key) []sim.Duration {
 		out = append(out, recs[i].At-recs[i-1].At)
 	}
 	return out
-}
-
-// EmitObs replays the trace into an obs tracer, one instant per record:
-// subsystem = the record's medium ("can", "lin", "flexray", "ethernet"),
-// name "frame" (or "frame-error" for corrupted records), Str = sender,
-// Arg1 = frame ID, Arg2 = payload length. A converted CAN trace emits
-// byte-identically to the historical can.Trace.EmitObs. No-op on a nil
-// tracer.
-func (t *Trace) EmitObs(tr *obs.Tracer) {
-	if tr == nil {
-		return
-	}
-	frame := tr.Label("frame")
-	frameErr := tr.Label("frame-error")
-	for i := range t.Records {
-		r := &t.Records[i]
-		name := frame
-		if r.Corrupted {
-			name = frameErr
-		}
-		tr.Instant(r.At, tr.Label(r.Frame.Medium.String()), name,
-			tr.Label(r.Frame.Sender), int64(r.Frame.ID), int64(len(r.Frame.Payload)))
-	}
 }

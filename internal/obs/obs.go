@@ -6,8 +6,8 @@
 // The paper's 4+1 assurance architecture only works if each layer can
 // account for what it saw and decided; obs is that evidence trail for the
 // simulation: kernel dispatches, CAN transmissions, gateway verdicts, IDS
-// alerts, SecOC verifications, OTA phases and keyless exchanges all land
-// in one timeline, exportable as Chrome trace_event JSON (loadable in
+// alerts, OTA phases and keyless exchanges all land in one timeline,
+// exportable as Chrome trace_event JSON (loadable in
 // chrome://tracing or Perfetto) and as a plain-text timeline, while the
 // registry snapshot renders through experiments.Table.
 //

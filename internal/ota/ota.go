@@ -187,7 +187,6 @@ var (
 	ErrWrongHW      = errors.New("ota: image hardware ID does not match ECU")
 	ErrHashMismatch = errors.New("ota: payload hash mismatch")
 	ErrIncomplete   = errors.New("ota: bundle is missing payloads")
-	ErrUnknownECU   = errors.New("ota: no ECU with that hardware ID")
 	// ErrNoUpdate is returned by ApplyCached when the bundle's metadata
 	// is exactly the client's current metadata (both version counters
 	// equal) and still verifies: the vehicle is up to date, nothing was

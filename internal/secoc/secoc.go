@@ -17,9 +17,7 @@ import (
 	"fmt"
 	"math"
 
-	"autosec/internal/obs"
 	"autosec/internal/she"
-	"autosec/internal/sim"
 )
 
 // MACFunc computes a full-width MAC over a message. Adapters exist for
@@ -129,9 +127,6 @@ func (s *Sender) Protect(payload []byte) ([]byte, error) {
 	return append(out, mac[:macBytes]...), nil
 }
 
-// Freshness reports the sender's current counter (for tests).
-func (s *Sender) Freshness() uint64 { return s.fv }
-
 // Receiver verifies secured PDUs.
 type Receiver struct {
 	cfg  Config
@@ -140,14 +135,6 @@ type Receiver struct {
 
 	Accepted int64
 	Rejected int64
-
-	// Observability (nil when off); see Instrument in obs.go.
-	obsTr    *obs.Tracer
-	obsSub   obs.Label
-	obsOK    obs.Label
-	obsFail  obs.Label
-	obsName  obs.Label
-	obsClock func() sim.Time
 }
 
 // NewReceiver creates a receiver expecting counters above 0.
@@ -170,7 +157,6 @@ func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 	trailer := fvBytes + macBytes
 	if len(pdu) < trailer {
 		r.Rejected++
-		r.emitVerify(false)
 		return nil, ErrTooShort
 	}
 	payload := pdu[:len(pdu)-trailer]
@@ -192,23 +178,19 @@ func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 	}
 	if candidate-r.last > r.cfg.AcceptWindow {
 		r.Rejected++
-		r.emitVerify(false)
 		return nil, fmt.Errorf("%w: jump %d exceeds window %d", ErrReplay, candidate-r.last, r.cfg.AcceptWindow)
 	}
 	want, err := r.mac(authInput(r.cfg.DataID, payload, candidate))
 	if err != nil {
 		r.Rejected++
-		r.emitVerify(false)
 		return nil, err
 	}
 	if !constEq(want[:macBytes], gotMAC) {
 		r.Rejected++
-		r.emitVerify(false)
 		return nil, ErrAuth
 	}
 	r.last = candidate
 	r.Accepted++
-	r.emitVerify(true)
 	return payload, nil
 }
 

@@ -121,7 +121,6 @@ var (
 	ErrCounterReplay     = errors.New("she: update counter not greater than stored counter")
 	ErrUpdateAuth        = errors.New("she: M3 verification failed")
 	ErrUIDMismatch       = errors.New("she: UID mismatch and wildcard not permitted")
-	ErrBusy              = errors.New("she: engine busy")
 	ErrSequence          = errors.New("she: command sequence violation")
 )
 

@@ -4,10 +4,10 @@ import (
 	"math"
 )
 
-// This file implements the attacks: classic DPA (difference of means),
-// first-order CPA (Pearson correlation against the Hamming-weight
-// hypothesis), and second-order CPA (centered-product combination of the
-// mask and masked-output points) for masked devices.
+// This file implements the attacks: first-order CPA (Pearson
+// correlation against the Hamming-weight hypothesis), and second-order
+// CPA (centered-product combination of the mask and masked-output
+// points) for masked devices.
 
 // pearson computes the correlation coefficient between x and y.
 func pearson(x, y []float64) float64 {
@@ -67,49 +67,6 @@ func CPA(ts *TraceSet) [16]byte {
 	var key [16]byte
 	for i := 0; i < 16; i++ {
 		key[i], _ = CPAByte(ts, i)
-	}
-	return key
-}
-
-// DPAByte runs classic single-bit DPA on one key byte: traces are
-// partitioned by the predicted LSB of the S-box output and the guess with
-// the largest difference of means wins.
-func DPAByte(ts *TraceSet, pos int) (guess byte, dom float64) {
-	ppb := ts.PointsPerByte()
-	point := pos * ppb
-	if ts.Masked {
-		point = pos*ppb + 1
-	}
-	best := -1.0
-	for g := 0; g < 256; g++ {
-		var sum0, sum1 float64
-		var n0, n1 int
-		for i, pt := range ts.Plaintexts {
-			if sbox[pt[pos]^byte(g)]&1 == 1 {
-				sum1 += ts.Traces[i][point]
-				n1++
-			} else {
-				sum0 += ts.Traces[i][point]
-				n0++
-			}
-		}
-		if n0 == 0 || n1 == 0 {
-			continue
-		}
-		d := math.Abs(sum1/float64(n1) - sum0/float64(n0))
-		if d > best {
-			best = d
-			guess = byte(g)
-		}
-	}
-	return guess, best
-}
-
-// DPA recovers the full key with single-bit DPA.
-func DPA(ts *TraceSet) [16]byte {
-	var key [16]byte
-	for i := 0; i < 16; i++ {
-		key[i], _ = DPAByte(ts, i)
 	}
 	return key
 }

@@ -70,15 +70,6 @@ func TestCPAFailsWithTooFewTraces(t *testing.T) {
 	}
 }
 
-func TestDPARecoversKey(t *testing.T) {
-	rng := sim.NewStream(4, "dpa")
-	ts := Acquire(testKey, 3000, Config{NoiseSigma: 0.5}, rng)
-	got := DPA(ts)
-	if SuccessRate(got, testKey) < 0.9 {
-		t.Fatalf("DPA rate %.2f", SuccessRate(got, testKey))
-	}
-}
-
 func TestMaskingDefeatsFirstOrderCPA(t *testing.T) {
 	rng := sim.NewStream(5, "mask")
 	ts := Acquire(testKey, 3000, Config{NoiseSigma: 0.5, Masked: true}, rng)

@@ -1,12 +1,12 @@
 // Package sidechannel models the paper's side-channel attack mode: an
 // adversary with physical access to an ECU measures its power consumption
 // while the SHE engine encrypts, and recovers the AES key with
-// differential/correlation power analysis. The leakage model is the
+// correlation power analysis. The leakage model is the
 // standard academic one (Kocher et al. [12 in the paper]): each first-round
 // S-box output leaks its Hamming weight plus Gaussian noise.
 //
 // A first-order Boolean masking countermeasure is included; it defeats
-// first-order CPA/DPA and forces the attacker to a second-order attack
+// first-order CPA and forces the attacker to a second-order attack
 // with a substantially higher trace requirement — the quantitative content
 // of experiment E2, and the enabler of the paper's "extract one key, own
 // the fleet" chain (E3).

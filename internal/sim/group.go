@@ -118,15 +118,6 @@ func (g *KernelGroup) Pending() int {
 	return n
 }
 
-// Now reports member 0's clock (after RunUntil, every member's clock
-// equals the target time). Zero for an empty group.
-func (g *KernelGroup) Now() Time {
-	if len(g.members) == 0 {
-		return 0
-	}
-	return g.members[0].k.Now()
-}
-
 // AtBarrier registers a hook the group runs after every round's flush,
 // with the round's window limit. Hooks are where cross-member state
 // merges (e.g. the vehicle audit chain): no member window is in flight
@@ -134,12 +125,6 @@ func (g *KernelGroup) Now() Time {
 func (g *KernelGroup) AtBarrier(fn func(limit Time)) {
 	g.barrier = append(g.barrier, fn)
 }
-
-// Halt stops the current run at the next round boundary. Model code
-// running inside a member's window must halt its own kernel
-// (Kernel.Halt) instead; the group notices at the barrier and stops.
-// Calling Halt from another goroutine during a run is not safe.
-func (g *KernelGroup) Halt() { g.halted = true }
 
 // Send buffers a cross-member message: fn will run on member to's
 // kernel at absolute time at. It must be called either from an event
@@ -197,7 +182,8 @@ func (g *KernelGroup) round(limit Time) bool {
 	return ok
 }
 
-// Run dispatches rounds until every member's queue drains (or Halt).
+// Run dispatches rounds until every member's queue drains. A member
+// kernel's Halt stops the group at the round boundary with ErrHalted.
 func (g *KernelGroup) Run() error { return g.run(0, true) }
 
 // RunUntil dispatches rounds until no member has an event with deadline

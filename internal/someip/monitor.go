@@ -1,20 +1,13 @@
 package someip
 
-import (
-	"encoding/binary"
-
-	"autosec/internal/netif"
-	"autosec/internal/obs"
-	"autosec/internal/sim"
-)
+import "encoding/binary"
 
 // This file is the wire-monitoring side of the package: a zero-copy
-// header peek and a passive fabric tap. The service middleware itself
-// trusts the transport (that is the point the tests make); the monitor
-// is the compensating control — it decodes service/method/eventgroup
-// metadata out of frames in flight so the IDS and the observability
-// plane can reason at the service level instead of seeing one opaque
-// EtherType.
+// header peek. The service middleware itself trusts the transport (that
+// is the point the tests make); the peek is what lets a compensating
+// control — the IDS's SOME/IP detector — decode service/method/eventgroup
+// metadata out of frames in flight and reason at the service level
+// instead of seeing one opaque EtherType.
 
 // Header is the fixed SOME/IP header view of one PDU, decoded without
 // copying or allocating. Method carries the method ID for RPC and the
@@ -51,112 +44,4 @@ func PeekHeader(b []byte) (Header, bool) {
 		ReturnCode: b[11],
 		PayloadLen: n - 12,
 	}, true
-}
-
-// MonitorFunc consumes one decoded SOME/IP message seen on the wire.
-// The *netif.Frame follows the fabric's zero-copy contract: it is only
-// valid for the duration of the call.
-type MonitorFunc func(at sim.Time, f *netif.Frame, h Header)
-
-// Monitor is a passive SOME/IP wire tap on a fabric medium (normally
-// the Ethernet switch's netif view, whose taps see every frame entering
-// the fabric — including the unicast subscribe/ack/notify exchanges).
-// It classifies each decodable message, counts it, and forwards the
-// decoded header to registered callbacks.
-type Monitor struct {
-	Requests      sim.Counter
-	Responses     sim.Counter
-	Notifications sim.Counter
-	Subscribes    sim.Counter
-	Discovery     sim.Counter // offers, finds, subscribe acks/naks
-	Malformed     sim.Counter
-
-	fns []MonitorFunc
-
-	obsTr                             *obs.Tracer
-	obsSub, obsName                   obs.Label
-	obsReq, obsResp, obsNotify, obsSD obs.Label
-}
-
-// NewMonitor taps the medium and returns the monitor. Frames whose ID
-// is not EtherTypeSOMEIP pass through uncounted; frames that carry the
-// EtherType but fail header validation count as Malformed.
-func NewMonitor(m netif.Medium) *Monitor {
-	mon := &Monitor{}
-	m.Tap(func(at sim.Time, f *netif.Frame, corrupted bool) {
-		if corrupted || f.ID != EtherTypeSOMEIP {
-			return
-		}
-		h, ok := PeekHeader(f.Payload)
-		if !ok {
-			mon.Malformed.Inc()
-			return
-		}
-		switch h.Type {
-		case TypeRequest:
-			mon.Requests.Inc()
-		case TypeResponse, TypeError:
-			mon.Responses.Inc()
-		case TypeNotification:
-			mon.Notifications.Inc()
-		case TypeSubscribe:
-			mon.Subscribes.Inc()
-		default:
-			mon.Discovery.Inc()
-		}
-		if mon.obsTr != nil {
-			mon.obsTr.Instant(at, mon.obsSub, mon.eventLabel(h.Type), mon.obsName,
-				int64(uint32(h.Service)<<16|uint32(h.Method)), int64(h.PayloadLen))
-		}
-		for _, fn := range mon.fns {
-			fn(at, f, h)
-		}
-	})
-	return mon
-}
-
-// OnMessage registers a decoded-message callback.
-func (mon *Monitor) OnMessage(fn MonitorFunc) { mon.fns = append(mon.fns, fn) }
-
-func (mon *Monitor) eventLabel(t MessageType) obs.Label {
-	switch t {
-	case TypeRequest:
-		return mon.obsReq
-	case TypeResponse, TypeError:
-		return mon.obsResp
-	case TypeNotification:
-		return mon.obsNotify
-	default:
-		return mon.obsSD
-	}
-}
-
-// Instrument attaches the monitor to the observability layer. Labels
-// are interned once here so per-message emission stays allocation-free.
-//
-// Trace events (subsystem "someip"): one instant per decoded message,
-// named by class (request/response/notify/sd), with Arg1 packing
-// (service<<16|method-or-eventgroup) and Arg2 the payload length.
-//
-// Metrics (keyed "someip/<name>/..."): per-class message counters plus
-// malformed frames, probing the monitor's counters.
-func (mon *Monitor) Instrument(name string, tr *obs.Tracer, reg *obs.Registry) {
-	if tr != nil {
-		mon.obsTr = tr
-		mon.obsSub = tr.Label("someip")
-		mon.obsName = tr.Label(name)
-		mon.obsReq = tr.Label("request")
-		mon.obsResp = tr.Label("response")
-		mon.obsNotify = tr.Label("notify")
-		mon.obsSD = tr.Label("sd")
-	}
-	if reg != nil {
-		prefix := "someip/" + name + "/"
-		reg.Probe(prefix+"requests", func() float64 { return float64(mon.Requests.Value) })
-		reg.Probe(prefix+"responses", func() float64 { return float64(mon.Responses.Value) })
-		reg.Probe(prefix+"notifications", func() float64 { return float64(mon.Notifications.Value) })
-		reg.Probe(prefix+"subscribes", func() float64 { return float64(mon.Subscribes.Value) })
-		reg.Probe(prefix+"discovery", func() float64 { return float64(mon.Discovery.Value) })
-		reg.Probe(prefix+"malformed", func() float64 { return float64(mon.Malformed.Value) })
-	}
 }

@@ -1,12 +1,6 @@
 package someip
 
-import (
-	"testing"
-
-	"autosec/internal/ethernet"
-	"autosec/internal/netif"
-	"autosec/internal/sim"
-)
+import "testing"
 
 func TestPeekHeaderRejectsMalformed(t *testing.T) {
 	cases := []struct {
@@ -35,110 +29,5 @@ func TestPeekHeaderFields(t *testing.T) {
 	if h.Service != 0x1234 || h.Method != 0x8001 || h.Client != 0x42 ||
 		h.Session != 7 || h.Type != TypeNotification || h.PayloadLen != 3 {
 		t.Fatalf("header=%+v", h)
-	}
-}
-
-func TestMonitorClassifiesWireTraffic(t *testing.T) {
-	r := newRig(t)
-	mon := NewMonitor(ethernet.Netif(r.sw, 10))
-	r.discover(t) // find + offer: two discovery messages
-
-	if err := r.client.Subscribe(svcBrakeStatus, egBrakeEvents); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.k.Run()
-	var resp *Message
-	if err := r.client.Call(svcBrakeStatus, methodGetStatus, nil, func(m *Message) { resp = m }); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.k.Run()
-	if resp == nil {
-		t.Fatal("no RPC response")
-	}
-	r.server.Notify(egBrakeEvents, []byte{0x01})
-	r.server.Notify(egBrakeEvents, []byte{0x02})
-	_ = r.k.Run()
-
-	if mon.Requests.Value != 1 || mon.Responses.Value != 1 {
-		t.Fatalf("rpc counters: req=%d resp=%d", mon.Requests.Value, mon.Responses.Value)
-	}
-	if mon.Subscribes.Value != 1 {
-		t.Fatalf("subscribes=%d", mon.Subscribes.Value)
-	}
-	if mon.Notifications.Value != 2 {
-		t.Fatalf("notifications=%d", mon.Notifications.Value)
-	}
-	// find, offer, subscribe ack.
-	if mon.Discovery.Value != 3 {
-		t.Fatalf("discovery=%d", mon.Discovery.Value)
-	}
-	if mon.Malformed.Value != 0 {
-		t.Fatalf("malformed=%d", mon.Malformed.Value)
-	}
-}
-
-func TestMonitorCountsMalformedAndIgnoresOtherEtherTypes(t *testing.T) {
-	r := newRig(t)
-	mon := NewMonitor(ethernet.Netif(r.sw, 10))
-
-	// Garbage under the SOME/IP EtherType counts as malformed.
-	atk := ethernet.NewHost("attacker", ethernet.LocalMAC(9))
-	r.sw.Connect(atk, 10)
-	if err := atk.Send(ethernet.Frame{Dst: ethernet.Broadcast,
-		EtherType: EtherTypeSOMEIP, Payload: []byte{0xDE, 0xAD}}); err != nil {
-		t.Fatal(err)
-	}
-	// A non-SOME/IP frame passes through uncounted even though its
-	// payload happens to decode.
-	valid := (&Message{ServiceID: 1, MethodID: 2, Type: TypeRequest}).encode()
-	if err := atk.Send(ethernet.Frame{Dst: ethernet.Broadcast,
-		EtherType: 0x88B6, Payload: valid}); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.k.Run()
-
-	if mon.Malformed.Value != 1 {
-		t.Fatalf("malformed=%d", mon.Malformed.Value)
-	}
-	if total := mon.Requests.Value + mon.Responses.Value + mon.Notifications.Value +
-		mon.Subscribes.Value + mon.Discovery.Value; total != 0 {
-		t.Fatalf("classified counters moved: %d", total)
-	}
-}
-
-func TestMonitorOnMessage(t *testing.T) {
-	r := newRig(t)
-	mon := NewMonitor(ethernet.Netif(r.sw, 10))
-	type seen struct {
-		at  sim.Time
-		src netif.HWAddr
-		h   Header
-	}
-	var got []seen
-	mon.OnMessage(func(at sim.Time, f *netif.Frame, h Header) {
-		got = append(got, seen{at: at, src: f.Src, h: h})
-	})
-	r.discover(t)
-	var resp *Message
-	_ = r.client.Call(svcBrakeStatus, methodGetStatus, []byte{0xAA}, func(m *Message) { resp = m })
-	_ = r.k.Run()
-	if resp == nil {
-		t.Fatal("no RPC response")
-	}
-
-	// find, offer, request, response — in wire order.
-	if len(got) != 4 {
-		t.Fatalf("messages=%d", len(got))
-	}
-	req := got[2]
-	if req.h.Type != TypeRequest || req.h.Service != svcBrakeStatus ||
-		req.h.Method != methodGetStatus || req.h.PayloadLen != 1 {
-		t.Fatalf("request header=%+v", req.h)
-	}
-	if req.src != netif.HWAddr(ethernet.LocalMAC(2)) {
-		t.Fatalf("request src=%v", req.src)
-	}
-	if rsp := got[3]; rsp.h.Type != TypeResponse || rsp.at < req.at {
-		t.Fatalf("response=%+v after request=%+v", rsp, req)
 	}
 }

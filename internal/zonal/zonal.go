@@ -273,9 +273,6 @@ func (f *Fabric) SetRules(rs []*gateway.Rule) {
 	f.recompile()
 }
 
-// Rules returns the logical rule set.
-func (f *Fabric) Rules() []*gateway.Rule { return f.rules }
-
 // SetDefaultAction sets the verdict for frames no rule matches, on every
 // zone. Deny is the secure default; Allow reproduces the permissive
 // "no gateway" baseline across zone boundaries (unmatched frames flood to
