@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"autosec/internal/can"
+	"autosec/internal/gateway"
+	"autosec/internal/ids"
 	"autosec/internal/netif"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
@@ -123,4 +125,62 @@ func TestAlertAuditAllocs(t *testing.T) {
 		t.Fatalf("audit entry %q, want %q", got, want)
 	}
 	pool.Release(v)
+}
+
+// TestPerZoneAuditMergesAtOwnBarrier: on a per-zone-kernel vehicle a
+// staged audit entry reaches the sealed log at the barrier closing the
+// round that staged it, even when it is the only entry of the run — no
+// later entry may be needed to flush it. One case stages a zone
+// gateway's denial on member 1, the other an IDS alert on member 0.
+func TestPerZoneAuditMergesAtOwnBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		domain string
+		rules  []*gateway.Rule
+	}{
+		// No rule matches, so the infotainment zone denies the frame.
+		{"gateway", DomainInfotainment, nil},
+		// The frame is allowed, but the untrained IDS flags its ID.
+		{"ids", DomainPowertrain, []*gateway.Rule{{
+			Name: "pt-chassis", From: DomainPowertrain, To: []string{DomainChassis},
+			IDLo: 0x123, IDHi: 0x123, Action: gateway.Allow,
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newVehicle(t, Config{Zonal: &ZonalConfig{Zones: 2, PerZoneKernels: true}})
+			v.Zonal.SetRules(tc.rules)
+			staged := sim.Never // when the run's one auditable event happened
+			v.Zonal.Observe(func(at sim.Time, _, _ string, _ *netif.Frame, verdict string) {
+				if auditableVerdict(verdict) {
+					staged = at
+				}
+			})
+			v.IDS.OnAlert(func(a ids.Alert) { staged = a.At })
+			inLog := -1 // log length at the first barrier past the event
+			v.Group.AtBarrier(func(limit sim.Time) {
+				if inLog < 0 && limit > staged {
+					inLog = v.Audit.Len()
+				}
+			})
+			node := can.NewController("probe")
+			v.Buses[tc.domain].Attach(node)
+			v.KernelFor(tc.domain).At(sim.Millisecond, func() {
+				_ = node.Send(can.Frame{ID: 0x123, Data: []byte{1, 2}}, nil)
+			})
+			if err := v.RunUntil(10 * sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+
+			entries := v.Audit.Entries()
+			if len(entries) != 1 || entries[0].Source != tc.name || entries[0].At != staged {
+				t.Fatalf("audit log %+v, want one %s entry at %v", entries, tc.name, staged)
+			}
+			if inLog != 1 {
+				t.Fatalf("log held %d entries at the event's barrier, want 1", inLog)
+			}
+			if err := v.Audit.VerifyChain(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

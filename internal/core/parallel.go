@@ -85,6 +85,10 @@ type stagedAudit struct {
 // staged them in dispatch order. The merge order depends only on staged
 // content.
 func (v *Vehicle) mergeAuditStages() {
+	if v.staged == 0 {
+		return
+	}
+	v.staged = 0
 	idx := v.stageIdx
 	for {
 		best := -1

@@ -118,6 +118,7 @@ func (v *Vehicle) Reset(seed uint64) {
 			v.auditStage[m] = v.auditStage[m][:0]
 			v.stageIdx[m] = 0
 		}
+		v.staged = 0
 	} else {
 		v.Kernel.Reset(seed)
 	}

@@ -151,9 +151,11 @@ type Vehicle struct {
 	// appending directly would order the shared (SHE-sealed) log by
 	// member rather than by time; each member stages its events and the
 	// group barrier merges them in (time, member) order — see
-	// mergeAuditStages.
+	// mergeAuditStages. staged counts the events staged since the last
+	// merge, so a barrier with nothing to merge returns at once.
 	auditStage [][]stagedAudit
 	stageIdx   []int
+	staged     int
 	// alertBuf is the scratch an IDS alert renders into before its audit
 	// entry copies it out.
 	alertBuf []byte
@@ -311,6 +313,7 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 					at: at, src: "gateway",
 					msg: verdict + " id=" + auditID(f) + " from=" + from + " zone=" + zone,
 				})
+				v.staged++
 			}
 		})
 		v.Group.AtBarrier(func(limit sim.Time) { v.mergeAuditStages() })
@@ -337,6 +340,7 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 		// there.
 		if v.Group != nil {
 			v.auditStage[0] = append(v.auditStage[0], stagedAudit{at: a.At, src: "ids", msg: msg})
+			v.staged++
 			return
 		}
 		v.Audit.Append(a.At, "ids", msg)

@@ -149,10 +149,17 @@ type Cluster struct {
 	cfg    Config
 	kernel *sim.Kernel
 
-	static    map[SlotID]*slotAssignment
-	intruders map[SlotID][]*slotAssignment // rogue transmitters per slot
+	// static[s-1] owns static slot s (nil when unassigned); intruders[s-1]
+	// are its rogue transmitters.
+	static    []*slotAssignment
+	intruders [][]*slotAssignment
 	dynamic   []dynRequest
 	receivers []ReceiveFunc
+
+	// fireSlot[s-1] and nextCycle are the kernel callbacks every cycle
+	// schedules, bound once so a cycle allocates none.
+	fireSlot  []func()
+	nextCycle func()
 
 	cycle   int
 	running bool
@@ -181,13 +188,23 @@ func NewCluster(k *sim.Kernel, name string, cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cluster{
+	c := &Cluster{
 		Name:      name,
 		cfg:       cfg,
 		kernel:    k,
-		static:    make(map[SlotID]*slotAssignment),
-		intruders: make(map[SlotID][]*slotAssignment),
-	}, nil
+		static:    make([]*slotAssignment, cfg.StaticSlots),
+		intruders: make([][]*slotAssignment, cfg.StaticSlots),
+		fireSlot:  make([]func(), cfg.StaticSlots),
+	}
+	for i := range c.fireSlot {
+		slot := SlotID(i + 1)
+		c.fireSlot[i] = func() { c.fireStatic(slot) }
+	}
+	c.nextCycle = func() {
+		c.cycle++
+		c.runCycle()
+	}
+	return c, nil
 }
 
 // Config returns the cluster configuration.
@@ -201,10 +218,10 @@ func (c *Cluster) AssignStatic(slot SlotID, owner string, fn PublishFunc) error 
 	if slot < 1 || int(slot) > c.cfg.StaticSlots {
 		return fmt.Errorf("%w: %d", ErrSlotRange, slot)
 	}
-	if _, taken := c.static[slot]; taken {
+	if c.static[slot-1] != nil {
 		return fmt.Errorf("%w: %d", ErrSlotOwned, slot)
 	}
-	c.static[slot] = &slotAssignment{owner: owner, publish: fn}
+	c.static[slot-1] = &slotAssignment{owner: owner, publish: fn}
 	return nil
 }
 
@@ -215,7 +232,7 @@ func (c *Cluster) Intrude(slot SlotID, sender string, fn PublishFunc) error {
 	if slot < 1 || int(slot) > c.cfg.StaticSlots {
 		return fmt.Errorf("%w: %d", ErrSlotRange, slot)
 	}
-	c.intruders[slot] = append(c.intruders[slot], &slotAssignment{owner: sender, publish: fn})
+	c.intruders[slot-1] = append(c.intruders[slot-1], &slotAssignment{owner: sender, publish: fn})
 	return nil
 }
 
@@ -255,10 +272,8 @@ func (c *Cluster) runCycle() {
 	slotLen := sim.Duration(c.cfg.StaticSlotMacroticks) * c.cfg.Macrotick
 
 	// Static segment.
-	for s := 1; s <= c.cfg.StaticSlots; s++ {
-		slot := SlotID(s)
-		at := base + sim.Duration(s-1)*slotLen
-		c.kernel.At(at, func() { c.fireStatic(slot) })
+	for i, fire := range c.fireSlot {
+		c.kernel.At(base+sim.Duration(i)*slotLen, fire)
 	}
 
 	// Dynamic segment: requests sorted by slot priority claim minislots
@@ -283,10 +298,7 @@ func (c *Cluster) runCycle() {
 	}
 
 	// Next cycle after NIT.
-	c.kernel.At(base+c.cfg.CycleLength(), func() {
-		c.cycle++
-		c.runCycle()
-	})
+	c.kernel.At(base+c.cfg.CycleLength(), c.nextCycle)
 }
 
 // takeDynamicSorted drains the dynamic queue in priority order (stable).
@@ -303,8 +315,8 @@ func (c *Cluster) takeDynamicSorted() []dynRequest {
 }
 
 func (c *Cluster) fireStatic(slot SlotID) {
-	owner := c.static[slot]
-	intruders := c.intruders[slot]
+	owner := c.static[slot-1]
+	intruders := c.intruders[slot-1]
 	txCount := len(intruders)
 	var payload []byte
 	var sender string

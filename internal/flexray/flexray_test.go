@@ -2,6 +2,7 @@ package flexray
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,74 @@ func TestDoubleStart(t *testing.T) {
 	_ = c.Start()
 	if err := c.Start(); err == nil {
 		t.Fatal("double start accepted")
+	}
+}
+
+// TestClusterCycleSteadyStateAllocs pins a FlexRay cycle at zero
+// allocations once the kernel's node pool is warm: the static-slot and
+// next-cycle callbacks are bound when the cluster is built, so a cycle
+// only reuses them. CI gates on this test.
+func TestClusterCycleSteadyStateAllocs(t *testing.T) {
+	k, c := newCluster(t)
+	for i, p := range [][]byte{{1, 2}, {3, 4, 5, 6}, {7, 8}} {
+		if err := c.AssignStatic(SlotID(1+20*i), "ecu", func(int) []byte { return p }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := 0
+	c.OnReceive(func(sim.Time, Frame) { frames++ })
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cycle := c.Config().CycleLength()
+	end := 2 * cycle
+	_ = k.RunUntil(end)
+	if allocs := testing.AllocsPerRun(10, func() {
+		end += cycle
+		_ = k.RunUntil(end)
+	}); allocs != 0 {
+		t.Fatalf("one FlexRay cycle allocates %.1f objects, want 0", allocs)
+	}
+	// Every completed cycle delivered its 3 frames; slot 1 of the cycle
+	// starting at end has fired too.
+	if want := 3*c.Cycle() + 1; frames != want {
+		t.Fatalf("frames=%d after %d cycles, want %d", frames, c.Cycle(), want)
+	}
+}
+
+// TestClusterResetToBaseline: slot ownership and intruders registered
+// before MarkBaseline survive ResetToBaseline; later ones are gone, so the
+// freed slot can be assigned again, and the cycle counter rewinds.
+func TestClusterResetToBaseline(t *testing.T) {
+	k, c := newCluster(t)
+	pub := func(b byte) PublishFunc { return func(int) []byte { return []byte{b, b} } }
+	var senders []string
+	c.OnReceive(func(_ sim.Time, f Frame) { senders = append(senders, f.Sender) })
+	_ = c.AssignStatic(2, "owner", pub(2))
+	_ = c.Intrude(4, "base-rogue", pub(4))
+	c.MarkBaseline()
+
+	_ = c.AssignStatic(3, "scenario", pub(3))
+	_ = c.Intrude(2, "rogue", pub(0x22)) // collides with the owner
+	_ = c.Intrude(4, "rogue", pub(0x44)) // collides with base-rogue
+	_ = c.Start()
+	_ = k.RunUntil(c.Config().CycleLength())
+	if got := fmt.Sprint(senders); got != "[scenario]" || c.Collisions.Value != 2 || c.Cycle() != 1 {
+		t.Fatalf("before reset: senders %s, collisions %d, cycle %d", got, c.Collisions.Value, c.Cycle())
+	}
+
+	k.Reset(1)
+	c.ResetToBaseline()
+	if c.Cycle() != 0 {
+		t.Fatalf("cycle %d after reset, want 0", c.Cycle())
+	}
+	if err := c.AssignStatic(3, "again", pub(3)); err != nil {
+		t.Fatalf("slot freed by the reset: %v", err)
+	}
+	senders = senders[:0]
+	_ = c.Start()
+	_ = k.RunUntil(c.Config().CycleLength() - 1)
+	if got := fmt.Sprint(senders); got != "[owner again base-rogue]" || c.Collisions.Value != 0 {
+		t.Fatalf("after reset: senders %s, collisions %d", got, c.Collisions.Value)
 	}
 }

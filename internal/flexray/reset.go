@@ -9,8 +9,8 @@ package flexray
 // frBaseline is the sealed post-construction state of a Cluster.
 type frBaseline struct {
 	sealed    bool
-	static    map[SlotID]*slotAssignment
-	intruders map[SlotID]int // per-slot intruder counts
+	static    []*slotAssignment
+	intruders []int // per-slot intruder counts
 	receivers int
 }
 
@@ -18,15 +18,12 @@ type frBaseline struct {
 func (c *Cluster) MarkBaseline() {
 	b := frBaseline{
 		sealed:    true,
-		static:    make(map[SlotID]*slotAssignment, len(c.static)),
-		intruders: make(map[SlotID]int, len(c.intruders)),
+		static:    append([]*slotAssignment(nil), c.static...),
+		intruders: make([]int, len(c.intruders)),
 		receivers: len(c.receivers),
 	}
-	for slot, a := range c.static {
-		b.static[slot] = a
-	}
-	for slot, as := range c.intruders {
-		b.intruders[slot] = len(as)
+	for i, as := range c.intruders {
+		b.intruders[i] = len(as)
 	}
 	c.base = b
 }
@@ -38,24 +35,11 @@ func (c *Cluster) ResetToBaseline() {
 	if !c.base.sealed {
 		panic("flexray: ResetToBaseline before MarkBaseline")
 	}
-	for slot := range c.static {
-		if _, keep := c.base.static[slot]; !keep {
-			delete(c.static, slot)
-		}
-	}
-	for slot, a := range c.base.static {
-		c.static[slot] = a
-	}
-	for slot, as := range c.intruders {
-		keep, ok := c.base.intruders[slot]
-		if !ok {
-			delete(c.intruders, slot)
-			continue
-		}
-		for i := keep; i < len(as); i++ {
-			as[i] = nil
-		}
-		c.intruders[slot] = as[:keep]
+	copy(c.static, c.base.static)
+	for i, as := range c.intruders {
+		keep := c.base.intruders[i]
+		clear(as[keep:])
+		c.intruders[i] = as[:keep]
 	}
 	c.dynamic = nil
 	for i := c.base.receivers; i < len(c.receivers); i++ {

@@ -60,6 +60,9 @@ type KernelGroup struct {
 	members   []*groupMember
 	barrier   []func(limit Time)
 	halted    bool
+	// sent counts the messages buffered since the last flush, so a round
+	// that crossed no member skips the mailbox sweep.
+	sent int
 }
 
 // NewKernelGroup creates an empty group. lookahead is the minimum
@@ -147,6 +150,7 @@ func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
 			at, from, s.k.now, g.lookahead))
 	}
 	s.out[to] = append(s.out[to], xMsg{at: at, fn: fn})
+	g.sent++
 }
 
 // flush injects every buffered message into its receiving kernel, in
@@ -155,6 +159,10 @@ func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
 // mailboxes. Each callback is dropped as it is injected: a clear of the
 // box would cost a runtime call per mailbox per round.
 func (g *KernelGroup) flush() {
+	if g.sent == 0 {
+		return
+	}
+	g.sent = 0
 	for di, dst := range g.members {
 		for _, src := range g.members {
 			box := src.out[di]
@@ -252,6 +260,7 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 func (g *KernelGroup) Reset(seed uint64) {
 	g.seed = seed
 	g.halted = false
+	g.sent = 0
 	for i, m := range g.members {
 		m.k.Reset(ChildSeed(seed, i))
 		for d, box := range m.out {

@@ -138,7 +138,11 @@ func (s *Stream) Duration(lo, hi Duration) Duration {
 	return lo + Duration(s.Int63n(int64(hi-lo)+1))
 }
 
-// Jitter returns d scaled by a uniform factor in [1-frac, 1+frac].
+// Jitter returns d scaled by a uniform factor in [1-frac, 1+frac],
+// truncated toward zero to whole nanoseconds, so a result can sit up to
+// 1ns below d*(1-frac): Jitter(1, 0.1) returns 0 about half the time.
+// can and workload draw their periods through Jitter, so rounding
+// instead would move every trace and golden.
 func (s *Stream) Jitter(d Duration, frac float64) Duration {
 	f := 1 + frac*(2*s.Float64()-1)
 	return Duration(float64(d) * f)

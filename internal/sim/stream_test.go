@@ -192,18 +192,51 @@ func TestStreamBytes(t *testing.T) {
 	}
 }
 
-// Property: Jitter stays within the requested fraction.
+// Property: Jitter stays within the requested fraction, less the
+// sub-nanosecond truncation below d*0.9.
 func TestStreamJitterProperty(t *testing.T) {
 	s := NewStream(13, "jitter")
 	f := func(raw uint32) bool {
 		d := Duration(raw%1000000 + 1)
 		j := s.Jitter(d, 0.1)
-		lo := float64(d) * 0.899
+		lo := math.Floor(float64(d) * 0.899)
 		hi := float64(d) * 1.101
 		return float64(j) >= lo && float64(j) <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamJitterTruncation pins Jitter's truncation at nanosecond
+// scale: over 1,000 fixed-seed draws, Jitter(d, 0.1) returns exactly the
+// whole nanoseconds in [d*0.9, d*1.1] truncated, each of them at least
+// once. d = 4 and 19 are the sizes that made the property above flaky
+// before its lower bound admitted the truncation.
+func TestStreamJitterTruncation(t *testing.T) {
+	for _, tc := range []struct {
+		d    Duration
+		want []Duration
+	}{
+		{1, []Duration{0, 1}},
+		{4, []Duration{3, 4}},
+		{19, []Duration{17, 18, 19, 20}},
+	} {
+		s := NewStream(13, "jitter")
+		seen := map[Duration]int{}
+		for i := 0; i < 1000; i++ {
+			seen[s.Jitter(tc.d, 0.1)]++
+		}
+		if len(seen) != len(tc.want) {
+			t.Errorf("Jitter(%d, 0.1) drew %v, want each of %v", tc.d, seen, tc.want)
+			continue
+		}
+		for _, w := range tc.want {
+			if seen[w] == 0 {
+				t.Errorf("Jitter(%d, 0.1) drew %v, want each of %v", tc.d, seen, tc.want)
+				break
+			}
+		}
 	}
 }
 
