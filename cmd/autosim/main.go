@@ -296,7 +296,7 @@ func mustVehicle(seed uint64, policyKey []byte) *core.Vehicle {
 func runBaseline(w io.Writer, seed uint64, ob obsPair) {
 	v := mustVehicle(seed, nil)
 	v.Instrument(ob.tr, ob.reg)
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, seed, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, seed, 0.01))
 	v.StartTraffic()
 	_ = v.Kernel.RunUntil(10 * sim.Second)
 	v.StopTraffic()
@@ -322,7 +322,7 @@ func runHeadunitCompromise(w io.Writer, seed uint64, ob obsPair) {
 	// In permissive mode the gateway forwards body-domain traffic into the
 	// powertrain, so the clean baseline the IDS learns must include it.
 	combined := append(workload.PowertrainMatrix(), workload.BodyMatrix()...)
-	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01))
 	v.ArmAutoQuarantine(core.DomainInfotainment)
 	v.StartTraffic()
 
@@ -522,7 +522,7 @@ func runZonalCompromise(w io.Writer, seed uint64, ob obsPair) {
 	v.Instrument(ob.tr, ob.reg)
 	v.Zonal.SetDefaultAction(gateway.Allow) // the weak pre-hardening baseline
 	combined := append(workload.PowertrainMatrix(), workload.BodyMatrix()...)
-	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01))
 	v.ArmAutoQuarantine(core.DomainInfotainment)
 	v.StartTraffic()
 

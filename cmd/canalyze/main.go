@@ -22,6 +22,7 @@ import (
 
 	"autosec/internal/can"
 	"autosec/internal/ids"
+	"autosec/internal/netif"
 	"autosec/internal/obs"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
@@ -67,16 +68,15 @@ func cmdGen(args []string) {
 	case "none":
 	case "flood":
 		for at := lo; at < hi; at += sim.Millisecond {
-			tr.Records = append(tr.Records, can.Record{At: at, Sender: "attacker",
-				Frame: can.Frame{ID: 0x0C0, Data: make([]byte, 8)}})
+			tr.Records = append(tr.Records, can.NetifRecord(at, can.Frame{ID: 0x0C0, Data: make([]byte, 8)}, "attacker"))
 		}
 	case "fuzz":
 		for i, r := range tr.Records {
 			if r.Frame.ID == 0x1A0 && r.At >= lo && r.At < hi {
-				b := make([]byte, len(r.Frame.Data))
+				b := make([]byte, len(r.Frame.Payload))
 				rnd.Bytes(b)
-				tr.Records[i].Frame.Data = b
-				tr.Records[i].Sender = "attacker"
+				tr.Records[i].Frame.Payload = b
+				tr.Records[i].Frame.Sender = "attacker"
 			}
 		}
 	case "suspend":
@@ -90,8 +90,7 @@ func cmdGen(args []string) {
 		tr.Records = kept
 	case "unknown":
 		for at := lo; at < hi; at += 50 * sim.Millisecond {
-			tr.Records = append(tr.Records, can.Record{At: at, Sender: "attacker",
-				Frame: can.Frame{ID: 0x7DF, Data: []byte{0x02, 0x10, 0x01}}})
+			tr.Records = append(tr.Records, can.NetifRecord(at, can.Frame{ID: 0x7DF, Data: []byte{0x02, 0x10, 0x01}}, "attacker"))
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "canalyze: unknown attack %q\n", *attack)
@@ -141,8 +140,8 @@ func cmdDetect(args []string) {
 	}
 
 	eng := ids.NewEngine(detectors...)
-	eng.Train(train.Netif())
-	for _, r := range live.Netif().Records {
+	eng.Train(train)
+	for _, r := range live.Records {
 		for _, a := range eng.Observe(r) {
 			fmt.Println(a.String())
 		}
@@ -164,7 +163,7 @@ func cmdExport(args []string) {
 	}
 	tr := loadTrace(fs.Arg(0))
 	sink := obs.NewTracer(nextPow2(tr.Len()))
-	tr.EmitObs(sink)
+	emitObs(tr, sink)
 	if dropped := sink.Dropped(); dropped > 0 {
 		fmt.Fprintf(os.Stderr, "canalyze: warning: %d events dropped\n", dropped)
 	}
@@ -183,6 +182,29 @@ func cmdExport(args []string) {
 	}
 }
 
+// emitObs replays the trace into an obs tracer, one instant per record,
+// making a captured (or parsed) CAN trace an ordinary obs event source:
+// subsystem "can", name "frame" (or "frame-error" for corrupted records),
+// Str = sender, Arg1 = frame ID, Arg2 = payload length. The candump text
+// format and the Chrome/timeline exports thus render the same records.
+// No-op on a nil tracer.
+func emitObs(t *netif.Trace, tr *obs.Tracer) {
+	if tr == nil {
+		return
+	}
+	sub := tr.Label("can")
+	frame := tr.Label("frame")
+	frameErr := tr.Label("frame-error")
+	for i := range t.Records {
+		r := &t.Records[i]
+		name := frame
+		if r.Corrupted {
+			name = frameErr
+		}
+		tr.Instant(r.At, sub, name, tr.Label(r.Frame.Sender), int64(r.Frame.ID), int64(len(r.Frame.Payload)))
+	}
+}
+
 // nextPow2 sizes the tracer ring to hold the whole trace.
 func nextPow2(n int) int {
 	p := 1
@@ -192,7 +214,7 @@ func nextPow2(n int) int {
 	return p
 }
 
-func loadTrace(path string) *can.Trace {
+func loadTrace(path string) *netif.Trace {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -205,7 +227,7 @@ func loadTrace(path string) *can.Trace {
 	return tr
 }
 
-func lastTime(tr *can.Trace) sim.Time {
+func lastTime(tr *netif.Trace) sim.Time {
 	if tr.Len() == 0 {
 		return 0
 	}

@@ -29,7 +29,7 @@ func main() {
 	if err := v.ProvisionMACKey(key); err != nil {
 		log.Fatal(err)
 	}
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 42, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 42, 0.01))
 
 	// Two application nodes on the chassis domain exchanging an
 	// authenticated message.

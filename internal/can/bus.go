@@ -581,3 +581,28 @@ func (c *Controller) updateState() {
 		}
 	}
 }
+
+// PeriodicSender schedules frame transmissions with a fixed period and
+// optional uniform jitter, modelling a cyclic application message. It
+// returns a stop function.
+func PeriodicSender(k *sim.Kernel, c *Controller, f Frame, period sim.Duration, jitterFrac float64) (stop func()) {
+	if period <= 0 {
+		panic("can: periodic sender requires positive period")
+	}
+	js := k.Stream("can.periodic." + c.Name + "." + fmt.Sprint(uint32(f.ID)))
+	stopped := false
+	var schedule func()
+	schedule = func() {
+		if stopped {
+			return
+		}
+		_ = c.Send(f, nil) // queue-full / bus-off drops are recorded by the controller
+		next := period
+		if jitterFrac > 0 {
+			next = js.Jitter(period, jitterFrac)
+		}
+		k.After(next, schedule)
+	}
+	k.After(js.Duration(0, period), schedule) // desynchronize start phases
+	return func() { stopped = true }
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
 
@@ -48,7 +49,7 @@ func TestBusDeliversToAllOtherNodes(t *testing.T) {
 
 func TestBusArbitrationLowestIDWins(t *testing.T) {
 	k, b, cs := newTestBus(t, "a", "b", "c")
-	trace := Recorder(b)
+	trace := netif.Recorder(Netif(b))
 	// Enqueue in reverse priority order at the same instant.
 	_ = cs[0].Send(Frame{ID: 0x300}, nil)
 	_ = cs[1].Send(Frame{ID: 0x100}, nil)
@@ -57,7 +58,7 @@ func TestBusArbitrationLowestIDWins(t *testing.T) {
 	if trace.Len() != 3 {
 		t.Fatalf("trace has %d frames", trace.Len())
 	}
-	wantOrder := []ID{0x100, 0x200, 0x300}
+	wantOrder := []uint32{0x100, 0x200, 0x300}
 	for i, id := range wantOrder {
 		if trace.Records[i].Frame.ID != id {
 			t.Fatalf("frame %d has ID %#x, want %#x", i, trace.Records[i].Frame.ID, id)
@@ -239,7 +240,7 @@ func TestHigherPriorityPreemptsQueueNotWire(t *testing.T) {
 	// A frame already on the wire finishes even if a lower-ID frame
 	// arrives mid-transmission; the new frame wins the next round.
 	k, b, cs := newTestBus(t, "a", "b")
-	trace := Recorder(b)
+	trace := netif.Recorder(Netif(b))
 	_ = cs[0].Send(Frame{ID: 0x400, Data: make([]byte, 8)}, nil)
 	k.After(10*sim.Microsecond, func() {
 		_ = cs[1].Send(Frame{ID: 0x001}, nil)
@@ -247,7 +248,7 @@ func TestHigherPriorityPreemptsQueueNotWire(t *testing.T) {
 	// Node a also queues a second low-priority frame at t=0.
 	_ = cs[0].Send(Frame{ID: 0x500}, nil)
 	_ = k.Run()
-	wantOrder := []ID{0x400, 0x001, 0x500}
+	wantOrder := []uint32{0x400, 0x001, 0x500}
 	if trace.Len() != 3 {
 		t.Fatalf("trace len=%d", trace.Len())
 	}
@@ -260,15 +261,16 @@ func TestHigherPriorityPreemptsQueueNotWire(t *testing.T) {
 
 func TestTraceHelpers(t *testing.T) {
 	k, b, cs := newTestBus(t, "a", "b")
-	trace := Recorder(b)
+	trace := netif.Recorder(Netif(b))
 	stop := PeriodicSender(k, cs[0], Frame{ID: 0x111}, 10*sim.Millisecond, 0)
 	_ = k.RunUntil(100 * sim.Millisecond)
 	stop()
-	ids := trace.IDs()
-	if len(ids) != 1 || ids[0] != 0x111 {
-		t.Fatalf("IDs=%v", ids)
+	key := netif.MakeKey(netif.CAN, 0x111)
+	keys := trace.Keys()
+	if len(keys) != 1 || keys[0] != key {
+		t.Fatalf("Keys=%v", keys)
 	}
-	ivs := trace.Intervals(0x111)
+	ivs := trace.Intervals(key)
 	if len(ivs) < 8 {
 		t.Fatalf("only %d intervals", len(ivs))
 	}
@@ -276,13 +278,6 @@ func TestTraceHelpers(t *testing.T) {
 		if iv != 10*sim.Millisecond {
 			t.Fatalf("interval %v, want 10ms", iv)
 		}
-	}
-	mid := trace.Between(20*sim.Millisecond, 50*sim.Millisecond)
-	if len(mid) != 3 {
-		t.Fatalf("Between returned %d records", len(mid))
-	}
-	if trace.String() == "" {
-		t.Fatal("empty trace dump")
 	}
 }
 

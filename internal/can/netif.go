@@ -36,6 +36,15 @@ func FrameToNetif(f *Frame, sender string, out *netif.Frame) {
 	}
 }
 
+// NetifRecord returns the trace record of f as sent by sender and
+// completed at time at. The record's payload aliases f.Data: the caller
+// hands the buffer over to the trace.
+func NetifRecord(at sim.Time, f Frame, sender string) netif.Record {
+	r := netif.Record{At: at}
+	FrameToNetif(&f, sender, &r.Frame)
+	return r
+}
+
 // FrameFromNetif converts a fabric frame back to a native CAN frame. The
 // payload is aliased, not copied (Controller.Send clones on enqueue).
 func FrameFromNetif(nf *netif.Frame) (Frame, error) {
@@ -114,20 +123,4 @@ func (p *netifPort) OnReceive(fn netif.RecvFunc) {
 		FrameToNetif(f, name, &p.recvScratch)
 		fn(at, &p.recvScratch)
 	})
-}
-
-// Netif converts the CAN trace into the medium-agnostic trace format the
-// detectors consume. Records share payload storage with the source trace
-// (both are immutable captures), so conversion is O(n) with one slice
-// allocation.
-func (t *Trace) Netif() *netif.Trace {
-	out := &netif.Trace{Records: make([]netif.Record, len(t.Records))}
-	for i := range t.Records {
-		r := &t.Records[i]
-		nr := &out.Records[i]
-		nr.At = r.At
-		nr.Corrupted = r.Corrupted
-		FrameToNetif(&r.Frame, r.Sender, &nr.Frame)
-	}
-	return out
 }

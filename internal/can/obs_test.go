@@ -1,7 +1,6 @@
 package can
 
 import (
-	"strings"
 	"testing"
 
 	"autosec/internal/obs"
@@ -99,62 +98,4 @@ func TestBusInstrumentMarksCorruptedFrames(t *testing.T) {
 	if len(names) != 2 || names[0] != "tx-error" || names[1] != "tx" {
 		t.Fatalf("event names = %v, want [tx-error tx]", names)
 	}
-}
-
-func TestTraceStringMatchesWriteTrace(t *testing.T) {
-	tr := &Trace{Records: []Record{
-		{At: 10 * sim.Millisecond, Sender: "engine", Frame: Frame{ID: 0xC0, Data: []byte{0xDE, 0xAD}}},
-		{At: 20 * sim.Millisecond, Sender: "atk", Frame: Frame{ID: 0x1FFFFFFF, Extended: true}, Corrupted: true},
-	}}
-	var b strings.Builder
-	if err := WriteTrace(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	if tr.String() != b.String() {
-		t.Fatalf("String() diverged from WriteTrace:\n%q\nvs\n%q", tr.String(), b.String())
-	}
-	// And the rendering round-trips through the parser.
-	parsed, err := ParseTrace(strings.NewReader(tr.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Len() != 2 || parsed.Records[1].Corrupted != true {
-		t.Fatalf("round-trip lost records: %+v", parsed.Records)
-	}
-}
-
-func TestTraceEmitObsUnifiesEventSource(t *testing.T) {
-	k := sim.NewKernel(1)
-	bus := NewBus(k, "body", 500_000)
-	tx := NewController("door")
-	bus.Attach(tx)
-	bus.Attach(NewController("rx"))
-	captured := Recorder(bus)
-	for i := 0; i < 3; i++ {
-		if err := tx.Send(Frame{ID: 0x4B0, Data: []byte{byte(i)}}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := obs.NewTracer(64)
-	captured.EmitObs(tr)
-	ev := tr.Events()
-	if len(ev) != captured.Len() {
-		t.Fatalf("obs got %d events for %d records", len(ev), captured.Len())
-	}
-	for i, e := range ev {
-		r := captured.Records[i]
-		if e.At != r.At || e.Arg1 != int64(r.Frame.ID) || tr.LabelString(e.Str) != r.Sender {
-			t.Fatalf("event %d = %+v does not match record %+v", i, e, r)
-		}
-		if tr.LabelString(e.Name) != "frame" {
-			t.Fatalf("event %d name = %q", i, tr.LabelString(e.Name))
-		}
-	}
-
-	// A nil tracer is a no-op.
-	captured.EmitObs(nil)
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
 
@@ -18,50 +19,58 @@ import (
 //
 // e.g. "0.010000 engine 0C0 DEADBEEF" or "1.200000 atk 1FFFFFFF - EXT".
 // Flags: EXT (extended id), RTR, FD, BRS, ERR (corrupted). This is the
-// format cmd/canalyze reads and the Recorder-backed tools write.
+// candump-style format cmd/canalyze reads and writes; in memory a trace is
+// a netif.Trace of CAN records.
 
-// WriteTrace emits the trace in the text format.
-func WriteTrace(w io.Writer, t *Trace) error {
+// WriteTrace emits the trace in the text format. Every record must hold a
+// valid CAN frame; the first that does not is an error naming its index.
+func WriteTrace(w io.Writer, t *netif.Trace) error {
 	bw := bufio.NewWriter(w)
-	for _, r := range t.Records {
+	for i := range t.Records {
+		r := &t.Records[i]
+		f, err := FrameFromNetif(&r.Frame)
+		if err != nil {
+			return fmt.Errorf("can: trace record %d: %w", i, err)
+		}
 		payload := "-"
-		if len(r.Frame.Data) > 0 {
-			payload = strings.ToUpper(hex.EncodeToString(r.Frame.Data))
+		if len(f.Data) > 0 {
+			payload = strings.ToUpper(hex.EncodeToString(f.Data))
 		}
 		var flags []string
-		if r.Frame.Extended {
+		if f.Extended {
 			flags = append(flags, "EXT")
 		}
-		if r.Frame.Remote {
+		if f.Remote {
 			flags = append(flags, "RTR")
 		}
-		if r.Frame.FD {
+		if f.FD {
 			flags = append(flags, "FD")
 		}
-		if r.Frame.BRS {
+		if f.BRS {
 			flags = append(flags, "BRS")
 		}
 		if r.Corrupted {
 			flags = append(flags, "ERR")
 		}
-		sender := r.Sender
+		sender := r.Frame.Sender
 		if sender == "" {
 			sender = "?"
 		}
 		if _, err := fmt.Fprintf(bw, "%.9f %s %X %s %s\n",
-			r.At.Seconds(), sender, uint32(r.Frame.ID), payload, strings.Join(flags, ",")); err != nil {
+			r.At.Seconds(), sender, uint32(f.ID), payload, strings.Join(flags, ",")); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ParseTrace reads the text format back into a Trace. Blank lines and
-// lines starting with '#' are skipped. Times round to the nearest
-// nanosecond, so ParseTrace(WriteTrace(t)) reproduces t's timestamps; a
-// time that is not finite, is negative or overflows sim.Time is an error.
-func ParseTrace(r io.Reader) (*Trace, error) {
-	t := &Trace{}
+// ParseTrace reads the text format back into a trace of CAN records, each
+// checked with Frame.Validate. Blank lines and lines starting with '#'
+// are skipped. Times round to the nearest nanosecond, so
+// ParseTrace(WriteTrace(t)) reproduces t's timestamps; a time that is not
+// finite, is negative or overflows sim.Time is an error.
+func ParseTrace(r io.Reader) (*netif.Trace, error) {
+	t := &netif.Trace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -87,40 +96,39 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("can: trace line %d: id: %v", lineNo, err)
 		}
-		rec := Record{
-			At:     sim.Time(math.Round(ns)),
-			Sender: fields[1],
-			Frame:  Frame{ID: ID(id64)},
-		}
+		f := Frame{ID: ID(id64)}
 		if fields[3] != "-" {
 			data, err := hex.DecodeString(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("can: trace line %d: payload: %v", lineNo, err)
 			}
-			rec.Frame.Data = data
+			f.Data = data
 		}
+		corrupted := false
 		if len(fields) >= 5 {
 			for _, fl := range strings.Split(fields[4], ",") {
 				switch fl {
 				case "EXT":
-					rec.Frame.Extended = true
+					f.Extended = true
 				case "RTR":
-					rec.Frame.Remote = true
+					f.Remote = true
 				case "FD":
-					rec.Frame.FD = true
+					f.FD = true
 				case "BRS":
-					rec.Frame.BRS = true
+					f.BRS = true
 				case "ERR":
-					rec.Corrupted = true
+					corrupted = true
 				case "":
 				default:
 					return nil, fmt.Errorf("can: trace line %d: unknown flag %q", lineNo, fl)
 				}
 			}
 		}
-		if err := rec.Frame.Validate(); err != nil {
+		if err := f.Validate(); err != nil {
 			return nil, fmt.Errorf("can: trace line %d: %v", lineNo, err)
 		}
+		rec := NetifRecord(sim.Time(math.Round(ns)), f, fields[1])
+		rec.Corrupted = corrupted
 		t.Records = append(t.Records, rec)
 	}
 	return t, sc.Err()

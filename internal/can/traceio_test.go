@@ -6,17 +6,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
 
 func TestTraceWriteParseRoundTrip(t *testing.T) {
-	orig := &Trace{Records: []Record{
-		{At: 10 * sim.Millisecond, Sender: "engine", Frame: Frame{ID: 0x0C0, Data: []byte{0xDE, 0xAD}}},
-		{At: 20 * sim.Millisecond, Sender: "atk", Frame: Frame{ID: 0x1ABCDE01, Extended: true}},
-		{At: 30 * sim.Millisecond, Sender: "x", Frame: Frame{ID: 0x7FF, Remote: true}},
-		{At: 40 * sim.Millisecond, Sender: "fd", Frame: Frame{ID: 0x100, FD: true, BRS: true, Data: make([]byte, 12)}},
-		{At: 50 * sim.Millisecond, Sender: "bad", Frame: Frame{ID: 0x1}, Corrupted: true},
+	orig := &netif.Trace{Records: []netif.Record{
+		NetifRecord(10*sim.Millisecond, Frame{ID: 0x0C0, Data: []byte{0xDE, 0xAD}}, "engine"),
+		NetifRecord(20*sim.Millisecond, Frame{ID: 0x1ABCDE01, Extended: true}, "atk"),
+		NetifRecord(30*sim.Millisecond, Frame{ID: 0x7FF, Remote: true}, "x"),
+		NetifRecord(40*sim.Millisecond, Frame{ID: 0x100, FD: true, BRS: true, Data: make([]byte, 12)}, "fd"),
+		NetifRecord(50*sim.Millisecond, Frame{ID: 0x1}, "bad"),
 	}}
+	orig.Records[4].Corrupted = true
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -30,11 +32,27 @@ func TestTraceWriteParseRoundTrip(t *testing.T) {
 	}
 	for i := range orig.Records {
 		o, g := orig.Records[i], got.Records[i]
-		if !g.Frame.Equal(&o.Frame) || g.Sender != o.Sender || g.Corrupted != o.Corrupted {
+		if !g.Frame.Equal(&o.Frame) || g.Corrupted != o.Corrupted {
 			t.Fatalf("record %d: %+v != %+v", i, g, o)
 		}
 		if g.At != o.At {
 			t.Fatalf("record %d time %v vs %v", i, g.At, o.At)
+		}
+	}
+}
+
+// TestWriteTraceRejectsNonCANRecords: the candump format holds CAN frames
+// only, so a LIN or Ethernet record is an error that names its index.
+func TestWriteTraceRejectsNonCANRecords(t *testing.T) {
+	for _, m := range []netif.Kind{netif.LIN, netif.Ethernet} {
+		tr := &netif.Trace{Records: []netif.Record{
+			NetifRecord(sim.Millisecond, Frame{ID: 0x100}, "ecu"),
+			{At: 2 * sim.Millisecond, Frame: netif.Frame{Medium: m, ID: 0x20, Sender: "node", Payload: []byte{1}}},
+		}}
+		var buf bytes.Buffer
+		err := WriteTrace(&buf, tr)
+		if err == nil || !strings.Contains(err.Error(), "record 1") || !strings.Contains(err.Error(), m.String()) {
+			t.Fatalf("%s record: err = %v, want an error naming record 1 and its medium", m, err)
 		}
 	}
 }
@@ -78,11 +96,9 @@ func TestTraceIORoundTripProperty(t *testing.T) {
 		if len(data) > 8 {
 			data = data[:8]
 		}
-		orig := &Trace{Records: []Record{{
-			At:     sim.Time(secs)*sim.Second + sim.Time(ns%1_000_000_000),
-			Sender: "s",
-			Frame:  Frame{ID: ID(rawID) & MaxStandardID, Data: data},
-		}}}
+		orig := &netif.Trace{Records: []netif.Record{NetifRecord(
+			sim.Time(secs)*sim.Second+sim.Time(ns%1_000_000_000),
+			Frame{ID: ID(rawID) & MaxStandardID, Data: data}, "s")}}
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, orig); err != nil {
 			return false

@@ -16,7 +16,7 @@ import (
 // it in the SHE-sealed audit log, and post-incident tampering is caught.
 func TestAuditLogRecordsAttackAndResistsTampering(t *testing.T) {
 	v := newVehicle(t, Config{})
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01))
 
 	// An attacker in the infotainment domain probes the gateway.
 	attacker := can.NewController("probe")
@@ -61,7 +61,7 @@ func TestAuditLogRecordsIDSAlerts(t *testing.T) {
 	v := newVehicle(t, Config{})
 	v.Gateway.DefaultAction = 1 // permissive so the flood reaches the IDS
 	combined := append(workload.PowertrainMatrix(), workload.BodyMatrix()...)
-	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, 1, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(combined, 10*sim.Second, 1, 0.01))
 	v.StartTraffic()
 	attacker := can.NewController("flooder")
 	v.Buses[DomainPowertrain].Attach(attacker)

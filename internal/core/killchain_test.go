@@ -39,7 +39,7 @@ func lateralMovement(t *testing.T, v *Vehicle) (framesThrough int) {
 
 func TestKillChainAgainstHardenedVehicle(t *testing.T) {
 	v := newVehicle(t, Config{VIN: "HARDENED-01"})
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01))
 
 	// Stage 1 — lateral movement: deny-by-default gateway stops it cold.
 	if n := lateralMovement(t, v); n != 0 {

@@ -22,35 +22,7 @@ func (v *Vehicle) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	if tr == nil && v.reattachMetrics(reg) {
 		return
 	}
-	if tr != nil {
-		v.Kernel.SetTraceSink(tr)
-	}
-	if reg != nil {
-		if v.Group != nil {
-			reg.Probe("kernel/steps", func() float64 { return float64(v.Group.Steps()) })
-			reg.Probe("kernel/pending", func() float64 { return float64(v.Group.Pending()) })
-		} else {
-			reg.Probe("kernel/steps", func() float64 { return float64(v.Kernel.Steps()) })
-			reg.Probe("kernel/pending", func() float64 { return float64(v.Kernel.Pending()) })
-		}
-	}
-	for _, name := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
-		v.Buses[name].Instrument(tr, reg)
-	}
-	if v.Zonal != nil {
-		v.Zonal.Instrument(tr, reg)
-	} else {
-		v.Gateway.Instrument(tr, reg)
-	}
-	v.IDS.Instrument(tr, reg)
-	v.Audit.Instrument(reg)
-	if v.OTA != nil {
-		v.OTA.Instrument(tr, reg)
-	}
-	v.Keyless.Instrument(tr, reg, v.Kernel.Now)
-	if reg != nil {
-		reg.Probe("core/auth_failures", func() float64 { return float64(v.AuthFailures.Value) })
-	}
+	v.instrument([]*obs.Tracer{tr}, reg)
 }
 
 // reattachMetrics is the metrics-only re-instrument fast path for pooled
@@ -91,29 +63,52 @@ func (v *Vehicle) InstrumentParallel(tracers []*obs.Tracer, reg *obs.Registry) {
 	if v.Group == nil {
 		panic("core: InstrumentParallel on a single-kernel build; use Instrument")
 	}
+	v.instrument(tracers, reg)
+}
+
+// instrument is the one body behind Instrument and InstrumentParallel.
+// Each subsystem attaches to the tracer of the kernel-group member it
+// runs on, tracers[member]; a single-kernel build is member 0 throughout,
+// so Instrument passes its one tracer as tracers[0].
+func (v *Vehicle) instrument(tracers []*obs.Tracer, reg *obs.Registry) {
 	trOf := func(i int) *obs.Tracer {
 		if i < len(tracers) {
 			return tracers[i]
 		}
 		return nil
 	}
-	for i := 0; i < v.Group.Members(); i++ {
-		if t := trOf(i); t != nil {
-			v.Group.Kernel(i).SetTraceSink(t)
+	if v.Group != nil {
+		for i := 0; i < v.Group.Members(); i++ {
+			if t := trOf(i); t != nil {
+				v.Group.Kernel(i).SetTraceSink(t)
+			}
 		}
+	} else if t := trOf(0); t != nil {
+		v.Kernel.SetTraceSink(t)
 	}
 	if reg != nil {
-		reg.Probe("kernel/steps", func() float64 { return float64(v.Group.Steps()) })
-		reg.Probe("kernel/pending", func() float64 { return float64(v.Group.Pending()) })
+		if v.Group != nil {
+			reg.Probe("kernel/steps", func() float64 { return float64(v.Group.Steps()) })
+			reg.Probe("kernel/pending", func() float64 { return float64(v.Group.Pending()) })
+		} else {
+			reg.Probe("kernel/steps", func() float64 { return float64(v.Kernel.Steps()) })
+			reg.Probe("kernel/pending", func() float64 { return float64(v.Kernel.Pending()) })
+		}
 	}
 	for _, name := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
 		m := 0
-		if z, ok := v.Zonal.ZoneOf(name); ok {
-			m = z.Member()
+		if v.Zonal != nil {
+			if z, ok := v.Zonal.ZoneOf(name); ok {
+				m = z.Member()
+			}
 		}
 		v.Buses[name].Instrument(trOf(m), reg)
 	}
-	v.Zonal.InstrumentZones(tracers, reg)
+	if v.Zonal != nil {
+		v.Zonal.InstrumentZones(tracers, reg)
+	} else {
+		v.Gateway.Instrument(trOf(0), reg)
+	}
 	v.IDS.Instrument(trOf(0), reg)
 	v.Audit.Instrument(reg)
 	if v.OTA != nil {

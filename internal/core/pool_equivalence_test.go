@@ -90,7 +90,7 @@ func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	// survives Reset into an untrained scenario shows up as divergent
 	// alerts.
 	if r.chance(50) {
-		v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), sim.Second, r.next(), 0.01).Netif())
+		v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), sim.Second, r.next(), 0.01))
 	}
 
 	// Policy-layer churn: a randomized cross-domain rule set.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autosec/internal/can"
+	"autosec/internal/netif"
 	"autosec/internal/policy"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
@@ -47,7 +48,7 @@ func TestNewVehicleNeedsVIN(t *testing.T) {
 
 func TestTrafficRunsOnDomains(t *testing.T) {
 	v := newVehicle(t, Config{})
-	ptTrace := can.Recorder(v.Buses[DomainPowertrain])
+	ptTrace := netif.Recorder(can.Netif(v.Buses[DomainPowertrain]))
 	v.StartTraffic()
 	_ = v.Kernel.RunUntil(2 * sim.Second)
 	v.StopTraffic()
@@ -91,7 +92,7 @@ func TestAutoQuarantineOnIDSAlert(t *testing.T) {
 	// the powertrain and the IDS.
 	v.Gateway.DefaultAction = 1 // gateway.Allow
 	// Train the IDS on clean synthetic traffic.
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, 1, 0.01))
 	v.ArmAutoQuarantine(DomainInfotainment)
 
 	v.StartTraffic()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"autosec/internal/can"
@@ -68,6 +69,53 @@ func TestZonalVehicleTopology(t *testing.T) {
 	}
 }
 
+// TestPerZoneCrossZoneDeliveryMatchesShared is an absolute oracle for the
+// per-zone build's cross-kernel path: every frame infotainment sends to
+// powertrain reaches a powertrain monitor at the instant the shared-switch
+// build delivers it, and the backbone counts one delivery per frame sent.
+// A fault that never flushes cross-kernel messages breaks fresh and
+// pooled builds alike, so the reset-equivalence suites cannot see it;
+// this test does.
+func TestPerZoneCrossZoneDeliveryMatchesShared(t *testing.T) {
+	const frames = 20
+	run := func(perZone bool) (got []sim.Time, deliveries int64) {
+		v := newVehicle(t, Config{Zonal: &ZonalConfig{Zones: 2, PerZoneKernels: perZone}})
+		v.Zonal.SetRules([]*gateway.Rule{{Name: "info-pt", From: DomainInfotainment,
+			To: []string{DomainPowertrain}, IDLo: 0x321, IDHi: 0x321, Action: gateway.Allow}})
+		mon := can.NewController("pt-monitor")
+		v.Buses[DomainPowertrain].Attach(mon)
+		mon.OnReceive(func(at sim.Time, f *can.Frame, _ *can.Controller) {
+			if f.ID == 0x321 {
+				got = append(got, at)
+			}
+		})
+		tx := can.NewController("info-ecu")
+		v.Buses[DomainInfotainment].Attach(tx)
+		k := v.KernelFor(DomainInfotainment)
+		for i := 0; i < frames; i++ {
+			k.At(sim.Time(i+1)*sim.Millisecond, func() {
+				_ = tx.Send(can.Frame{ID: 0x321, Data: []byte{byte(i)}}, nil)
+			})
+		}
+		if err := v.RunUntil((frames + 5) * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		return got, v.Zonal.BackboneDeliveriesTotal()
+	}
+	shared, sharedDeliveries := run(false)
+	perZone, perZoneDeliveries := run(true)
+	if len(shared) != frames || sharedDeliveries != frames {
+		t.Fatalf("shared build delivered %d frames (%d backbone deliveries), want %d",
+			len(shared), sharedDeliveries, frames)
+	}
+	if perZoneDeliveries != frames {
+		t.Fatalf("per-zone backbone deliveries = %d, want %d", perZoneDeliveries, frames)
+	}
+	if !slices.Equal(perZone, shared) {
+		t.Fatalf("per-zone delivery instants diverged from the shared switch:\nshared   %v\nper-zone %v", shared, perZone)
+	}
+}
+
 // flowProbe counts deliveries of one cross-zone flow and tracks the last
 // delivery time and worst observed latency.
 type flowProbe struct {
@@ -124,7 +172,7 @@ func TestZonalQuarantineContainment(t *testing.T) {
 		workload.MessageSpec{ID: 0x310, Period: 20 * sim.Millisecond, Size: 4, Sender: "z2-ecu"},
 		workload.MessageSpec{ID: 0x328, Period: 20 * sim.Millisecond, Size: 4, Sender: "z3-ecu"},
 	)
-	v.TrainIDS(workload.SyntheticTrace(trainSpecs, 10*sim.Second, 7, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(trainSpecs, 10*sim.Second, 7, 0.01))
 	v.ArmAutoQuarantine(DomainInfotainment)
 
 	// Baseline powertrain traffic.

@@ -5,6 +5,7 @@ import (
 
 	"autosec/internal/can"
 	"autosec/internal/ids"
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
 )
@@ -36,26 +37,26 @@ func E11IDS(seed uint64) *Table {
 	rnd := sim.NewStream(seed, "e11")
 	type attackCase struct {
 		name   string
-		mutate func(tr *can.Trace)
+		mutate func(tr *netif.Trace)
 	}
 	cases := []attackCase{
-		{"flood (1kHz on 0x0C0)", func(tr *can.Trace) {
+		{"flood (1kHz on 0x0C0)", func(tr *netif.Trace) {
 			for at := attackLo; at < attackHi; at += sim.Millisecond {
-				tr.Records = append(tr.Records, can.Record{At: at,
-					Frame: can.Frame{ID: 0x0C0, Data: make([]byte, 8)}, Sender: "attacker"})
+				tr.Records = append(tr.Records, can.NetifRecord(at,
+					can.Frame{ID: 0x0C0, Data: make([]byte, 8)}, "attacker"))
 			}
 		}},
-		{"targeted injection (racing 0x100)", func(tr *can.Trace) {
-			var adds []can.Record
+		{"targeted injection (racing 0x100)", func(tr *netif.Trace) {
+			var adds []netif.Record
 			for _, r := range tr.Records {
 				if r.Frame.ID == 0x100 && r.At >= attackLo && r.At < attackHi {
-					adds = append(adds, can.Record{At: r.At + 500*sim.Microsecond,
-						Frame: can.Frame{ID: 0x100, Data: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}, Sender: "attacker"})
+					adds = append(adds, can.NetifRecord(r.At+500*sim.Microsecond,
+						can.Frame{ID: 0x100, Data: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}, "attacker"))
 				}
 			}
 			tr.Records = append(tr.Records, adds...)
 		}},
-		{"suspension (0x120 silenced)", func(tr *can.Trace) {
+		{"suspension (0x120 silenced)", func(tr *netif.Trace) {
 			kept := tr.Records[:0]
 			for _, r := range tr.Records {
 				if r.Frame.ID == 0x120 && r.At >= attackLo && r.At < attackHi {
@@ -65,22 +66,22 @@ func E11IDS(seed uint64) *Table {
 			}
 			tr.Records = kept
 		}},
-		{"fuzzing (random payloads on 0x1A0)", func(tr *can.Trace) {
+		{"fuzzing (random payloads on 0x1A0)", func(tr *netif.Trace) {
 			for i, r := range tr.Records {
 				if r.Frame.ID == 0x1A0 && r.At >= attackLo && r.At < attackHi {
-					b := make([]byte, len(r.Frame.Data))
+					b := make([]byte, len(r.Frame.Payload))
 					rnd.Bytes(b)
-					tr.Records[i].Frame.Data = b
+					tr.Records[i].Frame.Payload = b
 				}
 			}
 		}},
-		{"unknown diagnostic ID (0x7DF)", func(tr *can.Trace) {
+		{"unknown diagnostic ID (0x7DF)", func(tr *netif.Trace) {
 			for at := attackLo; at < attackHi; at += 50 * sim.Millisecond {
-				tr.Records = append(tr.Records, can.Record{At: at,
-					Frame: can.Frame{ID: 0x7DF, Data: []byte{0x02, 0x10, 0x01}}, Sender: "attacker"})
+				tr.Records = append(tr.Records, can.NetifRecord(at,
+					can.Frame{ID: 0x7DF, Data: []byte{0x02, 0x10, 0x01}}, "attacker"))
 			}
 		}},
-		{"none (clean baseline)", func(*can.Trace) {}},
+		{"none (clean baseline)", func(*netif.Trace) {}},
 	}
 
 	detectorSets := []struct {
@@ -107,7 +108,7 @@ func E11IDS(seed uint64) *Table {
 		for _, ds := range detectorSets {
 			// Per-detector rows only for the combined row's components when
 			// they add signal; always include the "all four" engine.
-			m := ids.Evaluate(ds.build(), train.Netif(), live.Netif(), w, 200*sim.Millisecond)
+			m := ids.Evaluate(ds.build(), train, live, w, 200*sim.Millisecond)
 			t.AddRow(ac.name, ds.name, m.DetectionRate(), m.FalsePositiveRate())
 		}
 	}

@@ -69,7 +69,7 @@ func E16CrossMediumGateway(seed uint64) *Table {
 		eng := ids.NewEngine(ids.NewFrequencyDetector(), ids.NewSpecDetector())
 		clean := workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, seed, 0.01)
 		appendPeriodic(clean, 0x155, 100*sim.Millisecond, 4, 10*sim.Second)
-		eng.Train(clean.Netif())
+		eng.Train(clean)
 		eng.Attach(ptM)
 
 		c.setup(g, eng)

@@ -114,7 +114,7 @@ func E17ZonalWith(seed uint64, zoneCounts []int) *Table {
 		clean := workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01)
 		appendPeriodic(clean, 0x155, 100*sim.Millisecond, 4, 10*sim.Second)
 		appendPeriodic(clean, 0x405, 100*sim.Millisecond, 2, 10*sim.Second)
-		eng.Train(clean.Netif())
+		eng.Train(clean)
 		eng.Attach(ptM)
 		var quarAt sim.Time
 		eng.OnAlert(func(ids.Alert) {

@@ -69,7 +69,7 @@ func E19KernelPar(seed uint64) *Table {
 		clean := workload.SyntheticTrace(combined, 10*sim.Second, seed, 0.01)
 		appendPeriodic(clean, 0x155, 100*sim.Millisecond, 8, 10*sim.Second)
 		appendPeriodic(clean, 0x405, 100*sim.Millisecond, 2, 10*sim.Second)
-		eng.Train(clean.Netif())
+		eng.Train(clean)
 		eng.Attach(ptM)
 		var quarAt sim.Time
 		quarRequested := false

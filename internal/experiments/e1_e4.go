@@ -7,6 +7,7 @@ import (
 	"autosec/internal/fleet"
 	"autosec/internal/ids"
 	"autosec/internal/ieee1609"
+	"autosec/internal/netif"
 	"autosec/internal/sidechannel"
 	"autosec/internal/sim"
 	"autosec/internal/v2x"
@@ -56,7 +57,7 @@ func E1BusDoS(seed uint64) *Table {
 		eng := ids.NewEngine(ids.NewFrequencyDetector(), ids.NewSpecDetector())
 		clean := workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, seed, 0.01)
 		appendPeriodic(clean, 0x0A0, 10*sim.Millisecond, 8, 10*sim.Second)
-		eng.Train(clean.Netif())
+		eng.Train(clean)
 		eng.Attach(can.Netif(bus))
 
 		// The attacker floods ID 0x000 (wins every arbitration round).
@@ -87,9 +88,9 @@ func E1BusDoS(seed uint64) *Table {
 
 // appendPeriodic extends a training trace with a periodic message so the
 // statistical detectors learn it as part of the baseline.
-func appendPeriodic(tr *can.Trace, id can.ID, period sim.Duration, size int, dur sim.Duration) {
+func appendPeriodic(tr *netif.Trace, id can.ID, period sim.Duration, size int, dur sim.Duration) {
 	for at := sim.Time(0); at < dur; at += period {
-		tr.Records = append(tr.Records, can.Record{At: at, Frame: can.Frame{ID: id, Data: make([]byte, size)}})
+		tr.Records = append(tr.Records, can.NetifRecord(at, can.Frame{ID: id, Data: make([]byte, size)}, ""))
 	}
 }
 

@@ -188,7 +188,7 @@ func E8Gateway(seed uint64) *Table {
 		clean := workload.SyntheticTrace(workload.PowertrainMatrix(), 10*sim.Second, seed, 0.01)
 		// The legit cross-domain nav message is part of the spec baseline.
 		appendPeriodic(clean, 0x155, 100*sim.Millisecond, 4, 10*sim.Second)
-		eng.Train(clean.Netif())
+		eng.Train(clean)
 		eng.Attach(can.Netif(pt))
 
 		c.setup(g, eng)

@@ -120,7 +120,7 @@ func (d *FrequencyDetector) Train(trace *netif.Trace) {
 	}
 	nWin := int((end-start)/d.Window) + 1
 	perWin := make(map[netif.Key][]int)
-	for k := range countKeys(trace) {
+	for _, k := range trace.Keys() {
 		perWin[k] = make([]int, nWin)
 	}
 	for i := range trace.Records {
@@ -151,14 +151,6 @@ func (d *FrequencyDetector) Train(trace *netif.Trace) {
 	sort.Slice(d.boundKeys, func(i, j int) bool { return d.boundKeys[i] < d.boundKeys[j] })
 	d.counts = make(map[netif.Key]int)
 	d.suppressed = make(map[netif.Key]bool)
-}
-
-func countKeys(trace *netif.Trace) map[netif.Key]bool {
-	out := make(map[netif.Key]bool)
-	for i := range trace.Records {
-		out[trace.Records[i].Frame.Key()] = true
-	}
-	return out
 }
 
 // Observe implements Detector.
@@ -204,6 +196,8 @@ type IntervalDetector struct {
 	MinFraction float64
 
 	period map[netif.Key]sim.Duration
+	// lastAt holds the last-seen time of modelled keys only, so traffic
+	// the model does not know cannot grow it.
 	lastAt map[netif.Key]sim.Time
 }
 
@@ -220,7 +214,7 @@ func (d *IntervalDetector) Name() string { return "interval" }
 func (d *IntervalDetector) Train(trace *netif.Trace) {
 	d.period = make(map[netif.Key]sim.Duration)
 	d.lastAt = make(map[netif.Key]sim.Time)
-	for k := range countKeys(trace) {
+	for _, k := range trace.Keys() {
 		ivs := trace.Intervals(k)
 		if len(ivs) < 3 {
 			continue // aperiodic or too rare to model
@@ -236,14 +230,14 @@ func (d *IntervalDetector) Train(trace *netif.Trace) {
 
 // Observe implements Detector.
 func (d *IntervalDetector) Observe(rec netif.Record) []Alert {
-	if d.lastAt == nil {
-		d.lastAt = make(map[netif.Key]sim.Time)
-	}
 	k := rec.Frame.Key()
-	defer func() { d.lastAt[k] = rec.At }()
 	p, modelled := d.period[k]
+	if !modelled {
+		return nil
+	}
 	last, seen := d.lastAt[k]
-	if !modelled || !seen {
+	d.lastAt[k] = rec.At
+	if !seen {
 		return nil
 	}
 	iv := rec.At - last

@@ -146,6 +146,36 @@ func TestIntervalDetectorIgnoresAperiodicIDs(t *testing.T) {
 	}
 }
 
+// TestIntervalDetectorStateBoundedByModel pins that a spray of
+// unmodelled identifiers cannot grow the detector: last-seen times are
+// kept only for keys learned in training, so an untrained detector keeps
+// none and a trained one no more than its model has.
+func TestIntervalDetectorStateBoundedByModel(t *testing.T) {
+	spray := func(d *IntervalDetector) {
+		for i := 0; i < 10000; i++ {
+			rec := canRec(sim.Time(i)*sim.Microsecond, 0x10000+uint32(i), nil)
+			rec.Frame.Flags = netif.FlagExtended
+			if a := d.Observe(rec); len(a) != 0 {
+				t.Fatalf("unmodelled key raised %v", a)
+			}
+		}
+	}
+	untrained := NewIntervalDetector()
+	spray(untrained)
+	if n := len(untrained.lastAt); n != 0 {
+		t.Fatalf("untrained detector holds %d last-seen times, want 0", n)
+	}
+	trained := NewIntervalDetector()
+	trained.Train(makeTrace(5*sim.Second, cleanSpecs()))
+	spray(trained)
+	for i := range 3 {
+		trained.Observe(canRec(5*sim.Second+sim.Time(i)*sim.Second, cleanSpecs()[i].id, nil))
+	}
+	if n, m := len(trained.lastAt), len(trained.period); n > m {
+		t.Fatalf("trained detector holds %d last-seen times for %d modelled keys", n, m)
+	}
+}
+
 func TestEntropyDetectorFuzzing(t *testing.T) {
 	train := makeTrace(10*sim.Second, cleanSpecs())
 	// Live: 0x200's constant payload replaced by random bytes.

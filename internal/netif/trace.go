@@ -16,8 +16,7 @@ type Record struct {
 
 // Trace is an in-order log of traffic on one or more media — the
 // interchange format between the medium simulations, the intrusion
-// detection package and the offline tools. It generalizes the historical
-// can.Trace to mixed-medium captures.
+// detection package and the offline tools.
 type Trace struct {
 	Records []Record
 }

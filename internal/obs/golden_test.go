@@ -33,7 +33,7 @@ func goldenScenario(t *testing.T) *obs.Tracer {
 		t.Fatalf("NewVehicle: %v", err)
 	}
 	v.Instrument(tr, nil)
-	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 5*sim.Second, 1, 0.01).Netif())
+	v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), 5*sim.Second, 1, 0.01))
 	v.StartTraffic()
 
 	implant := can.NewController("thief-implant")

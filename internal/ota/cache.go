@@ -4,7 +4,7 @@
 // ed25519 signature verification and payload hashing per vehicle is pure
 // waste. VerifyCache memoizes the two expensive verification steps —
 // signature checks keyed by (repo, key fingerprint, version,
-// canonical-bytes hash) and per-bundle target attestation (the
+// canonical-bytes hash, signature) and per-bundle target attestation (the
 // director×image cross-check plus payload hash checks) — while every
 // per-vehicle check (expiry at the vehicle's own clock, metadata and
 // target version counters, vehicle/group scoping, ECU compatibility)
@@ -33,12 +33,16 @@ import (
 // SigKey is the memoization key of one metadata signature check: the
 // repository name, the verification key fingerprint (so a trust-epoch
 // rotation can never satisfy a stale entry), the metadata version
-// counter and the SHA-256 of the canonical signed bytes.
+// counter, the SHA-256 of the canonical signed bytes and the signature
+// itself. A verdict covers exactly one (content, signature) pair, so a
+// corrupt copy of genuine content can neither poison nor borrow the
+// genuine verdict.
 type SigKey struct {
 	Repo    string
 	KeyID   uint64
 	Version uint64
 	Sum     [32]byte
+	Sig     [ed25519.SignatureSize]byte
 }
 
 // attestation is the cached result of cross-checking one bundle's
@@ -98,10 +102,14 @@ func (vc *VerifyCache) Stats() CacheStats {
 
 // sigValid reports whether m's signature under key is valid, memoized.
 // canon must be m's canonical bytes (rendered by the caller into its own
-// scratch so the hit path stays allocation-free).
+// scratch so the hit path stays allocation-free). A signature of the
+// wrong length is rejected without touching the cache.
 func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, keyID uint64, canon []byte) bool {
+	if len(m.Sig) != ed25519.SignatureSize {
+		return false
+	}
 	vc.sigLookups.Add(1)
-	k := SigKey{Repo: m.Repo, KeyID: keyID, Version: m.Version, Sum: sha256.Sum256(canon)}
+	k := SigKey{Repo: m.Repo, KeyID: keyID, Version: m.Version, Sum: sha256.Sum256(canon), Sig: [ed25519.SignatureSize]byte(m.Sig)}
 	vc.mu.RLock()
 	valid, ok := vc.sigs[k]
 	vc.mu.RUnlock()

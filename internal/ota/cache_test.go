@@ -1,7 +1,9 @@
 package ota
 
 import (
+	"crypto/ed25519"
 	"errors"
+	"sync"
 	"testing"
 
 	"autosec/internal/sim"
@@ -213,6 +215,105 @@ func TestApplyCachedKeyRotationInvalidatesEpoch(t *testing.T) {
 	ecu, _ := c.ECU("brake-mcu-r2")
 	if ecu.InstalledVersion != 3 {
 		t.Fatalf("post-rotation install: version %d", ecu.InstalledVersion)
+	}
+}
+
+// withDirectorSig returns a copy of b whose director metadata carries sig
+// instead of its own signature; the content is unchanged.
+func withDirectorSig(b *Bundle, sig []byte) *Bundle {
+	d := *b.Director
+	d.Sig = sig
+	c := *b
+	c.Director = &d
+	return &c
+}
+
+// TestApplyCachedCorruptCopyKeepsGenuine pins that a rejected copy cannot
+// poison the cache: after a copy with one flipped signature byte is
+// checked, the genuine bundle still applies.
+func TestApplyCachedCorruptCopyKeepsGenuine(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	vc := NewVerifyCache()
+	sig := append([]byte(nil), f.bundle.Director.Sig...)
+	sig[0] ^= 0x01
+	if err := f.newVehicle(t, "VIN-1", 1).ApplyCached(withDirectorSig(f.bundle, sig), sim.Minute, vc); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("corrupt copy: %v", err)
+	}
+	if err := f.newVehicle(t, "VIN-2", 1).ApplyCached(f.bundle, sim.Minute, vc); err != nil {
+		t.Fatalf("genuine bundle after a corrupt copy: %v", err)
+	}
+}
+
+// TestApplyCachedGenuineDoesNotVouchForCopy pins the other direction:
+// after the genuine bundle is cached, a copy with an all-zero signature
+// is still rejected.
+func TestApplyCachedGenuineDoesNotVouchForCopy(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	vc := NewVerifyCache()
+	if err := f.newVehicle(t, "VIN-1", 1).ApplyCached(f.bundle, sim.Minute, vc); err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, ed25519.SignatureSize)
+	if err := f.newVehicle(t, "VIN-2", 1).ApplyCached(withDirectorSig(f.bundle, zero), sim.Minute, vc); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("all-zero signature after the genuine bundle: %v", err)
+	}
+}
+
+// TestSigValidMatchesColdVerify is the cache's oracle: over random
+// sequences of (content, signature) lookups, at 1 and 8 workers sharing
+// one cache, every memoized verdict equals a cold ed25519.Verify.
+func TestSigValidMatchesColdVerify(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	other := MakeTarget("brake-fw", 3, "brake-mcu-r2", []byte("v3"))
+	contents := []*Metadata{
+		f.bundle.Director,
+		f.bundle.Image,
+		f.director.Sign("model-S", []Target{other}, sim.Hour),
+		f.image.Sign("", []Target{other}, sim.Hour),
+	}
+	keys := []ed25519.PublicKey{f.director.PublicKey(), f.image.PublicKey()}
+	// Signature variants per content: its own, one byte flipped, all
+	// zero, another content's, and three of the wrong length.
+	var sigs [][]byte
+	for _, m := range contents {
+		flipped := append([]byte(nil), m.Sig...)
+		flipped[len(flipped)-1] ^= 0x80
+		sigs = append(sigs, m.Sig, flipped)
+	}
+	sigs = append(sigs, make([]byte, ed25519.SignatureSize), nil,
+		contents[0].Sig[:ed25519.SignatureSize-1], append(append([]byte(nil), contents[0].Sig...), 0))
+
+	type lookup struct {
+		m   *Metadata
+		key ed25519.PublicKey
+	}
+	for _, workers := range []int{1, 8} {
+		rnd := sim.NewStream(uint64(workers), "ota.sigvalid")
+		seq := make([]lookup, 4000)
+		for i := range seq {
+			m := *contents[rnd.Intn(len(contents))]
+			m.Sig = sigs[rnd.Intn(len(sigs))]
+			seq[i] = lookup{m: &m, key: keys[rnd.Intn(len(keys))]}
+		}
+		vc := NewVerifyCache()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var scratch canonicalScratch
+				for i := w; i < len(seq); i += workers {
+					l := seq[i]
+					canon := l.m.canonicalInto(&scratch)
+					cold := ed25519.Verify(l.key, canon, l.m.Sig)
+					if got := vc.sigValid(l.m, l.key, KeyID(l.key), canon); got != cold {
+						t.Errorf("workers=%d lookup %d: cached verdict %v, cold verify %v", workers, i, got, cold)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"autosec/internal/can"
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
 
@@ -112,21 +113,17 @@ func StartSenders(k *sim.Kernel, bus *can.Bus, specs []MessageSpec, jitterFrac f
 	}
 }
 
-// SyntheticTrace builds a trace of the matrix directly (no bus), useful
-// for fast IDS training corpora. Arbitration effects are ignored; frame
-// times use ideal periods with the given jitter.
-func SyntheticTrace(specs []MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) *can.Trace {
-	tr := &can.Trace{}
+// SyntheticTrace builds a trace of the matrix's CAN records directly (no
+// bus), useful for fast IDS training corpora. Arbitration effects are
+// ignored; frame times use ideal periods with the given jitter.
+func SyntheticTrace(specs []MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) *netif.Trace {
+	tr := &netif.Trace{}
 	for _, s := range specs {
 		rng := sim.NewStream(seed, "trace."+s.Sender+streamSuffix(s.ID))
 		at := rng.Duration(0, s.Period)
 		i := 0
 		for at < dur {
-			tr.Records = append(tr.Records, can.Record{
-				At:     at,
-				Frame:  can.Frame{ID: s.ID, Data: payloadFor(s, i, rng)},
-				Sender: s.Sender,
-			})
+			tr.Records = append(tr.Records, can.NetifRecord(at, can.Frame{ID: s.ID, Data: payloadFor(s, i, rng)}, s.Sender))
 			step := s.Period
 			if jitterFrac > 0 {
 				step = rng.Jitter(s.Period, jitterFrac)
@@ -156,7 +153,7 @@ func streamSuffix(id can.ID) string {
 // sortTrace orders records by timestamp with a stable (At, then ID, then
 // insertion order) tiebreak, so equal-timestamp records from different
 // senders always serialize identically.
-func sortTrace(tr *can.Trace) {
+func sortTrace(tr *netif.Trace) {
 	sort.SliceStable(tr.Records, func(i, j int) bool {
 		a, b := &tr.Records[i], &tr.Records[j]
 		if a.At != b.At {

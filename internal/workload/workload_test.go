@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autosec/internal/can"
+	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
 
@@ -38,8 +39,8 @@ func TestSyntheticTraceShape(t *testing.T) {
 		}
 	}
 	// The 10ms message appears ~1000 times; the 1s message ~10.
-	fast := len(tr.ByID(0x0C0))
-	slow := len(tr.ByID(0x4A0))
+	fast := len(tr.ByKey(netif.MakeKey(netif.CAN, 0x0C0)))
+	slow := len(tr.ByKey(netif.MakeKey(netif.CAN, 0x4A0)))
 	if fast < 950 || fast > 1050 {
 		t.Fatalf("fast count=%d", fast)
 	}
@@ -47,7 +48,7 @@ func TestSyntheticTraceShape(t *testing.T) {
 		t.Fatalf("slow count=%d", slow)
 	}
 	// Every matrix ID is present.
-	if got := len(tr.IDs()); got != len(specs) {
+	if got := len(tr.Keys()); got != len(specs) {
 		t.Fatalf("distinct IDs=%d, want %d", got, len(specs))
 	}
 }
@@ -68,7 +69,7 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 func TestStartSendersOnBus(t *testing.T) {
 	k := sim.NewKernel(1)
 	bus := can.NewBus(k, "pt", 500_000)
-	trace := can.Recorder(bus)
+	trace := netif.Recorder(can.Netif(bus))
 	ctrls, stop := StartSenders(k, bus, PowertrainMatrix(), 0.01)
 	_ = k.RunUntil(5 * sim.Second)
 	stop()
@@ -175,8 +176,8 @@ func TestSurrogateIDsGetDistinctStreams(t *testing.T) {
 		{ID: 0xD801, Period: 10 * sim.Millisecond, Size: 8, Sender: "ecu-b"},
 	}
 	tr := SyntheticTrace(specs, 2*sim.Second, 42, 0.2)
-	a := tr.ByID(0xD800)
-	b := tr.ByID(0xD801)
+	a := tr.ByKey(netif.MakeKey(netif.CAN, 0xD800))
+	b := tr.ByKey(netif.MakeKey(netif.CAN, 0xD801))
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatalf("missing records: %d / %d", len(a), len(b))
 	}
@@ -199,20 +200,18 @@ func TestSurrogateIDsGetDistinctStreams(t *testing.T) {
 // Equal-timestamp records must serialize in a pinned order: At, then ID,
 // then insertion order. The old quicksort scrambled ties.
 func TestSortTraceStableTiebreak(t *testing.T) {
-	tr := &can.Trace{}
+	tr := &netif.Trace{}
 	// Many records at few distinct timestamps, inserted in a known order,
 	// with duplicate (At, ID) pairs distinguished by payload.
 	rng := sim.NewStream(3, "sorttest")
 	for i := 0; i < 500; i++ {
-		tr.Records = append(tr.Records, can.Record{
-			At:     sim.Time(rng.Intn(5)) * sim.Millisecond,
-			Frame:  can.Frame{ID: can.ID(rng.Intn(3)), Data: []byte{byte(i), byte(i >> 8)}},
-			Sender: "s",
-		})
+		at := sim.Time(rng.Intn(5)) * sim.Millisecond
+		f := can.Frame{ID: can.ID(rng.Intn(3)), Data: []byte{byte(i), byte(i >> 8)}}
+		tr.Records = append(tr.Records, can.NetifRecord(at, f, "s"))
 	}
 	// Reference: explicit index tiebreak on a copy.
 	type keyed struct {
-		rec can.Record
+		rec netif.Record
 		idx int
 	}
 	ref := make([]keyed, len(tr.Records))
@@ -235,10 +234,10 @@ func TestSortTraceStableTiebreak(t *testing.T) {
 	for i := range tr.Records {
 		got, want := tr.Records[i], ref[i].rec
 		if got.At != want.At || got.Frame.ID != want.Frame.ID ||
-			len(got.Frame.Data) != len(want.Frame.Data) ||
-			got.Frame.Data[0] != want.Frame.Data[0] || got.Frame.Data[1] != want.Frame.Data[1] {
+			len(got.Frame.Payload) != len(want.Frame.Payload) ||
+			got.Frame.Payload[0] != want.Frame.Payload[0] || got.Frame.Payload[1] != want.Frame.Payload[1] {
 			t.Fatalf("record %d: got (At=%v ID=%#x data=%v), want (At=%v ID=%#x data=%v)",
-				i, got.At, got.Frame.ID, got.Frame.Data, want.At, want.Frame.ID, want.Frame.Data)
+				i, got.At, got.Frame.ID, got.Frame.Payload, want.At, want.Frame.ID, want.Frame.Payload)
 		}
 	}
 }
@@ -249,8 +248,8 @@ func TestSortTraceStableTiebreak(t *testing.T) {
 func TestWorkloadParallelDeterministic(t *testing.T) {
 	const par = 8
 	type result struct {
-		synth *can.Trace
-		bus   *can.Trace
+		synth *netif.Trace
+		bus   *netif.Trace
 	}
 	results := make([]result, par)
 	done := make(chan int, par)
@@ -259,7 +258,7 @@ func TestWorkloadParallelDeterministic(t *testing.T) {
 			synth := SyntheticTrace(PowertrainMatrix(), 2*sim.Second, 11, 0.05)
 			k := sim.NewKernel(11)
 			bus := can.NewBus(k, "pt", 500_000)
-			rec := can.Recorder(bus)
+			rec := netif.Recorder(can.Netif(bus))
 			_, stop := StartSenders(k, bus, PowertrainMatrix(), 0.01)
 			_ = k.RunUntil(2 * sim.Second)
 			stop()
@@ -271,7 +270,7 @@ func TestWorkloadParallelDeterministic(t *testing.T) {
 		<-done
 	}
 	for w := 1; w < par; w++ {
-		for name, pair := range map[string][2]*can.Trace{
+		for name, pair := range map[string][2]*netif.Trace{
 			"synthetic": {results[0].synth, results[w].synth},
 			"bus":       {results[0].bus, results[w].bus},
 		} {
@@ -281,7 +280,7 @@ func TestWorkloadParallelDeterministic(t *testing.T) {
 			}
 			for i := range a.Records {
 				ra, rb := a.Records[i], b.Records[i]
-				if ra.At != rb.At || ra.Frame.ID != rb.Frame.ID || ra.Sender != rb.Sender {
+				if ra.At != rb.At || ra.Frame.ID != rb.Frame.ID || ra.Frame.Sender != rb.Frame.Sender {
 					t.Fatalf("%s trace: worker %d diverges at record %d", name, w, i)
 				}
 			}

@@ -234,18 +234,19 @@ func (m *bbMsg) deliver() {
 	p.free = append(p.free, m)
 }
 
-// InstrumentZones is Instrument for partitioned fabrics: zone i's
-// gateway attaches to tracers[i] — per-zone tracers, since one shared
-// ring would interleave the zones' windows out of time order — and the
-// registry gets per-zone metrics plus the fabric totals. Registry
-// counters are only written by their owning zone's kernel and must only
-// be read between runs. tracers may be nil or shorter than the zone
-// list; missing entries mean metrics-only for that zone.
+// InstrumentZones is Instrument for partitioned fabrics: each zone's
+// gateway attaches to tracers[z.Member()] — per-zone tracers, since one
+// shared ring would interleave the zones' windows out of time order — and
+// the registry gets per-zone metrics plus the fabric totals. On a shared
+// fabric every zone is member 0, which is how Instrument reuses this
+// body. Registry counters are only written by their owning zone's kernel
+// and must only be read between runs. tracers may be nil or shorter than
+// the zone list; missing entries mean metrics-only for that zone.
 func (f *Fabric) InstrumentZones(tracers []*obs.Tracer, reg *obs.Registry) {
-	for i, z := range f.zones {
+	for _, z := range f.zones {
 		var tr *obs.Tracer
-		if i < len(tracers) {
-			tr = tracers[i]
+		if m := z.Member(); m < len(tracers) {
+			tr = tracers[m]
 		}
 		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
 		if reg != nil {

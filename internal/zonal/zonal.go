@@ -355,17 +355,7 @@ func (f *Fabric) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	if f.group != nil && tr != nil {
 		panic("zonal: shared tracer on a partitioned fabric; use InstrumentZones")
 	}
-	for _, z := range f.zones {
-		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
-		if reg != nil {
-			z := z
-			reg.Probe("zone-"+z.Name+"/backbone_deliveries", func() float64 { return float64(z.bbDeliveries.Value) })
-		}
-	}
-	if reg != nil {
-		reg.Probe("zonal/backbone_frames", func() float64 { return float64(f.BackboneFramesTotal()) })
-		reg.Probe("zonal/backbone_deliveries", func() float64 { return float64(f.BackboneDeliveriesTotal()) })
-	}
+	f.InstrumentZones([]*obs.Tracer{tr}, reg)
 }
 
 // recompile rebuilds every zone's compiled rule shard from the logical
