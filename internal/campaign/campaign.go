@@ -183,8 +183,10 @@ type Result struct {
 	// Cache is the verification-cache traffic: Lookups at fleet scale,
 	// Verifies/Builds at published-artifact scale.
 	Cache ota.CacheStats
-	// Registry is the campaign-merged metrics registry (wave registries
-	// folded in wave order, each wave folded in vehicle-index order).
+	// Registry is the campaign-merged metrics registry: each wave's
+	// vehicle instruments (folded in vehicle-index order, waves in wave
+	// order) plus campaign/* counters that sum the wave reports' tallies
+	// and the vehicles' check-ins.
 	Registry *obs.Registry
 }
 
@@ -295,35 +297,35 @@ func (e *Engine) served(wi int, st *VehicleState) (first, second *ota.Bundle) {
 // drive and classified deterministically from the two check-in errors.
 type vehicleResult struct {
 	outcome Outcome
-	// evil marks an attacker-firmware install (SHE hijack follows).
-	evil bool
 	// firstRejected marks a first check-in that rejected its bundle.
 	firstRejected bool
+	// checkins counts the vehicle's check-ins; upToDate marks that at
+	// least one of them answered ota.ErrNoUpdate.
+	checkins int
+	upToDate bool
 }
 
 // classify maps the two check-in results onto a terminal outcome.
-// installedCurrent reports whether the client now holds the current
-// campaign generation's counters.
-func classify(first, second error, evilInstalled bool) vehicleResult {
+// evilInstalled reports that the first check-in installed attacker
+// firmware.
+func classify(first, second error, evilInstalled bool) Outcome {
 	switch {
 	case evilInstalled:
-		return vehicleResult{outcome: OutcomeEvilInstall, evil: true}
+		return OutcomeEvilInstall
 	case first == nil:
 		// The first check-in installed. Whatever the re-check said —
 		// up to date, or "your metadata expired" because the channel kept
 		// replaying a stale bundle — the install is the outcome; whether
 		// it was the *current* firmware is the caller's reclassification
 		// (stale installs look exactly like this).
-		return vehicleResult{outcome: OutcomeUpdated}
+		return OutcomeUpdated
 	case first == ota.ErrNoUpdate && isExpired(second):
-		return vehicleResult{outcome: OutcomeFrozen}
+		return OutcomeFrozen
 	case isRejected(first) && second == nil:
 		// Attack bundle rejected, honest re-check installed: recovered.
-		return vehicleResult{outcome: OutcomeUpdated}
-	case isRejected(first) && second != nil:
-		return vehicleResult{outcome: OutcomeBlocked}
+		return OutcomeUpdated
 	default:
-		return vehicleResult{outcome: OutcomeBlocked}
+		return OutcomeBlocked
 	}
 }
 
@@ -382,7 +384,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 }
 
 // runWave drives one wave's vehicles through their check-ins via the
-// pooled fleet driver and folds the wave's metrics into campaignReg.
+// pooled fleet driver, then folds the wave's vehicle metrics and its
+// report's tallies into campaignReg.
 func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg *obs.Registry) (*WaveReport, error) {
 	d := fleet.Driver{
 		Cfg:     core.Config{VIN: "CAMPAIGN", Seed: e.cfg.Seed},
@@ -390,55 +393,32 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 		Workers: e.cfg.Workers,
 	}
 	results, obsRes, err := fleet.DriveWaveObs(ctx, d, fleet.ObsOptions{Metrics: true}, w,
-		func(idx int, v *core.Vehicle, reg *obs.Registry) (vehicleResult, error) {
+		func(idx int, v *core.Vehicle) (vehicleResult, error) {
 			st := e.states[idx]
-			// Register the full instrument set up front so every vehicle
-			// shard has the same shape and the barrier fold stays on the
-			// accumulate fast path.
-			checkins := reg.Counter("campaign/checkins")
-			updated := reg.Counter("campaign/updated")
-			uptodate := reg.Counter("campaign/uptodate")
-			stale := reg.Counter("campaign/stale_install")
-			evil := reg.Counter("campaign/evil_install")
-			frozen := reg.Counter("campaign/frozen_detected")
-			blocked := reg.Counter("campaign/blocked")
-
 			first, second := e.served(wi, st)
 			k := v.Kernel
 			stream := k.Stream("campaign")
 			t1 := checkinEarliest + stream.Duration(0, checkinLatest-checkinEarliest)
 			t2 := t1 + recheckDelay
+			var r vehicleResult
+			checkIn := func(b *ota.Bundle) error {
+				r.checkins++
+				err := st.Client.ApplyCached(b, k.Now(), e.cache)
+				if err == ota.ErrNoUpdate {
+					r.upToDate = true
+				}
+				return err
+			}
 			var err1, err2 error
-			k.At(t1, func() {
-				checkins.Inc()
-				err1 = st.Client.ApplyCached(first, k.Now(), e.cache)
-			})
-			k.At(t2, func() {
-				checkins.Inc()
-				err2 = st.Client.ApplyCached(second, k.Now(), e.cache)
-			})
+			k.At(t1, func() { err1 = checkIn(first) })
+			k.At(t2, func() { err2 = checkIn(second) })
 			if err := k.RunUntil(waveHorizon); err != nil {
 				return vehicleResult{}, err
 			}
 			evilInstalled := e.cfg.Attack.Kind == AttackTwoKey && e.cfg.Attack.active(wi) &&
 				err1 == nil && e.backend.Epoch == 0
-			r := classify(err1, err2, evilInstalled)
+			r.outcome = classify(err1, err2, evilInstalled)
 			r.firstRejected = isRejected(err1)
-			switch r.outcome {
-			case OutcomeUpdated:
-				updated.Inc()
-			case OutcomeStaleInstall:
-				stale.Inc()
-			case OutcomeEvilInstall:
-				evil.Inc()
-			case OutcomeFrozen:
-				frozen.Inc()
-			case OutcomeBlocked:
-				blocked.Inc()
-			}
-			if err1 == ota.ErrNoUpdate || err2 == ota.ErrNoUpdate {
-				uptodate.Inc()
-			}
 			return r, nil
 		})
 	if err != nil {
@@ -449,6 +429,7 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 	}
 
 	report := &WaveReport{Wave: w, Attacked: e.cfg.Attack.active(wi)}
+	var checkins, upToDate int
 	for i, r := range results {
 		idx := w.Lo + i
 		st := e.states[idx]
@@ -460,6 +441,10 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 			r.outcome = OutcomeStaleInstall
 		}
 		st.Outcome = r.outcome
+		checkins += r.checkins
+		if r.upToDate {
+			upToDate++
+		}
 		if r.firstRejected && report.Attacked {
 			report.AttackRejected++
 		}
@@ -478,6 +463,13 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 		}
 	}
 	report.BlastFraction = float64(report.EvilInstalls+report.StaleInstalls) / float64(w.Size())
+	campaignReg.Counter("campaign/checkins").Add(int64(checkins))
+	campaignReg.Counter("campaign/uptodate").Add(int64(upToDate))
+	campaignReg.Counter("campaign/updated").Add(int64(report.Updated))
+	campaignReg.Counter("campaign/stale_install").Add(int64(report.StaleInstalls))
+	campaignReg.Counter("campaign/evil_install").Add(int64(report.EvilInstalls))
+	campaignReg.Counter("campaign/frozen_detected").Add(int64(report.Frozen))
+	campaignReg.Counter("campaign/blocked").Add(int64(report.Blocked))
 	return report, nil
 }
 

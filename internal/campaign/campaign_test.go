@@ -324,3 +324,88 @@ func TestCampaignMemoizedSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRegistryMatchesWaveReports pins the campaign registry to
+// the wave reports: under every E22 attack row and both E22 strategies,
+// each campaign/* outcome counter equals the matching WaveReport field
+// summed over the driven waves, and campaign/checkins equals the
+// check-ins the vehicles' verifiers actually answered.
+func TestCampaignRegistryMatchesWaveReports(t *testing.T) {
+	strategies := []Strategy{
+		{Name: "conservative", Canary: 16, Growth: 4, AbortThreshold: 0.5},
+		{Name: "aggressive", Canary: 256, Growth: 8, AbortThreshold: 0},
+	}
+	attacks := []struct {
+		name   string
+		kind   AttackKind
+		rotate bool
+	}{
+		{"none", AttackNone, false},
+		{"freeze", AttackFreeze, false},
+		{"rollback", AttackRollback, false},
+		{"imagekey", AttackImageKey, false},
+		{"twokey", AttackTwoKey, false},
+		{"twokey+rotate", AttackTwoKey, true},
+	}
+	for _, strat := range strategies {
+		for _, a := range attacks {
+			t.Run(strat.Name+"/"+a.name, func(t *testing.T) {
+				cfg := baseConfig()
+				cfg.Strategy = strat
+				cfg.Attack = AttackPlan{Kind: a.kind, FromWave: 1}
+				cfg.RotateOnBlast = a.rotate
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Provisioning applies the factory generation everywhere
+				// and the baseline to all but the late joiners.
+				var provisioned int64
+				for _, st := range e.States() {
+					provisioned += installsBefore(st)
+				}
+				res, err := e.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want WaveReport
+				for _, w := range res.Waves {
+					want.Updated += w.Updated
+					want.StaleInstalls += w.StaleInstalls
+					want.EvilInstalls += w.EvilInstalls
+					want.Frozen += w.Frozen
+					want.Blocked += w.Blocked
+				}
+				var answered int64
+				for _, st := range e.States() {
+					c := st.Client
+					answered += c.Installed.Value + c.Rejected.Value + c.UpToDate.Value
+				}
+				got := map[string]float64{}
+				for _, m := range res.Registry.Snapshot() {
+					got[m.Key] = m.Value
+				}
+				for _, c := range []struct {
+					key  string
+					want int64
+				}{
+					{"campaign/updated", int64(want.Updated)},
+					{"campaign/stale_install", int64(want.StaleInstalls)},
+					{"campaign/evil_install", int64(want.EvilInstalls)},
+					{"campaign/frozen_detected", int64(want.Frozen)},
+					{"campaign/blocked", int64(want.Blocked)},
+					{"campaign/checkins", answered - provisioned},
+				} {
+					v, ok := got[c.key]
+					if !ok {
+						t.Errorf("%s missing from the campaign registry", c.key)
+						continue
+					}
+					if int64(v) != c.want {
+						t.Errorf("%s = %d, want %d", c.key, int64(v), c.want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,5 +1,6 @@
-// Fleet observability plane: DriveObs is the sharded drive loop with
-// three attachments, each off in a zero ObsOptions — merged metrics
+// Fleet observability plane: DriveWaveObs is the sharded drive loop
+// (DriveObs drives the whole population as one wave) with three
+// attachments, each off in a zero ObsOptions — merged metrics
 // (per-vehicle obs.Registry shards folded into one fleet registry in
 // vehicle-index order at the drive barrier, so the snapshot is
 // byte-identical at any worker count), a deterministic flight recorder
@@ -10,7 +11,7 @@
 //
 // The determinism split is deliberate: everything reachable from
 // ObsResult.Registry and ObsResult.Traces is a pure function of
-// (Config, N, ObsOptions sampling knobs) — fold order is fixed, sampling
+// (Config, wave, Metrics, TraceRate) — fold order is fixed, sampling
 // hashes only the vehicle seed, trace selection is a deterministic
 // priority rule — while everything wall-clock lives in DriveStats and
 // the DriveObserver callbacks and never feeds back into the artifacts.
@@ -38,39 +39,30 @@ type ObsOptions struct {
 	// all of them, in vehicle-index order, into ObsResult.Registry.
 	Metrics bool
 
-	// TraceRate enables the flight recorder: each vehicle is traced, and
-	// the trace is kept if a splitmix64 hash of the vehicle's seed falls
-	// under this rate (0 disables tracing entirely, >= 1 keeps every
-	// vehicle up to MaxTraces). Vehicles with security incidents
-	// (core.Vehicle.SecurityIncidents) keep their traces regardless of
-	// the sample — the forensic cases are exactly the ones a fixed-rate
-	// sample would usually miss.
+	// TraceRate enables the flight recorder: each vehicle is traced into
+	// a DefaultTraceCapacity ring, and the trace is kept if a splitmix64
+	// hash of the vehicle's seed falls under this rate (0 disables
+	// tracing entirely, >= 1 keeps every vehicle up to DefaultMaxTraces).
+	// Vehicles with security incidents (core.Vehicle.SecurityIncidents)
+	// keep their traces regardless of the sample — the forensic cases are
+	// exactly the ones a fixed-rate sample would usually miss.
 	TraceRate float64
-
-	// TraceCapacity is the per-vehicle trace ring size in events
-	// (<= 0 means DefaultTraceCapacity). The ring keeps the most recent
-	// window, so a small capacity still captures the end of the scenario.
-	TraceCapacity int
-
-	// MaxTraces bounds how many traces the whole drive retains
-	// (<= 0 means DefaultMaxTraces). When the sample exceeds the bound,
-	// incident vehicles win over sampled ones and lower indices win
-	// within each class — a rule chosen so the kept set is identical at
-	// any worker count.
-	MaxTraces int
 
 	// Observer receives runtime telemetry during the drive. May be nil.
 	// Callbacks are invoked concurrently from worker goroutines.
 	Observer DriveObserver
 }
 
-// DefaultTraceCapacity is the flight-recorder ring size when
-// ObsOptions.TraceCapacity is unset: 4096 events ≈ 200KB per tracer,
-// small enough that MaxTraces retained rings stay in the tens of MB.
+// DefaultTraceCapacity is the per-vehicle flight-recorder ring size in
+// events: 4096 events ≈ 200KB per tracer, small enough that
+// DefaultMaxTraces retained rings stay in the tens of MB. The ring keeps
+// the most recent window, so it always captures the end of the scenario.
 const DefaultTraceCapacity = 4096
 
-// DefaultMaxTraces bounds the retained traces when ObsOptions.MaxTraces
-// is unset.
+// DefaultMaxTraces bounds how many traces one drive retains. When the
+// sample exceeds the bound, incident vehicles win over sampled ones and
+// lower indices win within each class — a rule chosen so the kept set is
+// identical at any worker count.
 const DefaultMaxTraces = 32
 
 // VehicleTrace is one kept flight-recorder capture.
@@ -208,13 +200,27 @@ func selectTraces(all []VehicleTrace, max int) []VehicleTrace {
 	return sel
 }
 
-// DriveObs runs fn once per vehicle index over d's population and
-// returns the per-vehicle results in index order, operating the
-// observability plane selected by o. Each worker owns a contiguous index
-// shard and a private pool: the first acquisition constructs a vehicle,
-// every later one resets it, so steady-state sharding does no
-// construction work. fn must treat the vehicle as scenario scratch — any
-// rules, observers or traffic it adds are rewound by the next Reset.
+// DriveObs runs fn once per vehicle index over d's whole population:
+// DriveWaveObs over the single wave [0, d.N).
+func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, *ObsResult, error) {
+	return DriveWaveObs(ctx, d, o, Wave{Lo: 0, Hi: d.N}, fn)
+}
+
+// DriveWaveObs is the sharded drive loop: it runs fn once per vehicle
+// index in the given wave of d's population and returns the results
+// indexed by idx-wave.Lo, operating the observability plane selected by o. Each
+// worker owns a contiguous index shard and a private pool: the first
+// acquisition constructs a vehicle, every later one resets it, so
+// steady-state sharding does no construction work. fn must treat the
+// vehicle as scenario scratch — any rules, observers or traffic it adds
+// are rewound by the next Reset.
+//
+// Vehicle identity is a function of the absolute index: seeds, trace
+// sampling and metric fold order all key on idx, never on the wave, so
+// driving [0,N) in one call or as a sequence of waves visits
+// byte-identical vehicles. The merged registry holds the wave's
+// vehicle instruments (core.Vehicle.Instrument); folding waves together
+// is the caller's job (Registry.Merge).
 //
 // An error aborts the drive; the lowest-indexed error observed wins the
 // report. A panic in fn or in the pool's Acquire aborts it the same way,
@@ -227,25 +233,14 @@ func selectTraces(all []VehicleTrace, max int) []VehicleTrace {
 // per-member tracers that cannot share one flight-recorder ring, so
 // TraceRate > 0 with Cfg.Zonal.PerZoneKernels is an error. Metrics work
 // on every build.
-func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, *ObsResult, error) {
+func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, *ObsResult, error) {
 	if d.N <= 0 {
 		return nil, nil, fmt.Errorf("fleet: population must be positive, got %d", d.N)
 	}
-	return driveRangeObs(ctx, d, o, 0, d.N, func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) {
-		return fn(idx, v)
-	})
-}
-
-// driveRangeObs is the sharded drive loop over the index range [lo, hi)
-// of d's population — the common core of DriveObs (full population) and
-// DriveWaveObs (one campaign wave). Vehicle identity is a function of
-// the absolute index: seeds, trace sampling and metric fold order all
-// key on idx, never on the range, so driving [0,N) in one call or as a
-// sequence of wave ranges visits byte-identical vehicles. fn receives
-// the vehicle's live metrics registry (nil unless o.Metrics) so range
-// callers can register scenario-level instruments that merge at the
-// barrier alongside the vehicle's own.
-func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi int, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {
+	if wave.Lo < 0 || wave.Hi > d.N || wave.Lo >= wave.Hi {
+		return nil, nil, fmt.Errorf("fleet: wave %v out of range for population %d", wave, d.N)
+	}
+	lo, hi := wave.Lo, wave.Hi
 	n := hi - lo
 	tracing := o.TraceRate > 0
 	if tracing && d.Cfg.Zonal != nil && d.Cfg.Zonal.PerZoneKernels {
@@ -257,14 +252,6 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 	}
 	if workers > n {
 		workers = n
-	}
-	traceCap := o.TraceCapacity
-	if traceCap <= 0 {
-		traceCap = DefaultTraceCapacity
-	}
-	maxTraces := o.MaxTraces
-	if maxTraces <= 0 {
-		maxTraces = DefaultMaxTraces
 	}
 
 	results := make([]T, n)
@@ -334,7 +321,7 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 				}
 				if tracing {
 					if scratch == nil {
-						scratch = obs.NewTracer(traceCap)
+						scratch = obs.NewTracer(DefaultTraceCapacity)
 					} else {
 						scratch.ResetAll()
 					}
@@ -343,7 +330,7 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 				if reg != nil || tr != nil {
 					v.Instrument(tr, reg)
 				}
-				out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v, reg) })
+				out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v) })
 				if panicked {
 					// The vehicle's state is suspect: drop it rather
 					// than hand it to the next Reset.
@@ -355,7 +342,7 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 					if interesting || TraceSampled(d.Cfg.Seed, idx, o.TraceRate) {
 						kept[w] = keepTrace(kept[w], VehicleTrace{
 							Index: idx, Seed: seed, Interesting: interesting, Tracer: tr,
-						}, maxTraces)
+						}, DefaultMaxTraces)
 						if len(kept[w]) > 0 && kept[w][len(kept[w])-1].Tracer == tr {
 							scratch = nil // tracer surrendered to the kept list
 						}
@@ -439,7 +426,7 @@ func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi in
 		for _, ks := range kept {
 			all = append(all, ks...) // worker order == index order
 		}
-		res.Traces = selectTraces(all, maxTraces)
+		res.Traces = selectTraces(all, DefaultMaxTraces)
 		for _, t := range res.Traces {
 			if t.Interesting {
 				stats.TracesInteresting++

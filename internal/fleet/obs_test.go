@@ -69,9 +69,11 @@ func obsScenario(idx int, v *core.Vehicle) (string, error) {
 // TestDriveObsParInvariance is the tentpole acceptance gate: the merged
 // fleet registry (snapshot AND Prometheus exposition bytes) and the kept
 // flight-recorder traces must be byte-identical at 1 worker and at 8.
+// The sample (a quarter of 160 vehicles plus every incident vehicle)
+// overflows DefaultMaxTraces, so the bounded selection is under test too.
 func TestDriveObsParInvariance(t *testing.T) {
-	const n = 96
-	opts := ObsOptions{Metrics: true, TraceRate: 0.25, TraceCapacity: 512, MaxTraces: 8}
+	const n = 160
+	opts := ObsOptions{Metrics: true, TraceRate: 0.25}
 	run := func(workers int) *ObsResult {
 		_, res, err := DriveObs(context.Background(),
 			Driver{Cfg: obsTestConfig("OBS-PAR", 11), N: n, Workers: workers}, opts, obsScenario)
@@ -96,8 +98,8 @@ func TestDriveObsParInvariance(t *testing.T) {
 		t.Fatal("merged registry is empty — instrumentation did not reach the vehicles")
 	}
 
-	if len(a.Traces) == 0 || len(a.Traces) > opts.MaxTraces {
-		t.Fatalf("kept %d traces, want 1..%d", len(a.Traces), opts.MaxTraces)
+	if len(a.Traces) != DefaultMaxTraces {
+		t.Fatalf("kept %d traces, want the bound %d (the sample overflows it)", len(a.Traces), DefaultMaxTraces)
 	}
 	if len(a.Traces) != len(b.Traces) {
 		t.Fatalf("trace counts diverge: %d vs %d", len(a.Traces), len(b.Traces))
@@ -176,7 +178,7 @@ func TestDriveObsInterestingAlwaysKept(t *testing.T) {
 	const n = 42
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: obsTestConfig("OBS-INT", 3), N: n, Workers: 4},
-		ObsOptions{TraceRate: 1e-12, TraceCapacity: 256}, obsScenario)
+		ObsOptions{TraceRate: 1e-12}, obsScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +207,11 @@ func TestDriveObsInterestingAlwaysKept(t *testing.T) {
 // TestDriveObsMaxTracesPriority: when the sample exceeds the bound,
 // incident vehicles win and the kept set is worker-count invariant.
 func TestDriveObsMaxTracesPriority(t *testing.T) {
-	const n, max = 56, 6
+	const n, max = 240, DefaultMaxTraces
 	run := func(workers int) *ObsResult {
 		_, res, err := DriveObs(context.Background(),
 			Driver{Cfg: obsTestConfig("OBS-MAX", 5), N: n, Workers: workers},
-			ObsOptions{TraceRate: 1, TraceCapacity: 256, MaxTraces: max}, obsScenario)
+			ObsOptions{TraceRate: 1}, obsScenario)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +227,7 @@ func TestDriveObsMaxTracesPriority(t *testing.T) {
 		}
 	}
 	// All incident vehicles that fit must be present: obsScenario makes
-	// 8 of 56 vehicles incidents, which exceeds max, so every kept trace
+	// 34 of 240 vehicles incidents, which exceeds max, so every kept trace
 	// must be an incident one and they must be the lowest-indexed ones.
 	for i, tr := range a.Traces {
 		if !tr.Interesting {
@@ -363,7 +365,7 @@ func TestDriveObsAbortUnderLoad(t *testing.T) {
 	boom := errors.New("boom")
 	_, _, err := DriveObs(context.Background(),
 		Driver{Cfg: core.Config{VIN: "OBS-ABORT", Seed: 4}, N: 64, Workers: 8},
-		ObsOptions{Metrics: true, TraceRate: 0.5, TraceCapacity: 128},
+		ObsOptions{Metrics: true, TraceRate: 0.5},
 		func(idx int, v *core.Vehicle) (string, error) {
 			if idx >= 24 {
 				return "", boom
@@ -420,7 +422,7 @@ func TestWriteChromeTraces(t *testing.T) {
 	dir := t.TempDir()
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: obsTestConfig("OBS-DIR", 9), N: 14, Workers: 2},
-		ObsOptions{TraceRate: 1e-12, TraceCapacity: 128}, obsScenario)
+		ObsOptions{TraceRate: 1e-12}, obsScenario)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"autosec/internal/core"
-	"autosec/internal/obs"
 )
 
 func TestStageWaves(t *testing.T) {
@@ -39,7 +39,7 @@ func TestStageWaves(t *testing.T) {
 func TestDriveWaveRangeValidation(t *testing.T) {
 	d := Driver{Cfg: core.Config{VIN: "WAVE-V", Seed: 3}, N: 10, Workers: 2}
 	for _, w := range []Wave{{-1, 5}, {5, 11}, {5, 5}, {7, 3}} {
-		if _, _, err := DriveWaveObs(context.Background(), d, ObsOptions{}, w, func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) {
+		if _, _, err := DriveWaveObs(context.Background(), d, ObsOptions{}, w, func(idx int, v *core.Vehicle) (int, error) {
 			return idx, nil
 		}); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("wave %v: err=%v", w, err)
@@ -63,8 +63,7 @@ func TestDriveWaveEquivalence(t *testing.T) {
 		dw.Workers = workers
 		var waved []string
 		for _, w := range StageWaves(n, 5, 3) {
-			part, _, err := DriveWaveObs(context.Background(), dw, ObsOptions{}, w,
-				func(idx int, v *core.Vehicle, _ *obs.Registry) (string, error) { return driveScenario(idx, v) })
+			part, _, err := DriveWaveObs(context.Background(), dw, ObsOptions{}, w, driveScenario)
 			if err != nil {
 				t.Fatalf("workers=%d wave %v: %v", workers, w, err)
 			}
@@ -76,43 +75,47 @@ func TestDriveWaveEquivalence(t *testing.T) {
 	}
 }
 
-// TestDriveWaveObsRegistryParInvariance: scenario-level instruments
-// registered through the fn reg parameter fold deterministically at the
-// wave barrier — the merged snapshot is byte-identical at any worker
-// count.
+// TestDriveWaveObsRegistryParInvariance: a wave's merged registry holds
+// exactly its own vehicles' instruments (core.Vehicle.Instrument), folded
+// in vehicle-index order at the wave barrier, so its Prometheus
+// exposition is byte-identical at any worker count.
 func TestDriveWaveObsRegistryParInvariance(t *testing.T) {
 	const n = 60
-	d := Driver{Cfg: core.Config{VIN: "WAVE-O", Seed: 23}, N: n}
+	d := Driver{Cfg: obsTestConfig("WAVE-O", 23), N: n}
 	w := Wave{Lo: 12, Hi: 48}
-	run := func(workers int) string {
+	run := func(workers int) []byte {
 		dw := d
 		dw.Workers = workers
-		_, res, err := DriveWaveObs(context.Background(), dw, ObsOptions{Metrics: true}, w,
-			func(idx int, v *core.Vehicle, reg *obs.Registry) (struct{}, error) {
-				if reg == nil {
-					t.Fatal("fn must receive the live registry when Metrics is on")
-				}
-				reg.Counter("wave/visited").Inc()
-				if idx%5 == 0 {
-					reg.Counter("wave/fifth").Inc()
-				}
-				reg.Gauge("wave/idx_sum").Add(float64(idx))
-				return struct{}{}, nil
-			})
+		out, res, err := DriveWaveObs(context.Background(), dw, ObsOptions{Metrics: true}, w, driveScenario)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var sb strings.Builder
-		for _, m := range res.Registry.Snapshot() {
-			fmt.Fprintf(&sb, "%s=%s\n", m.Key, obs.FormatValue(m.Value))
+		// The kernel/steps probe sums the wave's vehicles and no others.
+		var want int64
+		for _, r := range out {
+			var idx, steps int64
+			if _, err := fmt.Sscanf(r, "idx=%d steps=%d", &idx, &steps); err != nil {
+				t.Fatalf("result %q: %v", r, err)
+			}
+			want += steps
 		}
-		return sb.String()
+		var got float64
+		for _, m := range res.Registry.Snapshot() {
+			if m.Key == "kernel/steps" {
+				got = m.Value
+			}
+		}
+		if int64(got) != want || want == 0 {
+			t.Fatalf("workers=%d: kernel/steps = %v, want the wave's %d", workers, got, want)
+		}
+		var b bytes.Buffer
+		if err := res.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
-	s1 := run(1)
-	if !strings.Contains(s1, "wave/visited=36") {
-		t.Fatalf("wave visited count wrong:\n%s", s1)
-	}
-	if s8 := run(8); s8 != s1 {
-		t.Fatalf("wave registry snapshot differs by worker count:\n--- par=1\n%s--- par=8\n%s", s1, s8)
+	p1 := run(1)
+	if p8 := run(8); !bytes.Equal(p1, p8) {
+		t.Fatalf("wave registry exposition differs by worker count:\n--- par=1\n%s--- par=8\n%s", p1, p8)
 	}
 }

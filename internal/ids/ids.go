@@ -214,17 +214,30 @@ func (d *IntervalDetector) Name() string { return "interval" }
 func (d *IntervalDetector) Train(trace *netif.Trace) {
 	d.period = make(map[netif.Key]sim.Duration)
 	d.lastAt = make(map[netif.Key]sim.Time)
-	for _, k := range trace.Keys() {
-		ivs := trace.Intervals(k)
-		if len(ivs) < 3 {
+	// One pass over the trace buckets each key's inter-arrival times, in
+	// the order Trace.Intervals would list them.
+	type series struct {
+		last sim.Time
+		ivs  sim.Summary
+	}
+	byKey := make(map[netif.Key]*series)
+	for i := range trace.Records {
+		r := &trace.Records[i]
+		k := r.Frame.Key()
+		s := byKey[k]
+		if s == nil {
+			byKey[k] = &series{last: r.At}
+			continue
+		}
+		s.ivs.Observe(float64(r.At - s.last))
+		s.last = r.At
+	}
+	for k, s := range byKey {
+		if s.ivs.N() < 3 {
 			continue // aperiodic or too rare to model
 		}
 		// Use the median as the period estimate.
-		var s sim.Summary
-		for _, iv := range ivs {
-			s.Observe(float64(iv))
-		}
-		d.period[k] = sim.Duration(s.Quantile(0.5))
+		d.period[k] = sim.Duration(s.ivs.Quantile(0.5))
 	}
 }
 

@@ -146,6 +146,49 @@ func TestIntervalDetectorIgnoresAperiodicIDs(t *testing.T) {
 	}
 }
 
+// TestIntervalTrainMatchesTraceIntervals pins the one-pass Train to the
+// per-key definition: each modelled key's period is the median of
+// Trace.Intervals for that key, and keys with fewer than 3 intervals stay
+// unmodelled. Jittered periods make the medians non-trivial, and a LIN
+// record sharing a CAN identifier checks that keys stay per medium.
+func TestIntervalTrainMatchesTraceIntervals(t *testing.T) {
+	rnd := sim.NewStream(3, "train")
+	tr := &netif.Trace{}
+	for at := sim.Time(0); at < 2*sim.Second; at += sim.Millisecond {
+		if id := uint32(0x100 + rnd.Intn(4)); rnd.Intn(3) == 0 {
+			tr.Records = append(tr.Records, canRec(at, id, nil))
+		}
+		if rnd.Intn(50) == 0 {
+			rec := canRec(at, 0x100, nil)
+			rec.Frame.Medium = netif.LIN
+			tr.Records = append(tr.Records, rec)
+		}
+	}
+	tr.Records = append(tr.Records, canRec(2*sim.Second, 0x7FF, nil), canRec(3*sim.Second, 0x7FF, nil))
+	d := NewIntervalDetector()
+	d.Train(tr)
+	want := map[netif.Key]sim.Duration{}
+	for _, k := range tr.Keys() {
+		ivs := tr.Intervals(k)
+		if len(ivs) < 3 {
+			continue
+		}
+		var s sim.Summary
+		for _, iv := range ivs {
+			s.Observe(float64(iv))
+		}
+		want[k] = sim.Duration(s.Quantile(0.5))
+	}
+	if len(want) != 5 || len(d.period) != len(want) {
+		t.Fatalf("modelled %d keys, want %d (of 6 in the trace)", len(d.period), len(want))
+	}
+	for k, p := range want {
+		if d.period[k] != p {
+			t.Fatalf("key %v: period %v, want %v", k, d.period[k], p)
+		}
+	}
+}
+
 // TestIntervalDetectorStateBoundedByModel pins that a spray of
 // unmodelled identifiers cannot grow the detector: last-seen times are
 // kept only for keys learned in training, so an untrained detector keeps

@@ -40,14 +40,6 @@ type Result[T any] struct {
 	Err   error
 }
 
-// Progress receives replicate-completion telemetry from MapProgress:
-// done replicates finished out of total. Calls are serialized and done
-// is strictly increasing, so implementations need no locking of their
-// own. Progress is wall-clock telemetry — it observes completion order,
-// which varies with scheduling — and must never feed into deterministic
-// artifacts; the seed-ordered results are the deterministic output.
-type Progress func(done, total int)
-
 // Map runs fn once per seed on a pool of at most workers goroutines and
 // returns the results in seed order, regardless of completion order.
 // workers <= 0 means GOMAXPROCS. A replicate that panics is reported as
@@ -55,14 +47,6 @@ type Progress func(done, total int)
 // only when ctx is cancelled; replicates not yet started at cancellation
 // carry ctx's error in their Result.
 func Map[T any](ctx context.Context, seeds []uint64, workers int, fn func(ctx context.Context, seed uint64) (T, error)) ([]Result[T], error) {
-	return MapProgress(ctx, seeds, workers, nil, fn)
-}
-
-// MapProgress is Map with completion telemetry: progress (when non-nil)
-// is invoked after each replicate finishes, including failed and
-// cancelled ones, so a caller-side progress display always reaches
-// done == total.
-func MapProgress[T any](ctx context.Context, seeds []uint64, workers int, progress Progress, fn func(ctx context.Context, seed uint64) (T, error)) ([]Result[T], error) {
 	results := make([]Result[T], len(seeds))
 	for i, s := range seeds {
 		results[i].Seed = s
@@ -77,22 +61,6 @@ func MapProgress[T any](ctx context.Context, seeds []uint64, workers int, progre
 		workers = len(seeds)
 	}
 
-	// Progress calls serialize under progMu so done is strictly
-	// increasing no matter which worker finishes first.
-	var progMu sync.Mutex
-	done := 0
-	report := func(n int) {
-		if progress == nil || n <= 0 {
-			return
-		}
-		progMu.Lock()
-		for i := 0; i < n; i++ {
-			done++
-			progress(done, len(seeds))
-		}
-		progMu.Unlock()
-	}
-
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -101,7 +69,6 @@ func MapProgress[T any](ctx context.Context, seeds []uint64, workers int, progre
 			defer wg.Done()
 			for i := range jobs {
 				results[i].Value, results[i].Err = runOne(ctx, seeds[i], fn)
-				report(1)
 			}
 		}()
 	}
@@ -116,7 +83,6 @@ dispatch:
 			for j := i; j < len(seeds); j++ {
 				results[j].Err = ctx.Err()
 			}
-			report(len(seeds) - i)
 			break dispatch
 		}
 	}

@@ -44,6 +44,21 @@ func TestMapSeedOrder(t *testing.T) {
 	}
 }
 
+// TestMapNilProgressUnchanged: workers <= 0 means GOMAXPROCS, and the
+// results still come back seed-ordered.
+func TestMapNilProgressUnchanged(t *testing.T) {
+	results, err := Map(context.Background(), Seeds(7, 5), 0,
+		func(_ context.Context, seed uint64) (uint64, error) { return seed, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Value != 7+uint64(i) {
+			t.Fatalf("result %d = %+v", i, r)
+		}
+	}
+}
+
 // The pool really is bounded: concurrent replicates never exceed workers.
 func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
