@@ -611,7 +611,7 @@ func runFleetCompromise(w io.Writer, seed uint64, ob obsPair) {
 			r := res{compromised: idx%5 == 0}
 			k := v.Kernel
 			// Vehicle 0 stands in for the fleet on -trace: Reset detaches
-			// instrumentation, so pooled reuse by later indices stays silent.
+			// the tracer, so pooled reuse by later indices stays silent.
 			// The registry keeps fleet-level gauges only (set after the run).
 			if idx == 0 && ob.tr != nil {
 				v.Instrument(ob.tr, nil)

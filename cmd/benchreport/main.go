@@ -1,7 +1,6 @@
 // Command benchreport regenerates the full experiment suite E1–E22 (plus
 // ablations A1–A2) from DESIGN.md and prints each result table, paper
-// claim included. -fleet trims or extends E18's fleet-size sweep the way
-// -zones does E17's zone counts.
+// claim included. -fleet trims or extends E18's fleet-size sweep.
 //
 // With -seeds N it becomes a replication study: the suite runs once per
 // seed (seed, seed+1, …) sharded across a -par-sized worker pool, and the
@@ -31,11 +30,10 @@
 //	go tool pprof -top cpu.pprof
 //
 // Fleet observability (E20): -obsfleet trims or extends the fleet-size
-// sweep, -fleetpar pins the fleet driver's worker count (the table is
-// byte-identical for every value — CI diffs 1 against 8), and -progress
-// streams per-drive completion and vehicles/sec to stderr, strictly
-// outside the deterministic stdout. -fleetpar also drives E22's campaign
-// waves at that worker count, under the same byte-identity contract.
+// sweep and -fleetpar pins the fleet driver's worker count (the table is
+// byte-identical for every value — CI diffs 1 against 8). -fleetpar also
+// drives E22's campaign waves at that worker count, under the same
+// byte-identity contract.
 //
 // -compare BASELINE.json is the perf regression gate: it re-runs every
 // experiment pinned in a committed BENCH_PRn.json, requires byte-identical
@@ -50,7 +48,7 @@
 // Usage:
 //
 //	benchreport [-seed N] [-seeds N] [-par N] [-only E3,E8] [-json FILE]
-//	            [-obsfleet SIZES] [-fleetpar N] [-progress] [-compare FILE]
+//	            [-obsfleet SIZES] [-fleetpar N] [-compare FILE]
 //	            [-trace FILE] [-metrics] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -69,7 +67,6 @@ import (
 	"time"
 
 	"autosec/internal/experiments"
-	fleetpkg "autosec/internal/fleet"
 	"autosec/internal/obs"
 	"autosec/internal/runner"
 	"autosec/internal/sim"
@@ -98,11 +95,9 @@ func main() {
 	nseeds := flag.Int("seeds", 1, "number of replicate seeds (seed, seed+1, ...); >1 prints aggregated tables")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "replication worker pool size")
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E3,E8); empty runs all")
-	zones := flag.String("zones", "", "comma-separated zone counts for E17's sweep (e.g. 2,4,8,16); empty uses the golden default")
 	fleet := flag.String("fleet", "", "comma-separated fleet sizes for E18's sweep (e.g. 500,5000); empty uses the golden default (1000,10000,100000)")
 	obsfleet := flag.String("obsfleet", "", "comma-separated fleet sizes for E20's observability sweep (e.g. 500,5000); empty uses the golden default (1000,10000)")
 	fleetpar := flag.Int("fleetpar", 0, "fleet driver worker count for E20 and E22's campaign waves (0 = default; any value prints identical tables — CI diffs 1 vs 8)")
-	progress := flag.Bool("progress", false, "stream fleet drive progress and throughput to stderr (wall-clock telemetry; never in the tables)")
 	compareFile := flag.String("compare", "", "regression-gate the working tree against this committed BENCH_PRn.json baseline and exit")
 	jsonOut := flag.String("json", "", "write per-experiment ns + table hashes as JSON to this file ('-' for stdout); single-seed mode only")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON of every kernel's dispatch activity to this file; single-seed mode only")
@@ -158,7 +153,7 @@ func main() {
 	}
 
 	// The suite in report order; the sweep flags swap in their own
-	// runners for E17, E18, E20 and E22.
+	// runners for E18, E20 and E22.
 	runners := experiments.Suite()
 	override := func(id string, run func(uint64) *experiments.Table) {
 		for i := range runners {
@@ -166,14 +161,6 @@ func main() {
 				runners[i].Run = run
 			}
 		}
-	}
-	if *zones != "" {
-		counts, err := parseZones(*zones)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		override("E17", func(s uint64) *experiments.Table { return experiments.E17ZonalWith(s, counts) })
 	}
 	if *fleet != "" {
 		sizes, err := parseFleet(*fleet)
@@ -198,7 +185,7 @@ func main() {
 			return experiments.E22CampaignWith(s, *fleetpar)
 		})
 	}
-	if *obsfleet != "" || *fleetpar != 0 || *progress {
+	if *obsfleet != "" || *fleetpar != 0 {
 		sizes := []int{1_000, 10_000}
 		if *obsfleet != "" {
 			var err error
@@ -207,15 +194,8 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		var observe func(int, string) fleetpkg.DriveObserver
-		if *progress {
-			observe = func(n int, mode string) fleetpkg.DriveObserver {
-				fmt.Fprintf(os.Stderr, "E20 [%s]: driving %d vehicles\n", mode, n)
-				return fleetpkg.NewProgressWriter(os.Stderr, n)
-			}
-		}
 		override("E20", func(s uint64) *experiments.Table {
-			return experiments.E20ObservabilityObserved(s, sizes, *fleetpar, observe)
+			return experiments.E20ObservabilityWith(s, sizes, *fleetpar)
 		})
 	}
 
@@ -314,19 +294,6 @@ func main() {
 	if *showMetrics {
 		printRuntimeMetrics(obs.RuntimeMetrics())
 	}
-}
-
-// parseZones parses -zones ("2,4,8") into E17ZonalWith's sweep list.
-func parseZones(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("-zones: %q is not a zone count >= 2", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 // parseFleet parses -fleet ("500,5000") into E18FleetWith's sweep list.

@@ -50,10 +50,6 @@ type Log struct {
 	cSeals     *obs.Counter
 	cChainFail *obs.Counter
 
-	// Reattach cache (survives ResetToBaseline); see ReattachMetrics.
-	obsCacheReg *obs.Registry
-	obsCache    [3]*obs.Counter
-
 	// Pooled-reuse baseline; see MarkBaseline/ResetToBaseline.
 	baseSealed bool
 }
@@ -72,27 +68,16 @@ func (l *Log) hash(prev [32]byte, at sim.Time, source, event string) [32]byte {
 
 // Instrument registers the log's health counters (audit/appends,
 // audit/seals, audit/chain_failures) with the registry. A nil registry
-// yields nil counters, which are no-ops.
+// leaves the current binding in place, as the other subsystems'
+// Instrument does; a log never instrumented has nil counters, which are
+// no-ops.
 func (l *Log) Instrument(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
 	l.cAppends = reg.Counter("audit/appends")
 	l.cSeals = reg.Counter("audit/seals")
 	l.cChainFail = reg.Counter("audit/chain_failures")
-	if reg != nil {
-		l.obsCacheReg = reg
-		l.obsCache = [3]*obs.Counter{l.cAppends, l.cSeals, l.cChainFail}
-	}
-}
-
-// ReattachMetrics re-arms the health counters after a ResetToBaseline
-// detached them, provided reg is the registry this log last
-// Instrument-ed into. Returns false when the full Instrument path is
-// required.
-func (l *Log) ReattachMetrics(reg *obs.Registry) bool {
-	if reg == nil || l.obsCacheReg != reg {
-		return false
-	}
-	l.cAppends, l.cSeals, l.cChainFail = l.obsCache[0], l.obsCache[1], l.obsCache[2]
-	return true
 }
 
 // MarkBaseline seals the log's construction as the reset target for
@@ -101,8 +86,9 @@ func (l *Log) MarkBaseline() { l.baseSealed = true }
 
 // ResetToBaseline empties the log for pooled reuse: entries and seals
 // clear (backing arrays retained, contents zeroed so no evidence leaks
-// across runs) and observability detaches. The seal MAC closure is
-// construction wiring and survives.
+// across runs). The seal MAC closure is construction wiring and
+// survives, and so do the health counters: they keep counting into the
+// registry the log was last Instrument-ed into.
 func (l *Log) ResetToBaseline() {
 	if !l.baseSealed {
 		panic("audit: ResetToBaseline before MarkBaseline")
@@ -115,9 +101,6 @@ func (l *Log) ResetToBaseline() {
 		l.seals[i] = Seal{}
 	}
 	l.seals = l.seals[:0]
-	l.cAppends = nil
-	l.cSeals = nil
-	l.cChainFail = nil
 }
 
 // Seal is a MAC over the chain head at a point in time, anchoring every

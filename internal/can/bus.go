@@ -87,13 +87,6 @@ type Bus struct {
 	obsTxErr   obs.Label // "tx-error"
 	obsBus     obs.Label // the bus name
 	obsFrameUS *obs.Histogram
-
-	// Reattach cache: the last registry this bus instrumented into and
-	// the histogram it created there. Survives ResetToBaseline (which
-	// detaches obsFrameUS) so ReattachMetrics can re-arm the hot path
-	// without re-interning keys or re-registering probes.
-	obsCacheReg  *obs.Registry
-	obsCacheHist *obs.Histogram
 }
 
 // SnifferFunc observes every frame that completes on the bus (whether or

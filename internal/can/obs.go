@@ -5,7 +5,8 @@ import (
 )
 
 // Instrument attaches the bus to the observability layer. Either argument
-// may be nil (tracing and metrics enable independently). Labels are
+// may be nil (tracing and metrics enable independently); a nil argument
+// leaves that side's current binding in place. Labels are
 // interned and instruments created here, once, so the per-frame emission
 // in complete stays allocation-free; calling Instrument on a bus that is
 // already carrying traffic is safe (events start flowing from the next
@@ -34,20 +35,5 @@ func (b *Bus) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 		reg.Probe(prefix+"bits_on_wire", func() float64 { return float64(b.BitsOnWire) })
 		reg.Probe(prefix+"load", b.Load)
 		b.obsFrameUS = reg.Histogram(prefix+"frame_time_us", nil)
-		b.obsCacheReg, b.obsCacheHist = reg, b.obsFrameUS
 	}
-}
-
-// ReattachMetrics re-arms the metrics hot path after a ResetToBaseline
-// detached it, for the registry this bus last Instrument-ed into. It
-// performs no registration: the registry must still hold this bus's
-// probe entries (a rewound registry does — see obs.Registry.Rewind).
-// Returns false when reg is not the cached registry, in which case the
-// caller must run the full Instrument path.
-func (b *Bus) ReattachMetrics(reg *obs.Registry) bool {
-	if reg == nil || b.obsCacheReg != reg {
-		return false
-	}
-	b.obsFrameUS = b.obsCacheHist
-	return true
 }

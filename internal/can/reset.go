@@ -45,8 +45,10 @@ func (b *Bus) MarkBaseline() {
 
 // ResetToBaseline rewinds the bus to its MarkBaseline snapshot: scenario
 // controllers and sniffers are detached, kept controllers flushed, the
-// error model and all counters restored, and observability detached.
-// The kernel must have been Reset first (startedAt re-anchors to Now).
+// error model and all counters restored, and the tracer detached. The
+// metric bindings stay: the bus keeps feeding the registry it was last
+// Instrument-ed into, whose probes read this same object. The kernel
+// must have been Reset first (startedAt re-anchors to Now).
 func (b *Bus) ResetToBaseline() {
 	if !b.base.sealed {
 		panic("can: ResetToBaseline before MarkBaseline")
@@ -84,7 +86,6 @@ func (b *Bus) ResetToBaseline() {
 
 	b.obsTr = nil
 	b.obsSub, b.obsTx, b.obsTxErr, b.obsBus = 0, 0, 0, 0
-	b.obsFrameUS = nil
 }
 
 // markBaseline seals the controller's construction-time wiring.

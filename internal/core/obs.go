@@ -8,8 +8,11 @@ import (
 // call: kernel dispatch tracing, per-domain bus spans and metrics,
 // gateway verdicts, IDS alerts, audit-log health, OTA outcomes (when a
 // client is attached) and the PKES unit. Either argument may be nil —
-// tracing and metrics enable independently — and a vehicle that is never
-// instrumented pays only nil checks on its hot paths.
+// tracing and metrics enable independently, and a nil argument leaves
+// that side's current binding in place — and a vehicle that is never
+// instrumented pays only nil checks on its hot paths. Metric bindings
+// survive Reset (tracers do not), so a pooled vehicle bound once keeps
+// feeding the same registry until it is Instrument-ed into another.
 //
 // Buses instrument in fixed domain order so label interning (and
 // therefore trace bytes) is deterministic.
@@ -19,37 +22,7 @@ func (v *Vehicle) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 		// order, not time order; these builds take per-member tracers.
 		panic("core: shared tracer on a per-zone-kernel build; use InstrumentParallel")
 	}
-	if tr == nil && v.reattachMetrics(reg) {
-		return
-	}
 	v.instrument([]*obs.Tracer{tr}, reg)
-}
-
-// reattachMetrics is the metrics-only re-instrument fast path for pooled
-// vehicles: when this vehicle was already Instrument-ed into reg and has
-// since been Reset, the registry still holds every probe closure (probes
-// bind to subsystem objects, which the pool reuses — see
-// obs.Registry.Rewind) and the only state to restore is the hot-path
-// instrument pointers Reset detached. The full path costs ~60 heap
-// allocations per vehicle in key interning and closure re-registration;
-// this path costs three pointer writes per cached subsystem. Any cache
-// miss (different registry, never instrumented) falls back to the full
-// path, so correctness never depends on the cache being warm.
-func (v *Vehicle) reattachMetrics(reg *obs.Registry) bool {
-	if reg == nil || v.OTA != nil {
-		// An attached OTA client is scenario state the cache has never
-		// seen; take the full path so its instruments register.
-		return false
-	}
-	for _, name := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
-		if !v.Buses[name].ReattachMetrics(reg) {
-			return false
-		}
-	}
-	if !v.IDS.ReattachMetrics(reg) {
-		return false
-	}
-	return v.Audit.ReattachMetrics(reg)
 }
 
 // InstrumentParallel is Instrument for per-zone-kernel builds: member i's

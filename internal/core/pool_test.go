@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"autosec/internal/can"
 	"autosec/internal/netif"
+	"autosec/internal/obs"
 )
 
 // TestPoolReuseNoLeak runs many sequential acquire/run/release cycles on
@@ -111,4 +113,66 @@ func ExampleVehiclePool() {
 	}
 	fmt.Printf("misses=%d hits=%d\n", pool.Misses, pool.Hits)
 	// Output: misses=1 hits=2
+}
+
+// TestResetKeepsMetricBindings pins the pooled-vehicle metrics contract:
+// Reset detaches tracers but keeps the vehicle bound to the registry it
+// was last Instrument-ed into, so a driver that rewinds that registry
+// between runs reads every run without instrumenting again. Each key is
+// one subsystem's hot-path instrument (bus histogram, IDS alert-gap
+// histogram, audit counter); a probe would read the live objects either
+// way. Instrumenting into another registry moves the binding.
+func TestResetKeepsMetricBindings(t *testing.T) {
+	keys := []string{"can/powertrain/frame_time_us/count", "ids/alert_gap_us/count", "audit/appends"}
+	// Unknown identifiers on powertrain: the untrained spec detector
+	// alerts on every frame, and every alert is audited.
+	run := func(v *Vehicle) {
+		c := can.NewController("src")
+		v.Buses[DomainPowertrain].Attach(c)
+		for i := 0; i < 4; i++ {
+			_ = c.Send(can.Frame{ID: can.ID(0x123 + i), Data: []byte{byte(i)}}, nil)
+		}
+		if err := v.Kernel.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(reg *obs.Registry) map[string]float64 {
+		out := make(map[string]float64)
+		for _, m := range reg.Snapshot() {
+			out[m.Key] = m.Value
+		}
+		return out
+	}
+	v := newVehicle(t, Config{VIN: "BIND"})
+	reg := obs.NewRegistry()
+	v.Instrument(nil, reg)
+	run(v)
+	for _, k := range keys {
+		if read(reg)[k] == 0 {
+			t.Fatalf("first run: %s = 0, want > 0", k)
+		}
+	}
+
+	v.Reset(2)
+	reg.Rewind()
+	run(v)
+	for _, k := range keys {
+		if got := read(reg)[k]; got == 0 {
+			t.Errorf("after Reset, %s = 0 in the bound registry, want > 0", k)
+		}
+	}
+
+	v.Reset(3)
+	reg.Rewind()
+	reg2 := obs.NewRegistry()
+	v.Instrument(nil, reg2)
+	run(v)
+	for _, k := range keys {
+		if got := read(reg)[k]; got != 0 {
+			t.Errorf("after rebinding, %s = %v in the old registry, want 0", k, got)
+		}
+		if read(reg2)[k] == 0 {
+			t.Errorf("after rebinding, %s = 0 in the new registry, want > 0", k)
+		}
+	}
 }

@@ -101,8 +101,11 @@ func restoreArch(a *Architecture, b archBaseline) {
 // vehicle behaves byte-identically (traces, metrics, audit verdicts) to
 // a fresh NewVehicle built with the same Config but Seed=seed — the
 // property the reset-equivalence harness in pool_equivalence_test.go
-// enforces. Observability instrumentation (Instrument) is scenario
-// state and detaches; re-instrument after Reset if needed.
+// enforces. Tracers are scenario state and detach; attach one again
+// with Instrument(tr, nil) if needed. Metric bindings stay: the buses,
+// IDS and audit log keep feeding the registry the vehicle was last
+// Instrument-ed into, until the next Instrument with a registry, so a
+// driver that rewinds that registry between runs binds once.
 func (v *Vehicle) Reset(seed uint64) {
 	if !v.base.sealed {
 		panic("core: Reset before NewVehicle sealed the baseline")

@@ -22,15 +22,9 @@ import (
 // engine-torque frames until the IDS quarantine reflex fires. The sweep
 // measures what zoning buys (attack containment scoped to one zone while
 // the other zones' flows keep running) and what it costs (backbone load
-// and tunnelling latency on every cross-zone hop).
+// and tunnelling latency on every cross-zone hop). The topologies are
+// the central gateway plus 2, 4 and 8 zones.
 func E17Zonal(seed uint64) *Table {
-	return E17ZonalWith(seed, []int{2, 4, 8})
-}
-
-// E17ZonalWith runs the central topology plus one zonal topology per entry
-// in zoneCounts. benchreport's -zones flag feeds custom sweeps through
-// here; the golden table uses the default {2, 4, 8}.
-func E17ZonalWith(seed uint64, zoneCounts []int) *Table {
 	t := &Table{
 		ID:      "E17",
 		Title:   "Central gateway vs zonal E/E topologies under attack (§7)",
@@ -42,7 +36,7 @@ func E17ZonalWith(seed uint64, zoneCounts []int) *Table {
 		zones int // 0 = central gateway
 	}
 	topos := []topo{{"central gateway", 0}}
-	for _, n := range zoneCounts {
+	for _, n := range []int{2, 4, 8} {
 		topos = append(topos, topo{fmt.Sprintf("%d zones", n), n})
 	}
 	for _, tp := range topos {

@@ -38,15 +38,6 @@ const e20TraceRate = 0.02
 // {1e3, 1e4} at default parallelism — legal precisely because the plane
 // is worker-count invariant.
 func E20ObservabilityWith(seed uint64, fleetSizes []int, workers int) *Table {
-	return E20ObservabilityObserved(seed, fleetSizes, workers, nil)
-}
-
-// E20ObservabilityObserved additionally attaches runtime telemetry: when
-// observe is non-nil it is called once per drive of the sweep grid and
-// the returned observer receives that drive's progress callbacks.
-// Observers see only wall-clock telemetry, so the table is identical
-// with or without one (benchreport's -progress relies on this).
-func E20ObservabilityObserved(seed uint64, fleetSizes []int, workers int, observe func(fleetSize int, mode string) fleet.DriveObserver) *Table {
 	t := &Table{
 		ID:    "E20",
 		Title: "Fleet observability plane: merged metrics and sampled traces (§7)",
@@ -69,12 +60,8 @@ func E20ObservabilityObserved(seed uint64, fleetSizes []int, workers int, observ
 	}
 	for _, n := range fleetSizes {
 		for _, m := range modes {
-			opts := m.opts
-			if observe != nil {
-				opts.Observer = observe(n, m.name)
-			}
 			d := fleet.Driver{Cfg: cfg, N: n, Workers: workers}
-			flags, res, err := fleet.DriveObs(context.Background(), d, opts,
+			flags, res, err := fleet.DriveObs(context.Background(), d, m.opts,
 				func(idx int, v *core.Vehicle) (int, error) {
 					return e20Vehicle(v, idx), nil
 				})

@@ -35,8 +35,9 @@ import (
 // call attaches. The zero value disables everything: the bare drive
 // loop.
 type ObsOptions struct {
-	// Metrics instruments every vehicle with a fresh registry and folds
-	// all of them, in vehicle-index order, into ObsResult.Registry.
+	// Metrics instruments every vehicle into its worker's registry and
+	// folds each vehicle's readings, in vehicle-index order, into
+	// ObsResult.Registry.
 	Metrics bool
 
 	// TraceRate enables the flight recorder: each vehicle is traced into
@@ -215,6 +216,12 @@ func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, fn func(idx in
 // vehicle as scenario scratch — any rules, observers or traffic it adds
 // are rewound by the next Reset.
 //
+// The driver owns the vehicle's metric binding: with o.Metrics it binds
+// each worker's vehicle to the worker's scratch registry once, and the
+// binding survives every later Reset. fn may attach a tracer
+// (Instrument(tr, nil)) but must not bind a registry; a vehicle bound
+// elsewhere would stop feeding the fleet registry.
+//
 // Vehicle identity is a function of the absolute index: seeds, trace
 // sampling and metric fold order all key on idx, never on the wave, so
 // driving [0,N) in one call or as a sequence of waves visits
@@ -258,16 +265,15 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	// Per-vehicle metric shards, filled at each vehicle's index and
 	// folded after the barrier — the single merge point that makes the
 	// fleet snapshot independent of the worker count. Shards are flat
-	// value captures (obs.ShardLayout), not live registries: each worker
-	// rewinds one scratch registry between vehicles instead of building
-	// ~100 allocations of instrument graph per vehicle.
-	type vehicleShard struct {
-		layout *obs.ShardLayout
-		data   obs.Shard
-	}
-	var shards []vehicleShard
+	// value captures under the worker's layout (obs.ShardLayout), not live
+	// registries: each worker binds its vehicle to one scratch registry
+	// and rewinds it between vehicles instead of building ~100
+	// allocations of instrument graph per vehicle.
+	var shards []obs.Shard
+	var layouts []*obs.ShardLayout
 	if o.Metrics {
-		shards = make([]vehicleShard, n)
+		shards = make([]obs.Shard, n)
+		layouts = make([]*obs.ShardLayout, workers)
 	}
 	kept := make([][]VehicleTrace, workers)
 
@@ -289,11 +295,15 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 			// scratch is the recycled tracer for captures that end up
 			// discarded; a kept capture surrenders its tracer and the
 			// next vehicle allocates a fresh one. scratchReg is the
-			// worker's rewindable metrics registry, layout its slot
-			// assignment (rebuilt if a vehicle changes the key set).
+			// worker's rewindable metrics registry and bound the
+			// vehicle Instrument-ed into it. Metric bindings survive
+			// Reset, and the pool hands the worker the same vehicle
+			// for its whole shard (a panic or an Acquire error ends the
+			// worker), so the worker binds once and builds its layout
+			// and arena then.
 			var scratch *obs.Tracer
 			var scratchReg *obs.Registry
-			var layout *obs.ShardLayout
+			var bound *core.Vehicle
 			var arena *obs.ShardArena
 			for idx := wlo; idx < whi; idx++ {
 				if err := ctx.Err(); err != nil {
@@ -309,16 +319,7 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 					abort.fail(idx, err)
 					break
 				}
-				var reg *obs.Registry
 				var tr *obs.Tracer
-				if o.Metrics {
-					if scratchReg == nil {
-						scratchReg = obs.NewRegistry()
-					} else {
-						scratchReg.Rewind()
-					}
-					reg = scratchReg
-				}
 				if tracing {
 					if scratch == nil {
 						scratch = obs.NewTracer(DefaultTraceCapacity)
@@ -327,8 +328,17 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 					}
 					tr = scratch
 				}
-				if reg != nil || tr != nil {
-					v.Instrument(tr, reg)
+				if o.Metrics && v != bound {
+					scratchReg = obs.NewRegistry()
+					v.Instrument(tr, scratchReg)
+					bound = v
+					layouts[w] = obs.NewShardLayout(scratchReg)
+					arena = layouts[w].NewArena(whi - idx)
+				} else {
+					scratchReg.Rewind() // nil, a no-op, with metrics off
+					if tr != nil {
+						v.Instrument(tr, nil)
+					}
 				}
 				out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v) })
 				if panicked {
@@ -348,16 +358,12 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 						}
 					}
 				}
-				if err == nil && reg != nil {
+				if err == nil && o.Metrics {
 					// Export flattens the readings — evaluating every
 					// probe — before the vehicle returns to the pool:
 					// the next Reset rewinds the very state the probe
 					// closures read.
-					if layout == nil || !layout.Matches(reg) {
-						layout = obs.NewShardLayout(reg)
-						arena = layout.NewArena(whi - idx)
-					}
-					shards[idx-lo] = vehicleShard{layout: layout, data: arena.Export(reg)}
+					shards[idx-lo] = arena.Export(scratchReg)
 				}
 				pool.Release(v)
 				if err != nil {
@@ -382,42 +388,26 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 
 	res := &ObsResult{}
 	if o.Metrics {
-		// Fold shards in vehicle-index order. Runs of equal-shape shards
-		// (the homogeneous-population common case, where each worker's
-		// layout differs only by pointer) pre-sum into one accumulator —
-		// flat array arithmetic, bit-identical to per-shard MergeInto
-		// folding (see ShardLayout.Accumulate) — so the per-vehicle
-		// barrier cost is adds, not map walks. A genuine shape change
-		// (deterministic per index, never per worker) flushes the run.
-		res.Registry = obs.NewRegistry()
-		var accLayout *obs.ShardLayout
-		var acc obs.Shard
-		flush := func() error {
-			if accLayout == nil {
-				return nil
+		// Every worker bound a vehicle of d.Cfg, whose registry holds
+		// exactly what core.Vehicle.Instrument registers for that Config,
+		// so the workers' layouts differ only by pointer: check each once,
+		// then pre-sum every shard, in vehicle-index order, under the
+		// first — flat array arithmetic, bit-identical to per-shard
+		// MergeInto folding (see ShardLayout.Accumulate) — and merge once.
+		layout := layouts[0]
+		for w, l := range layouts {
+			if !layout.EqualShape(l) {
+				return nil, nil, fmt.Errorf("fleet: worker %d registered a different metric set than worker 0", w)
 			}
-			err := accLayout.MergeInto(res.Registry, acc)
-			accLayout, acc = nil, obs.Shard{}
-			return err
 		}
+		var acc obs.Shard
 		for i := range shards {
-			l := shards[i].layout
-			if l == nil {
-				continue
-			}
-			if accLayout != nil && l != accLayout && !accLayout.EqualShape(l) {
-				if err := flush(); err != nil {
-					return nil, nil, fmt.Errorf("fleet: merging metrics before vehicle %d: %w", lo+i, err)
-				}
-			}
-			if accLayout == nil {
-				accLayout = l
-			}
-			if err := accLayout.Accumulate(&acc, shards[i].data); err != nil {
+			if err := layout.Accumulate(&acc, shards[i]); err != nil {
 				return nil, nil, fmt.Errorf("fleet: merging vehicle %d metrics: %w", lo+i, err)
 			}
 		}
-		if err := flush(); err != nil {
+		res.Registry = obs.NewRegistry()
+		if err := layout.MergeInto(res.Registry, acc); err != nil {
 			return nil, nil, fmt.Errorf("fleet: merging fleet metrics: %w", err)
 		}
 	}

@@ -128,6 +128,42 @@ func TestDriveObsParInvariance(t *testing.T) {
 	}
 }
 
+// TestDriveObsTracingKeepsMetrics: turning the flight recorder on must
+// not move one metric. With tracing, the driver attaches each pooled
+// vehicle's tracer through Instrument(tr, nil) after the first bind, so
+// a subsystem that unbinds its metrics on a nil registry (or on Reset)
+// would drop every later vehicle's readings from the fleet registry.
+// The exposition must match tracing off, at one worker and at four.
+func TestDriveObsTracingKeepsMetrics(t *testing.T) {
+	const n = 60
+	expo := func(rate float64, workers int) []byte {
+		_, res, err := DriveObs(context.Background(),
+			Driver{Cfg: obsTestConfig("OBS-TRACEMET", 17), N: n, Workers: workers},
+			ObsOptions{Metrics: true, TraceRate: rate}, obsScenario)
+		if err != nil {
+			t.Fatalf("rate=%v workers=%d: %v", rate, workers, err)
+		}
+		var b bytes.Buffer
+		if err := res.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	want := expo(0, 1)
+	if !bytes.Contains(want, []byte("autosec_audit_appends")) {
+		t.Fatal("exposition lacks audit_appends — the scenario no longer audits")
+	}
+	for _, tc := range []struct {
+		rate    float64
+		workers int
+	}{{0, 4}, {1, 1}, {1, 4}} {
+		if got := expo(tc.rate, tc.workers); !bytes.Equal(got, want) {
+			t.Fatalf("rate=%v workers=%d exposition diverges from tracing off at 1 worker:\n--- want\n%s\n--- got\n%s",
+				tc.rate, tc.workers, want, got)
+		}
+	}
+}
+
 // TestDriveObsMergedEqualsUnsharded cross-checks the merge point itself:
 // the fleet registry must equal a manual index-order fold over freshly
 // instrumented, individually driven vehicles.

@@ -13,11 +13,18 @@ import (
 // Engine runs a set of detectors over live traffic and aggregates alerts.
 // Detectors can be added and removed at runtime — the in-field upgrade
 // path the extensibility experiments exercise. Routing is medium-keyed:
-// detectors live in a Registry, and each record reaches the global
-// (medium-agnostic) detectors plus the ones registered for the record's
-// netif.Kind, in a deterministic merge order (see Registry).
+// medium-agnostic detectors (the statistical families) sit in the global
+// set and see every record; MediumDetectors sit in dense per-kind
+// buckets and see only their own medium's records.
+//
+// Alert merge order is deterministic by construction: for each record,
+// global detectors run first in install order, then the record's medium
+// bucket in install order. Install order is the Add call order, so two
+// runs that install the same detectors the same way produce
+// byte-identical alert streams.
 type Engine struct {
-	reg    Registry
+	global []Detector
+	byKind [netif.NumKinds][]Detector
 	Alerts []Alert
 
 	onAlert []func(Alert)
@@ -31,10 +38,6 @@ type Engine struct {
 	obsGapUS  *obs.Histogram
 	lastAlert sim.Time
 	hasAlert  bool
-
-	// Reattach cache (survives ResetToBaseline); see ReattachMetrics.
-	obsCacheReg  *obs.Registry
-	obsCacheHist *obs.Histogram
 
 	// Pooled-reuse baseline; see MarkBaseline/ResetToBaseline.
 	baseSealed  bool
@@ -53,15 +56,24 @@ func (e *Engine) MarkBaseline() {
 // is replaced with the fresh detectors the caller supplies (detectors
 // are stateful, so the constructor re-creates the construction-time
 // set), alerts and counters clear, scenario alert subscribers drop, and
-// observability detaches. Taps registered via Attach live on the media
-// and survive by construction.
+// the tracer detaches. The alert-gap histogram stays bound to the
+// registry the engine was last Instrument-ed into, and the gap restarts
+// at the next alert. Taps registered via Attach live on the media and
+// survive by construction.
 func (e *Engine) ResetToBaseline(ds ...Detector) {
 	if !e.baseSealed {
 		panic("ids: ResetToBaseline before MarkBaseline")
 	}
-	e.reg.Clear()
+	// Nil the slots so the old detectors are collectable, and keep the
+	// backing arrays for the fresh set.
+	clear(e.global)
+	e.global = e.global[:0]
+	for k := range e.byKind {
+		clear(e.byKind[k])
+		e.byKind[k] = e.byKind[k][:0]
+	}
 	for _, d := range ds {
-		e.reg.Register(d)
+		e.Add(d)
 	}
 	e.Alerts = e.Alerts[:0]
 	for i := e.baseOnAlert; i < len(e.onAlert); i++ {
@@ -71,18 +83,17 @@ func (e *Engine) ResetToBaseline(ds ...Detector) {
 	e.observed = 0
 	e.obsTr = nil
 	e.obsSub = 0
-	e.obsGapUS = nil
 	e.lastAlert = 0
 	e.hasAlert = false
 }
 
 // NewEngine creates an engine with the given initial detectors.
-// MediumDetectors route to their medium's registry bucket, everything
-// else to the global set (see Registry.Register).
+// MediumDetectors route to their medium's bucket, everything else to the
+// global set (see Add).
 func NewEngine(ds ...Detector) *Engine {
 	e := &Engine{}
 	for _, d := range ds {
-		e.reg.Register(d)
+		e.Add(d)
 	}
 	return e
 }
@@ -91,26 +102,79 @@ func NewEngine(ds ...Detector) *Engine {
 func NewEngineFromSuite(s Suite) *Engine { return NewEngine(s.Build()...) }
 
 // Add installs a detector at runtime, routing MediumDetectors to their
-// medium's bucket — the in-field upgrade path: a policy push of a
-// FlexRay model lands in the FlexRay bucket without the pusher knowing
-// the registry layout.
-func (e *Engine) Add(d Detector) { e.reg.Register(d) }
+// medium's bucket and everything else to the global set — the in-field
+// upgrade path: a policy push of a FlexRay model lands in the FlexRay
+// bucket without the pusher knowing the routing layout.
+func (e *Engine) Add(d Detector) {
+	if md, ok := d.(MediumDetector); ok {
+		k := md.Medium()
+		if int(k) < len(e.byKind) {
+			e.byKind[k] = append(e.byKind[k], d)
+			return
+		}
+	}
+	e.global = append(e.global, d)
+}
 
-// Remove uninstalls a detector by name; it reports whether one was found.
-func (e *Engine) Remove(name string) bool { return e.reg.Remove(name) }
+// Remove uninstalls the first detector with the given name, searching
+// the global set first, then the media buckets in Kind order. It reports
+// whether one was found.
+func (e *Engine) Remove(name string) bool {
+	if removeNamed(&e.global, name) {
+		return true
+	}
+	for k := range e.byKind {
+		if removeNamed(&e.byKind[k], name) {
+			return true
+		}
+	}
+	return false
+}
 
-// Detectors lists the installed detector names in routing order.
-func (e *Engine) Detectors() []string { return e.reg.Names() }
+func removeNamed(ds *[]Detector, name string) bool {
+	for i, d := range *ds {
+		if d.Name() == name {
+			*ds = append((*ds)[:i], (*ds)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
 
-// Train trains every installed detector on the clean reference trace.
-func (e *Engine) Train(trace *netif.Trace) { e.reg.Train(trace) }
+// Detectors lists the installed detector names in routing order: the
+// global set, then each medium bucket in Kind order.
+func (e *Engine) Detectors() []string {
+	var out []string
+	for _, d := range e.global {
+		out = append(out, d.Name())
+	}
+	for k := range e.byKind {
+		for _, d := range e.byKind[k] {
+			out = append(out, d.Name())
+		}
+	}
+	return out
+}
+
+// Train trains every installed detector on the clean reference trace,
+// in routing order.
+func (e *Engine) Train(trace *netif.Trace) {
+	for _, d := range e.global {
+		d.Train(trace)
+	}
+	for k := range e.byKind {
+		for _, d := range e.byKind[k] {
+			d.Train(trace)
+		}
+	}
+}
 
 // OnAlert registers an alert subscriber (e.g. the gateway's quarantine
 // trigger).
 func (e *Engine) OnAlert(fn func(Alert)) { e.onAlert = append(e.onAlert, fn) }
 
-// Observe routes one record through the registry: the global detectors
-// first, then the record's medium bucket, each in install order — the
+// Observe routes one record: the global detectors first, then the
+// record's medium bucket, each in install order — the
 // deterministic alert merge order the golden tables pin. Alerts append
 // straight to e.Alerts, and the returned slice is that tail of the alert
 // history: it aliases e.Alerts, so it is valid until ResetToBaseline
@@ -119,11 +183,11 @@ func (e *Engine) OnAlert(fn func(Alert)) { e.onAlert = append(e.onAlert, fn) }
 func (e *Engine) Observe(rec netif.Record) []Alert {
 	e.observed++
 	start := len(e.Alerts)
-	for _, d := range e.reg.global {
+	for _, d := range e.global {
 		e.Alerts = append(e.Alerts, d.Observe(rec)...)
 	}
-	if int(rec.Frame.Medium) < len(e.reg.byKind) {
-		for _, d := range e.reg.byKind[rec.Frame.Medium] {
+	if int(rec.Frame.Medium) < len(e.byKind) {
+		for _, d := range e.byKind[rec.Frame.Medium] {
 			e.Alerts = append(e.Alerts, d.Observe(rec)...)
 		}
 	}
@@ -149,8 +213,9 @@ func (e *Engine) Observe(rec netif.Record) []Alert {
 // Observed reports how many records the engine has been fed.
 func (e *Engine) Observed() int64 { return e.observed }
 
-// Instrument attaches the engine to the observability layer (either
-// argument may be nil).
+// Instrument attaches the engine to the observability layer. Either
+// argument may be nil; a nil argument leaves that side's current binding
+// in place.
 //
 // Trace events (subsystem "ids"): one instant per alert, named with the
 // detector, with Str = the alert reason and Arg1 = the offending frame
@@ -168,21 +233,7 @@ func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 		reg.Probe("ids/alerts_total", func() float64 { return float64(len(e.Alerts)) })
 		reg.Probe("ids/observed", func() float64 { return float64(e.observed) })
 		e.obsGapUS = reg.Histogram("ids/alert_gap_us", nil)
-		e.obsCacheReg, e.obsCacheHist = reg, e.obsGapUS
 	}
-}
-
-// ReattachMetrics re-arms the alert-gap histogram after a
-// ResetToBaseline detached it, provided reg is the registry this engine
-// last Instrument-ed into (whose probe entries must still be present —
-// a rewound registry keeps them). Returns false when the full
-// Instrument path is required.
-func (e *Engine) ReattachMetrics(reg *obs.Registry) bool {
-	if reg == nil || e.obsCacheReg != reg {
-		return false
-	}
-	e.obsGapUS = e.obsCacheHist
-	return true
 }
 
 // Attach taps the engine into live traffic on a medium. Records are

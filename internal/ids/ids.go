@@ -348,8 +348,12 @@ func (d *EntropyDetector) Observe(rec netif.Record) []Alert {
 	if len(d.buf[k]) < d.BatchSize {
 		return nil
 	}
-	h := payloadEntropy(d.buf[k])
-	d.buf[k] = nil
+	batch := d.buf[k]
+	h := payloadEntropy(batch)
+	// Keep the batch's storage for the next one; clear drops the payload
+	// references.
+	clear(batch)
+	d.buf[k] = batch[:0]
 	if math.Abs(h-ref) > d.Tolerance {
 		return []Alert{alertFor(rec.At, d.Name(), k,
 			fmt.Sprintf("entropy %.2f vs trained %.2f bits", h, ref))}

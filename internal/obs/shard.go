@@ -2,14 +2,14 @@
 // driver's metrics plane. Building a fresh Registry and Instrument-ing a
 // vehicle into it costs a few microseconds and ~100 allocations — fine
 // per simulation, fatal per vehicle at 1e5 vehicles. Instead the driver
-// keeps ONE scratch registry per worker, Rewinds it between vehicles,
-// and flattens each vehicle's readings into a Shard: two flat arrays
-// whose slots are assigned by a ShardLayout built once per worker. The
-// barrier then folds shards into the fleet registry in vehicle-index
-// order via MergeInto, which performs arithmetic identical — operation
-// for operation, in the same order — to Registry.Merge over materialized
-// per-vehicle registries, so the two paths produce byte-identical
-// snapshots (pinned by TestDriveObsMergedEqualsUnsharded).
+// binds each worker's pooled vehicle to ONE scratch registry, Rewinds it
+// between vehicles, and flattens each vehicle's readings into a Shard:
+// two flat arrays whose slots are assigned by a ShardLayout built once
+// per worker. The barrier then folds shards into the fleet registry in
+// vehicle-index order via MergeInto, which performs arithmetic identical
+// — operation for operation, in the same order — to Registry.Merge over
+// materialized per-vehicle registries, so the two paths produce
+// byte-identical snapshots (pinned by TestDriveObsMergedEqualsUnsharded).
 package obs
 
 import (
@@ -19,15 +19,15 @@ import (
 
 // Rewind zeroes every instrument in place and drops materialized
 // readings, while keeping the instrument objects, their keys, their
-// bucket layouts — and the probe registrations. Probes survive because
-// their closures bind to subsystem objects, not to a simulation run: a
-// pooled vehicle re-run under a new seed is read correctly by the
-// closures registered on its first Instrument. Callers that instrument a
-// *different* object graph into a rewound registry must re-Instrument
-// (overwriting the probe entries); callers that shrink the key set must
-// build a fresh registry instead. This is the pooled-vehicle Reset
-// discipline applied to the registry: construction wiring survives, run
-// state does not.
+// bucket layouts — and the probe registrations. A pooled vehicle
+// Instrument-ed once keeps feeding these instruments across Reset, and
+// its probe closures bind to subsystem objects, not to a simulation run,
+// so the vehicle re-run under a new seed is read correctly with no
+// second Instrument. Callers that instrument a *different* object graph
+// into a rewound registry must re-Instrument (overwriting the probe
+// entries); callers that shrink the key set must build a fresh registry
+// instead. This is the pooled-vehicle Reset discipline applied to the
+// registry: construction wiring survives, run state does not.
 func (r *Registry) Rewind() {
 	if r == nil {
 		return
@@ -52,10 +52,9 @@ func (r *Registry) Rewind() {
 // ShardLayout assigns every instrument of one registry a fixed slot in
 // the Shard arrays, in sorted-key order per instrument class. A layout
 // is bound to the registry it was built from: it caches instrument
-// pointers so Export runs without map lookups for everything but probes
-// (whose closures are re-registered per run). Rebuild the layout (or
-// check Matches) after anything other than Rewind/Instrument cycles
-// touched the registry's key set.
+// pointers and probe closures so Export runs without map lookups.
+// Rebuild the layout after anything other than Rewind touched the
+// registry's key set or re-registered its probes.
 type ShardLayout struct {
 	counterKeys []string
 	gaugeKeys   []string
@@ -119,24 +118,11 @@ func NewShardLayout(r *Registry) *ShardLayout {
 	return l
 }
 
-// Matches reports whether r's key-set shape still fits this layout. It
-// is a structural check (per-class counts), sufficient for the fleet
-// driver's homogeneous populations where Instrument registers the same
-// keys for every vehicle of one Config; heterogeneous registries must
-// rebuild the layout instead.
-func (l *ShardLayout) Matches(r *Registry) bool {
-	return len(r.counters) == len(l.counterKeys) &&
-		len(r.gauges) == len(l.gaugeKeys) &&
-		len(r.probes) == len(l.probeKeys) &&
-		len(r.histograms) == len(l.histKeys)
-}
-
 // Export flattens r's current readings into a fresh Shard, evaluating
 // every probe now (the Materialize moment). Call it before the probed
 // subsystems are reset or reused. Probes are read through the closures
-// cached at layout-build time; re-Instrumenting the same object graph
-// into r replaces the map entries with closures over the same objects,
-// so the cached ones keep reading correct values.
+// cached at layout-build time, which read the same objects for as long
+// as the pooled vehicle they were registered for is reused.
 func (l *ShardLayout) Export(r *Registry) Shard {
 	s := Shard{
 		ints:   make([]uint64, l.intLen),
@@ -253,7 +239,7 @@ func (l *ShardLayout) EqualShape(o *ShardLayout) bool {
 // a fold from +0.0 can produce), and the histogram count/max guards
 // mirror MergeInto's exactly. This turns the per-vehicle barrier cost
 // from a map-walk (MergeInto) into flat array arithmetic; the fleet
-// driver flushes one MergeInto per run of equal-shape shards.
+// driver accumulates every shard of a drive and merges once.
 func (l *ShardLayout) Accumulate(acc *Shard, s Shard) error {
 	if len(s.ints) != l.intLen || len(s.floats) != l.floatLen {
 		return fmt.Errorf("obs: shard/layout mismatch: %d/%d values, layout wants %d/%d",

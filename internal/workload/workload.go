@@ -115,25 +115,66 @@ func StartSenders(k *sim.Kernel, bus *can.Bus, specs []MessageSpec, jitterFrac f
 
 // SyntheticTrace builds a trace of the matrix's CAN records directly (no
 // bus), useful for fast IDS training corpora. Arbitration effects are
-// ignored; frame times use ideal periods with the given jitter.
+// ignored; frame times use ideal periods with the given jitter. Records
+// are ordered by timestamp, then ID, then spec order, then each spec's
+// emission order.
 func SyntheticTrace(specs []MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) *netif.Trace {
-	tr := &netif.Trace{}
-	for _, s := range specs {
-		rng := sim.NewStream(seed, "trace."+s.Sender+streamSuffix(s.ID))
-		at := rng.Duration(0, s.Period)
-		i := 0
-		for at < dur {
-			tr.Records = append(tr.Records, can.NetifRecord(at, can.Frame{ID: s.ID, Data: payloadFor(s, i, rng)}, s.Sender))
-			step := s.Period
-			if jitterFrac > 0 {
-				step = rng.Jitter(s.Period, jitterFrac)
-			}
-			at += step
-			i++
+	// Each spec's stream is already in time order (only jitterFrac >= 1
+	// can step backwards, and such a stream is stable-sorted first), so a
+	// merge that takes the earliest (At, ID) head, ties to the lower spec,
+	// yields the stable sort of the streams' concatenation without moving
+	// records through sort's swapper.
+	streams := make([][]netif.Record, len(specs))
+	total := 0
+	for si, s := range specs {
+		recs := specStream(s, dur, seed, jitterFrac)
+		before := func(i, j int) bool { return recs[i].At < recs[j].At }
+		if !sort.SliceIsSorted(recs, before) {
+			sort.SliceStable(recs, before)
 		}
+		streams[si] = recs
+		total += len(recs)
 	}
-	sortTrace(tr)
+	tr := &netif.Trace{Records: make([]netif.Record, 0, total)}
+	for len(tr.Records) < total {
+		best := -1
+		for si, recs := range streams {
+			if len(recs) == 0 {
+				continue
+			}
+			if best < 0 {
+				best = si
+				continue
+			}
+			a, b := &recs[0], &streams[best][0]
+			if a.At < b.At || (a.At == b.At && a.Frame.ID < b.Frame.ID) {
+				best = si
+			}
+		}
+		tr.Records = append(tr.Records, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
 	return tr
+}
+
+// specStream generates one spec's records in emission order, presized
+// from dur/Period (jitter moves the count by a record or so either way).
+func specStream(s MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) []netif.Record {
+	var recs []netif.Record
+	if s.Period > 0 && dur > 0 {
+		recs = make([]netif.Record, 0, int(dur/s.Period)+2)
+	}
+	rng := sim.NewStream(seed, "trace."+s.Sender+streamSuffix(s.ID))
+	at := rng.Duration(0, s.Period)
+	for i := 0; at < dur; i++ {
+		recs = append(recs, can.NetifRecord(at, can.Frame{ID: s.ID, Data: payloadFor(s, i, rng)}, s.Sender))
+		step := s.Period
+		if jitterFrac > 0 {
+			step = rng.Jitter(s.Period, jitterFrac)
+		}
+		at += step
+	}
+	return recs
 }
 
 // streamSuffix derives the per-message RNG stream-name suffix from a CAN
@@ -148,19 +189,6 @@ func streamSuffix(id can.ID) string {
 		return string(r)
 	}
 	return "0x" + strconv.FormatUint(uint64(id), 16)
-}
-
-// sortTrace orders records by timestamp with a stable (At, then ID, then
-// insertion order) tiebreak, so equal-timestamp records from different
-// senders always serialize identically.
-func sortTrace(tr *netif.Trace) {
-	sort.SliceStable(tr.Records, func(i, j int) bool {
-		a, b := &tr.Records[i], &tr.Records[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Frame.ID < b.Frame.ID
-	})
 }
 
 // Phase is one segment of a drive cycle.

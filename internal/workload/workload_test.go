@@ -1,12 +1,66 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"autosec/internal/can"
 	"autosec/internal/netif"
 	"autosec/internal/sim"
 )
+
+// sortTrace orders records by timestamp with a stable (At, then ID, then
+// insertion order) tiebreak: the order SyntheticTrace's merge must
+// reproduce, kept as its reference.
+func sortTrace(tr *netif.Trace) {
+	sort.SliceStable(tr.Records, func(i, j int) bool {
+		a, b := &tr.Records[i], &tr.Records[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		return a.Frame.ID < b.Frame.ID
+	})
+}
+
+// TestSyntheticTraceMergeMatchesStableSort: over random matrices whose
+// IDs, senders and periods collide (so equal timestamps, equal IDs and
+// even identical streams abound), the merged trace equals the stable
+// sort of the per-spec streams' concatenation, record for record. Jitter
+// fractions past 1 make streams step backwards and cover the per-stream
+// sort.
+func TestSyntheticTraceMergeMatchesStableSort(t *testing.T) {
+	r := sim.NewStream(7, "merge-prop")
+	for trial := 0; trial < 300; trial++ {
+		specs := make([]MessageSpec, 1+r.Intn(12))
+		for i := range specs {
+			specs[i] = MessageSpec{
+				ID:      can.ID(0x100 + r.Intn(4)),
+				Period:  sim.Duration(1 + r.Intn(6)),
+				Size:    1 + r.Intn(8),
+				Counter: r.Intn(2) == 0,
+				Sender:  fmt.Sprintf("ecu%d", r.Intn(3)),
+			}
+			if trial%3 == 0 {
+				specs[i].Period *= sim.Millisecond
+			}
+		}
+		dur := sim.Duration(1+r.Intn(60)) * specs[0].Period
+		jitter := []float64{0, 0.01, 0.3, 1.5}[r.Intn(4)]
+		seed := uint64(r.Intn(1 << 20))
+
+		want := &netif.Trace{}
+		for _, s := range specs {
+			want.Records = append(want.Records, specStream(s, dur, seed, jitter)...)
+		}
+		sortTrace(want)
+		got := SyntheticTrace(specs, dur, seed, jitter)
+		if !reflect.DeepEqual(got.Records, want.Records) {
+			t.Fatalf("trial %d (specs %+v, dur %v, jitter %v): merge diverges from the stable sort", trial, specs, dur, jitter)
+		}
+	}
+}
 
 func TestMatricesWellFormed(t *testing.T) {
 	for _, specs := range [][]MessageSpec{PowertrainMatrix(), BodyMatrix()} {
