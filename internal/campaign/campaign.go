@@ -506,7 +506,7 @@ func (e *Engine) hijack(idx int) {
 func (e *Engine) rotate(res *Result) error {
 	var newMaster [16]byte
 	copy(newMaster[:], fmt.Sprintf("rotated!-%06x", uint32(res.Rotations+1)))
-	_, failed := e.fleet.RotateKeys(newMaster)
+	_, failed := e.fleet.RotateKeys(newMaster, e.cfg.Workers)
 	res.Rotations++
 	res.RotateFailed = append(res.RotateFailed, failed...)
 	failedSet := make(map[string]bool, len(failed))

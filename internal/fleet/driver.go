@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +24,30 @@ type Driver struct {
 	N int
 	// Workers bounds the shard parallelism; <= 0 means GOMAXPROCS.
 	Workers int
+}
+
+// shardWorkers resolves a worker count for n items: <= 0 means
+// GOMAXPROCS, and no more workers than items.
+func shardWorkers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
+// forShards splits [0, n) into workers contiguous shards whose sizes
+// differ by at most one, runs fn(w, lo, hi) for shard w on its own
+// goroutine, and returns when every shard has.
+func forShards(n, workers int, fn func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w, w*n/workers, (w+1)*n/workers)
+		}(w)
+	}
+	wg.Wait()
 }
 
 // VehicleSeed derives vehicle idx's kernel seed from the fleet base seed

@@ -134,24 +134,45 @@ func (r CompromiseResult) Fraction() float64 {
 // each vehicle's *current* key (self-rotation). Vehicles whose current
 // key the server no longer knows — e.g. already hijacked by the attacker
 // — fail the update and are returned for out-of-band recovery.
-func (f *Fleet) RotateKeys(newMaster [16]byte) (rotated int, failed []string) {
-	for _, v := range f.Vehicles {
-		newKey := deriveKey(newMaster, f.Policy, v.Model, v.Engine.UID())
-		_, _, counter := v.Engine.KeyState(she.MasterECUKey)
-		req, err := she.BuildUpdate(v.Engine.UID(), she.MasterECUKey, she.MasterECUKey,
-			v.masterKey, newKey, counter+1, she.Flags{})
-		if err != nil {
-			failed = append(failed, v.VIN)
-			continue
+//
+// The exchanges are sharded over workers goroutines (<= 0 means
+// GOMAXPROCS) in contiguous index ranges, the partition Driver uses.
+// Each vehicle's verdict is kept at its index, so failed lists VINs in
+// slice order at any worker count.
+func (f *Fleet) RotateKeys(newMaster [16]byte, workers int) (rotated int, failed []string) {
+	n := len(f.Vehicles)
+	ok := make([]bool, n)
+	forShards(n, shardWorkers(workers, n), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ok[i] = f.Vehicles[i].rotate(f.Policy, newMaster)
 		}
-		if _, err := v.Engine.LoadKey(req); err != nil {
+	})
+	for i, v := range f.Vehicles {
+		if ok[i] {
+			rotated++
+		} else {
 			failed = append(failed, v.VIN)
-			continue
 		}
-		v.masterKey = newKey
-		rotated++
 	}
 	return rotated, failed
+}
+
+// rotate moves v's MASTER_ECU_KEY to its key under newMaster, authorized
+// by the key the server holds for it, and reports whether the device
+// accepted the update.
+func (v *Vehicle) rotate(policy Policy, newMaster [16]byte) bool {
+	newKey := deriveKey(newMaster, policy, v.Model, v.Engine.UID())
+	_, _, counter := v.Engine.KeyState(she.MasterECUKey)
+	req, err := she.BuildUpdate(v.Engine.UID(), she.MasterECUKey, she.MasterECUKey,
+		v.masterKey, newKey, counter+1, she.Flags{})
+	if err != nil {
+		return false
+	}
+	if _, err := v.Engine.LoadKey(req); err != nil {
+		return false
+	}
+	v.masterKey = newKey
+	return true
 }
 
 // AssessCompromise models the E3 chain: the attacker has physically

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -253,13 +252,7 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	if tracing && d.Cfg.Zonal != nil && d.Cfg.Zonal.PerZoneKernels {
 		return nil, nil, fmt.Errorf("fleet: flight recorder requires a shared-kernel build (Zonal.PerZoneKernels is set)")
 	}
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := shardWorkers(d.Workers, n)
 
 	results := make([]T, n)
 	// Per-vehicle metric shards, filled at each vehicle's index and
@@ -282,106 +275,98 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	stats := DriveStats{Vehicles: n, Workers: workers}
 	start := time.Now()
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous shards over the driven range; sizes differ by at
-		// most one.
-		wlo := lo + w*n/workers
-		whi := lo + (w+1)*n/workers
-		wg.Add(1)
-		go func(w, wlo, whi int) {
-			defer wg.Done()
-			pool := core.NewVehiclePool(d.Cfg)
-			// scratch is the recycled tracer for captures that end up
-			// discarded; a kept capture surrenders its tracer and the
-			// next vehicle allocates a fresh one. scratchReg is the
-			// worker's rewindable metrics registry and bound the
-			// vehicle Instrument-ed into it. Metric bindings survive
-			// Reset, and the pool hands the worker the same vehicle
-			// for its whole shard (a panic or an Acquire error ends the
-			// worker), so the worker binds once and builds its layout
-			// and arena then.
-			var scratch *obs.Tracer
-			var scratchReg *obs.Registry
-			var bound *core.Vehicle
-			var arena *obs.ShardArena
-			for idx := wlo; idx < whi; idx++ {
-				if err := ctx.Err(); err != nil {
-					abort.fail(idx, err)
-					break
-				}
-				if abort.aborted.Load() {
-					break
-				}
-				seed := VehicleSeed(d.Cfg.Seed, idx)
-				v, _, err := contain(idx, seed, func() (*core.Vehicle, error) { return pool.Acquire(seed) })
-				if err != nil {
-					abort.fail(idx, err)
-					break
-				}
-				var tr *obs.Tracer
-				if tracing {
-					if scratch == nil {
-						scratch = obs.NewTracer(DefaultTraceCapacity)
-					} else {
-						scratch.ResetAll()
-					}
-					tr = scratch
-				}
-				if o.Metrics && v != bound {
-					scratchReg = obs.NewRegistry()
-					v.Instrument(tr, scratchReg)
-					bound = v
-					layouts[w] = obs.NewShardLayout(scratchReg)
-					arena = layouts[w].NewArena(whi - idx)
+	forShards(n, workers, func(w, slo, shi int) {
+		// Shard w, offset into the driven range.
+		wlo, whi := lo+slo, lo+shi
+		pool := core.NewVehiclePool(d.Cfg)
+		// scratch is the recycled tracer for captures that end up
+		// discarded; a kept capture surrenders its tracer and the
+		// next vehicle allocates a fresh one. scratchReg is the
+		// worker's rewindable metrics registry and bound the
+		// vehicle Instrument-ed into it. Metric bindings survive
+		// Reset, and the pool hands the worker the same vehicle
+		// for its whole shard (a panic or an Acquire error ends the
+		// worker), so the worker binds once and builds its layout
+		// and arena then.
+		var scratch *obs.Tracer
+		var scratchReg *obs.Registry
+		var bound *core.Vehicle
+		var arena *obs.ShardArena
+		for idx := wlo; idx < whi; idx++ {
+			if err := ctx.Err(); err != nil {
+				abort.fail(idx, err)
+				break
+			}
+			if abort.aborted.Load() {
+				break
+			}
+			seed := VehicleSeed(d.Cfg.Seed, idx)
+			v, _, err := contain(idx, seed, func() (*core.Vehicle, error) { return pool.Acquire(seed) })
+			if err != nil {
+				abort.fail(idx, err)
+				break
+			}
+			var tr *obs.Tracer
+			if tracing {
+				if scratch == nil {
+					scratch = obs.NewTracer(DefaultTraceCapacity)
 				} else {
-					scratchReg.Rewind() // nil, a no-op, with metrics off
-					if tr != nil {
-						v.Instrument(tr, nil)
-					}
+					scratch.ResetAll()
 				}
-				out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v) })
-				if panicked {
-					// The vehicle's state is suspect: drop it rather
-					// than hand it to the next Reset.
-					abort.fail(idx, err)
-					break
-				}
-				if err == nil && tracing {
-					interesting := v.SecurityIncidents() > 0
-					if interesting || TraceSampled(d.Cfg.Seed, idx, o.TraceRate) {
-						kept[w] = keepTrace(kept[w], VehicleTrace{
-							Index: idx, Seed: seed, Interesting: interesting, Tracer: tr,
-						}, DefaultMaxTraces)
-						if len(kept[w]) > 0 && kept[w][len(kept[w])-1].Tracer == tr {
-							scratch = nil // tracer surrendered to the kept list
-						}
-					}
-				}
-				if err == nil && o.Metrics {
-					// Export flattens the readings — evaluating every
-					// probe — before the vehicle returns to the pool:
-					// the next Reset rewinds the very state the probe
-					// closures read.
-					shards[idx-lo] = arena.Export(scratchReg)
-				}
-				pool.Release(v)
-				if err != nil {
-					abort.fail(idx, err)
-					break
-				}
-				results[idx-lo] = out
-				if o.Observer != nil {
-					o.Observer.VehicleDone(w, idx-wlo+1, whi-wlo)
+				tr = scratch
+			}
+			if o.Metrics && v != bound {
+				scratchReg = obs.NewRegistry()
+				v.Instrument(tr, scratchReg)
+				bound = v
+				layouts[w] = obs.NewShardLayout(scratchReg)
+				arena = layouts[w].NewArena(whi - idx)
+			} else {
+				scratchReg.Rewind() // nil, a no-op, with metrics off
+				if tr != nil {
+					v.Instrument(tr, nil)
 				}
 			}
-			statsMu.Lock()
-			stats.PoolHits += pool.Hits
-			stats.PoolMisses += pool.Misses
-			statsMu.Unlock()
-		}(w, wlo, whi)
-	}
-	wg.Wait()
+			out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v) })
+			if panicked {
+				// The vehicle's state is suspect: drop it rather
+				// than hand it to the next Reset.
+				abort.fail(idx, err)
+				break
+			}
+			if err == nil && tracing {
+				interesting := v.SecurityIncidents() > 0
+				if interesting || TraceSampled(d.Cfg.Seed, idx, o.TraceRate) {
+					kept[w] = keepTrace(kept[w], VehicleTrace{
+						Index: idx, Seed: seed, Interesting: interesting, Tracer: tr,
+					}, DefaultMaxTraces)
+					if len(kept[w]) > 0 && kept[w][len(kept[w])-1].Tracer == tr {
+						scratch = nil // tracer surrendered to the kept list
+					}
+				}
+			}
+			if err == nil && o.Metrics {
+				// Export flattens the readings — evaluating every
+				// probe — before the vehicle returns to the pool:
+				// the next Reset rewinds the very state the probe
+				// closures read.
+				shards[idx-lo] = arena.Export(scratchReg)
+			}
+			pool.Release(v)
+			if err != nil {
+				abort.fail(idx, err)
+				break
+			}
+			results[idx-lo] = out
+			if o.Observer != nil {
+				o.Observer.VehicleDone(w, idx-wlo+1, whi-wlo)
+			}
+		}
+		statsMu.Lock()
+		stats.PoolHits += pool.Hits
+		stats.PoolMisses += pool.Misses
+		statsMu.Unlock()
+	})
 	if err := abort.err(); err != nil {
 		return nil, nil, err
 	}

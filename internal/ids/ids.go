@@ -307,29 +307,54 @@ func payloadEntropy(payloads [][]byte) float64 {
 	return h
 }
 
-// Train implements Detector.
+// addToBatch appends p to one key's batch. When that fills the batch to
+// size it returns the batch's entropy, full set, and the batch emptied
+// for reuse: clear drops the payload references and the storage serves
+// the next batch.
+func addToBatch(batch [][]byte, p []byte, size int) (next [][]byte, h float64, full bool) {
+	batch = append(batch, p)
+	if len(batch) < size {
+		return batch, 0, false
+	}
+	h = payloadEntropy(batch)
+	clear(batch)
+	return batch[:0], h, true
+}
+
+// Train implements Detector. It trains on the same statistic Observe
+// computes: the mean entropy of each key's BatchSize-frame batches, in
+// trace order. Whole-trace entropy would run higher than any batch
+// (counters sweep more of their range over a long trace) and make every
+// clean batch look anomalous. Keys with fewer than BatchSize frames are
+// not modelled.
 func (d *EntropyDetector) Train(trace *netif.Trace) {
 	d.trained = make(map[netif.Key]float64)
 	d.buf = make(map[netif.Key][][]byte)
-	byKey := make(map[netif.Key][][]byte)
+	type keyMean struct {
+		batch [][]byte
+		sum   float64
+		n     int
+	}
+	byKey := make(map[netif.Key]*keyMean)
 	for i := range trace.Records {
 		r := &trace.Records[i]
-		byKey[r.Frame.Key()] = append(byKey[r.Frame.Key()], r.Frame.Payload)
+		k := r.Frame.Key()
+		m := byKey[k]
+		if m == nil {
+			m = &keyMean{}
+			byKey[k] = m
+		}
+		batch, h, full := addToBatch(m.batch, r.Frame.Payload, d.BatchSize)
+		m.batch = batch
+		if full {
+			m.sum += h
+			m.n++
+		}
 	}
-	for k, ps := range byKey {
-		if len(ps) < d.BatchSize {
-			continue
+	for k, m := range byKey {
+		if m.n > 0 {
+			d.trained[k] = m.sum / float64(m.n)
 		}
-		// Train on the same statistic Observe computes: the mean entropy
-		// of BatchSize-frame batches. Whole-trace entropy would run higher
-		// than any batch (counters sweep more of their range over a long
-		// trace) and make every clean batch look anomalous.
-		sum, n := 0.0, 0
-		for i := 0; i+d.BatchSize <= len(ps); i += d.BatchSize {
-			sum += payloadEntropy(ps[i : i+d.BatchSize])
-			n++
-		}
-		d.trained[k] = sum / float64(n)
 	}
 }
 
@@ -344,17 +369,9 @@ func (d *EntropyDetector) Observe(rec netif.Record) []Alert {
 	if !modelled {
 		return nil
 	}
-	d.buf[k] = append(d.buf[k], rec.Frame.Payload)
-	if len(d.buf[k]) < d.BatchSize {
-		return nil
-	}
-	batch := d.buf[k]
-	h := payloadEntropy(batch)
-	// Keep the batch's storage for the next one; clear drops the payload
-	// references.
-	clear(batch)
-	d.buf[k] = batch[:0]
-	if math.Abs(h-ref) > d.Tolerance {
+	batch, h, full := addToBatch(d.buf[k], rec.Frame.Payload, d.BatchSize)
+	d.buf[k] = batch
+	if full && math.Abs(h-ref) > d.Tolerance {
 		return []Alert{alertFor(rec.At, d.Name(), k,
 			fmt.Sprintf("entropy %.2f vs trained %.2f bits", h, ref))}
 	}

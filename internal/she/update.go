@@ -3,6 +3,7 @@ package she
 import (
 	"bytes"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -41,29 +42,44 @@ func BuildUpdate(uid UID, target, authID KeyID, authKey, newKey [BlockSize]byte,
 	if target <= SecretKey || target >= numKeys || target == RAMKey {
 		return nil, ErrKeyInvalid
 	}
-	k1 := KDF(authKey, KeyUpdateEncC)
-	k2 := KDF(authKey, KeyUpdateMacC)
+	k1, k2 := kdfPair(authKey)
 
 	var req UpdateRequest
 	copy(req.M1[:15], uid[:])
 	req.M1[15] = byte(target)<<4 | byte(authID)&0x0F
 
-	// B1|B2: counter(28) | flags(5) | zeros(95) | key(128).
-	var plain [32]byte
-	packCounterFlags(plain[:16], counter, flags.pack())
-	copy(plain[16:], newKey[:])
-	ct, err := encryptCBC(k1[:], make([]byte, BlockSize), plain[:])
-	if err != nil {
-		return nil, err
-	}
-	copy(req.M2[:], ct)
+	// B1|B2: counter(28) | flags(5) | zeros(95) | key(128), encrypted in
+	// place.
+	packCounterFlags(req.M2[:16], counter, flags.pack())
+	copy(req.M2[16:], newKey[:])
+	cbcEncrypt(expand(k1[:]), zeroBlock[:], req.M2[:], req.M2[:])
 
-	mac, err := CMAC(k2[:], append(append([]byte{}, req.M1[:]...), req.M2[:]...))
-	if err != nil {
-		return nil, err
-	}
-	copy(req.M3[:], mac)
+	m := req.m1m2()
+	cmacInto(expand(k2[:]), &req.M3, m[:])
 	return &req, nil
+}
+
+// m1m2 is M1|M2, the message M3 authenticates, joined on the caller's
+// stack.
+func (r *UpdateRequest) m1m2() (m [16 + 32]byte) {
+	copy(m[:16], r.M1[:])
+	copy(m[16:], r.M2[:])
+	return m
+}
+
+// mayAuthorize is the SHE 1.1 authorizing-key rule of CMD_LOAD_KEY:
+// MASTER_ECU_KEY authorizes an update of any slot, a key slot its own
+// update, and BOOT_MAC_KEY an update of BOOT_MAC. BOOT_MAC holds a MAC,
+// not a key, so it authorizes nothing.
+func mayAuthorize(authID, target KeyID) bool {
+	switch {
+	case authID == MasterECUKey:
+		return true
+	case target == BootMAC:
+		return authID == BootMACKey
+	default:
+		return authID == target
+	}
 }
 
 // packCounterFlags writes counter (28 bits) then flags (5 bits) MSB-first
@@ -97,12 +113,17 @@ func unpackCounterFlags(src []byte) (counter uint32, flags byte, ok bool) {
 }
 
 // LoadKey executes CMD_LOAD_KEY: verifies and installs an update request,
-// returning the M4|M5 confirmation on success.
+// returning the M4|M5 confirmation on success. An AuthID that mayAuthorize
+// does not permit for the target, including one outside the slot table,
+// is rejected with ErrKeyInvalid before any key is used.
 func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 	target := KeyID(req.M1[15] >> 4)
 	authID := KeyID(req.M1[15] & 0x0F)
 	if target <= SecretKey || target >= numKeys || target == RAMKey {
 		return nil, ErrKeyInvalid
+	}
+	if authID >= numKeys || !mayAuthorize(authID, target) {
+		return nil, fmt.Errorf("%w: %v may not authorize an update of %v", ErrKeyInvalid, authID, target)
 	}
 	auth := &e.slots[authID]
 	if !auth.valid {
@@ -113,14 +134,16 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 		return nil, fmt.Errorf("%w: %v", ErrKeyWriteProtected, target)
 	}
 
-	k1 := KDF(auth.key, KeyUpdateEncC)
-	k2 := KDF(auth.key, KeyUpdateMacC)
+	k1, k2 := kdfPair(auth.key)
 
-	mac, err := CMAC(k2[:], append(append([]byte{}, req.M1[:]...), req.M2[:]...))
-	if err != nil {
-		return nil, err
+	// s is the block scratch the ciphers write through.
+	var s struct {
+		mac   [BlockSize]byte
+		plain [2 * BlockSize]byte
 	}
-	if subtle.ConstantTimeCompare(mac, req.M3[:]) != 1 {
+	m := req.m1m2()
+	cmacInto(expand(k2[:]), &s.mac, m[:])
+	if subtle.ConstantTimeCompare(s.mac[:], req.M3[:]) != 1 {
 		return nil, ErrUpdateAuth
 	}
 
@@ -135,11 +158,8 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 		}
 	}
 
-	plain, err := decryptCBC(k1[:], make([]byte, BlockSize), req.M2[:])
-	if err != nil {
-		return nil, err
-	}
-	counter, flagBits, ok := unpackCounterFlags(plain[:16])
+	cbcDecrypt(expand(k1[:]), zeroBlock[:], s.plain[:], req.M2[:])
+	counter, flagBits, ok := unpackCounterFlags(s.plain[:16])
 	if !ok {
 		return nil, ErrUpdateAuth
 	}
@@ -148,46 +168,34 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 	}
 
 	var newKey [BlockSize]byte
-	copy(newKey[:], plain[16:])
+	copy(newKey[:], s.plain[16:])
 	tslot.key = newKey
 	tslot.counter = counter
 	tslot.flags = unpackFlags(flagBits)
 	tslot.valid = true
 
-	return e.confirm(req.M1, newKey, counter)
+	return confirm(req.M1, newKey, counter), nil
 }
 
-// confirm builds M4|M5 from the installed key.
-func (e *Engine) confirm(m1 [16]byte, newKey [BlockSize]byte, counter uint32) (*UpdateConfirmation, error) {
-	k3 := KDF(newKey, KeyUpdateEncC)
-	k4 := KDF(newKey, KeyUpdateMacC)
+// confirm builds M4|M5 from the installed key, encrypting and MACing in
+// place in the confirmation it returns.
+func confirm(m1 [16]byte, newKey [BlockSize]byte, counter uint32) *UpdateConfirmation {
+	k3, k4 := kdfPair(newKey)
 
-	var proofPlain [16]byte
-	// counter(28) | 1 | 0... — the set bit marks a successful write.
-	v := uint64(counter)<<36 | 1<<35
-	for i := 0; i < 8; i++ {
-		proofPlain[i] = byte(v >> (56 - 8*i))
-	}
-	proof, err := encryptECB(k3[:], proofPlain[:])
-	if err != nil {
-		return nil, err
-	}
 	var conf UpdateConfirmation
 	copy(conf.M4[:16], m1[:])
-	copy(conf.M4[16:], proof)
-	mac, err := CMAC(k4[:], conf.M4[:])
-	if err != nil {
-		return nil, err
-	}
-	copy(conf.M5[:], mac)
-	return &conf, nil
+	// counter(28) | 1 | 0... — the set bit marks a successful write.
+	proof := conf.M4[16:]
+	binary.BigEndian.PutUint64(proof, uint64(counter)<<36|1<<35)
+	expand(k3[:]).Encrypt(proof, proof)
+	cmacInto(expand(k4[:]), &conf.M5, conf.M4[:])
+	return &conf
 }
 
 // VerifyConfirmation lets the tool side check M4|M5 against the key and
 // counter it sent — proof that the device really installed the key.
 func VerifyConfirmation(conf *UpdateConfirmation, uid UID, target, authID KeyID, newKey [BlockSize]byte, counter uint32) error {
-	k3 := KDF(newKey, KeyUpdateEncC)
-	k4 := KDF(newKey, KeyUpdateMacC)
+	k3, k4 := kdfPair(newKey)
 
 	var m1 [16]byte
 	copy(m1[:15], uid[:])
@@ -195,21 +203,16 @@ func VerifyConfirmation(conf *UpdateConfirmation, uid UID, target, authID KeyID,
 	if !bytes.Equal(conf.M4[:16], m1[:]) {
 		return fmt.Errorf("she: confirmation M1 mismatch")
 	}
-	mac, err := CMAC(k4[:], conf.M4[:])
-	if err != nil {
-		return err
-	}
-	if subtle.ConstantTimeCompare(mac, conf.M5[:]) != 1 {
+	var mac [BlockSize]byte
+	cmacInto(expand(k4[:]), &mac, conf.M4[:])
+	if subtle.ConstantTimeCompare(mac[:], conf.M5[:]) != 1 {
 		return fmt.Errorf("she: confirmation M5 mismatch")
 	}
 	proof, err := decryptECB(k3[:], conf.M4[16:])
 	if err != nil {
 		return err
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(proof[i])
-	}
+	v := binary.BigEndian.Uint64(proof)
 	if uint32(v>>36) != counter || v>>35&1 != 1 {
 		return fmt.Errorf("she: confirmation counter/status mismatch")
 	}

@@ -227,3 +227,146 @@ func TestVerifyConfirmationDetectsMismatch(t *testing.T) {
 		t.Fatal("tampered M5 accepted")
 	}
 }
+
+// Regression: a RAM_KEY anyone can load in plaintext must not authorize
+// an update of MASTER_ECU_KEY.
+func TestLoadKeyPlainRAMKeyCannotReplaceMaster(t *testing.T) {
+	e, master := provisionedEngine(t)
+	ram := key16(0x5A)
+	e.LoadPlainKey(ram)
+	req, err := BuildUpdate(e.UID(), MasterECUKey, RAMKey, ram, key16(0x66), 1, Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LoadKey(req); !errors.Is(err, ErrKeyInvalid) {
+		t.Fatalf("RAM_KEY authorized a MASTER_ECU_KEY update: err=%v", err)
+	}
+	// The master key is untouched: it still authorizes.
+	req, _ = BuildUpdate(e.UID(), Key1, MasterECUKey, master, key16(1), 1, Flags{})
+	if _, err := e.LoadKey(req); err != nil {
+		t.Fatalf("master no longer authorizes: %v", err)
+	}
+}
+
+// Regression: one general-purpose key must not authorize an update of
+// another.
+func TestLoadKeyOtherKeySlotCannotAuthorize(t *testing.T) {
+	e, _ := provisionedEngine(t)
+	k2 := key16(0x22)
+	if err := e.ProvisionKey(Key2, k2, Flags{KeyUsage: true}); err != nil {
+		t.Fatal(err)
+	}
+	req, err := BuildUpdate(e.UID(), Key1, Key2, k2, key16(0x11), 1, Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LoadKey(req); !errors.Is(err, ErrKeyInvalid) {
+		t.Fatalf("KEY_2 authorized a KEY_1 update: err=%v", err)
+	}
+	if valid, _, _ := e.KeyState(Key1); valid {
+		t.Fatal("KEY_1 was installed")
+	}
+}
+
+// Regression: an AuthID nibble outside the slot table is an invalid key,
+// not an index out of range.
+func TestLoadKeyAuthIDOutsideSlotTable(t *testing.T) {
+	e, master := provisionedEngine(t)
+	req, err := BuildUpdate(e.UID(), Key1, KeyID(0xF), master, key16(1), 1, Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.M1[15] != byte(Key1)<<4|0xF {
+		t.Fatalf("M1 ID byte %#x", req.M1[15])
+	}
+	if _, err := e.LoadKey(req); !errors.Is(err, ErrKeyInvalid) {
+		t.Fatalf("AuthID 0xF: err=%v", err)
+	}
+}
+
+// TestLoadKeyAuthorizingKeyRule runs every (target, AuthID) pair against
+// an engine whose every slot holds a known key, with M1–M3 built under
+// the AuthID slot's key, and checks that exactly the SHE 1.1 authorizers
+// are accepted.
+func TestLoadKeyAuthorizingKeyRule(t *testing.T) {
+	for target := MasterECUKey; target < RAMKey; target++ {
+		for authID := KeyID(0); authID <= 0xF; authID++ {
+			e := NewEngine(testUID(0x11))
+			for id := MasterECUKey; id < RAMKey; id++ {
+				if err := e.ProvisionKey(id, key16(byte(id)), Flags{KeyUsage: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.LoadPlainKey(key16(byte(RAMKey)))
+			var authKey [BlockSize]byte
+			if authID < numKeys {
+				authKey = e.slots[authID].key
+			}
+			req, err := BuildUpdate(e.UID(), target, authID, authKey, key16(0xC0), 1, Flags{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := authID == MasterECUKey || (authID == target && target != BootMAC) ||
+				(target == BootMAC && authID == BootMACKey)
+			_, err = e.LoadKey(req)
+			if want && err != nil {
+				t.Errorf("%v authorizing %v rejected: %v", authID, target, err)
+			}
+			if !want && !errors.Is(err, ErrKeyInvalid) {
+				t.Errorf("%v authorizing %v: err=%v, want ErrKeyInvalid", authID, target, err)
+			}
+		}
+	}
+}
+
+// countExpansions returns how many AES key schedules fn expands.
+func countExpansions(fn func()) int {
+	n := 0
+	onExpand = func() { n++ }
+	defer func() { onExpand = nil }()
+	fn()
+	return n
+}
+
+// TestKeyExpansionCounts pins the key schedules each operation builds: one
+// per KDF, per KDF pair and per CMAC, so one fleet master-key rotation of
+// a per-device vehicle (derive the new key, build the update, load it and
+// confirm) costs 10.
+func TestKeyExpansionCounts(t *testing.T) {
+	e, master := provisionedEngine(t)
+	if n := countExpansions(func() { kdfPair(master) }); n != 1 {
+		t.Errorf("kdfPair expands %d key schedules, want 1", n)
+	}
+	if n := countExpansions(func() { _, _ = CMAC(master[:], make([]byte, 48)) }); n != 1 {
+		t.Errorf("CMAC expands %d key schedules, want 1", n)
+	}
+
+	var newKey [BlockSize]byte
+	var req *UpdateRequest
+	rotation := []struct {
+		name string
+		want int
+		fn   func()
+	}{
+		{"KDF", 1, func() { newKey = KDF(master, key16(0x33)) }},
+		{"BuildUpdate", 3, func() {
+			req, _ = BuildUpdate(e.UID(), MasterECUKey, MasterECUKey, master, newKey, 1, Flags{})
+		}},
+		{"LoadKey", 6, func() {
+			if _, err := e.LoadKey(req); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	total := 0
+	for _, step := range rotation {
+		n := countExpansions(step.fn)
+		if n != step.want {
+			t.Errorf("%s expands %d key schedules, want %d", step.name, n, step.want)
+		}
+		total += n
+	}
+	if total != 10 {
+		t.Errorf("a master-key rotation expands %d key schedules, want 10", total)
+	}
+}
