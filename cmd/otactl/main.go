@@ -135,7 +135,7 @@ func cmdAttack(args []string) {
 
 	var master [16]byte
 	copy(master[:], "otactl-prod-master")
-	f := fleet.New(*n, *models, pol, master)
+	f := fleet.New(*n, *models, pol, master, 0)
 	fmt.Printf("provisioned fleet of %d vehicles across %d models under %s keys\n", *n, *models, pol)
 	fmt.Printf("attacker physically extracts the master key of %s (side-channel, see E2)\n", f.Vehicles[0].VIN)
 	res := f.AssessCompromise(0)

@@ -24,7 +24,7 @@ func main() {
 	copy(master[:], "prod-master-2026")
 
 	fmt.Println("== step 1: physical access + side channel ==")
-	f := fleet.New(500, 5, fleet.SharedKey, master)
+	f := fleet.New(500, 5, fleet.SharedKey, master, 0)
 	victim := f.Vehicles[0]
 	// The attacker measures 2000 encryptions on the bench.
 	rng := sim.NewStream(99, "bench")
@@ -48,7 +48,7 @@ func main() {
 
 	fmt.Println("\n== step 2: one key against the fleet, per provisioning policy ==")
 	for _, pol := range []fleet.Policy{fleet.SharedKey, fleet.PerModel, fleet.PerDevice} {
-		fl := fleet.New(500, 5, pol, master)
+		fl := fleet.New(500, 5, pol, master, 0)
 		res := fl.AssessCompromise(0)
 		fmt.Printf("%-11s -> %3d/%d vehicles accept a malicious key load (%.1f%%)\n",
 			pol, res.Compromised, res.FleetSize, 100*res.Fraction())

@@ -28,8 +28,10 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"autosec/internal/core"
 	"autosec/internal/fleet"
@@ -206,7 +208,11 @@ type Engine struct {
 // firmware history: factory firmware everywhere, baseline on everyone
 // except the late joiners (every 7th vehicle starting at index 3 — an
 // index predicate, so the skew population is identical at any worker
-// count and any seed).
+// count and any seed). The per-vehicle work runs on Config.Workers
+// goroutines over fleet.ForShards; each vehicle's state depends on its
+// index alone and the cache's counts on the set of lookups, not their
+// order, so New builds the same engine at any worker count. A failure
+// reports the lowest-index vehicle that failed.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Fleet <= 0 {
 		return nil, fmt.Errorf("campaign: fleet size must be positive, got %d", cfg.Fleet)
@@ -223,37 +229,75 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		backend: backend,
-		fleet:   fleet.New(cfg.Fleet, cfg.Models, fleet.PerDevice, master),
+		fleet:   fleet.New(cfg.Fleet, cfg.Models, fleet.PerDevice, master, cfg.Workers),
 		cache:   ota.NewVerifyCache(),
 		waves:   fleet.StageWaves(cfg.Fleet, cfg.Strategy.Canary, cfg.Strategy.Growth),
+		states:  make([]*VehicleState, cfg.Fleet),
 	}
-	dirKey, imgKey := backend.Keys()
-	e.states = make([]*VehicleState, cfg.Fleet)
-	for i := 0; i < cfg.Fleet; i++ {
-		fv := e.fleet.Vehicles[i]
-		c := ota.NewClient(fv.VIN, dirKey, imgKey)
-		c.Group = Group(fv.Model)
-		c.AddECU(hwid(fv.Model), 0)
-		st := &VehicleState{
-			Idx: i, Model: fv.Model, VIN: fv.VIN, Client: c,
-			LateJoiner: i%7 == 3,
-		}
-		// Firmware history: everyone took the factory generation; the
-		// baseline campaign reached everyone except the late joiners.
-		if err := c.ApplyCached(backend.Bundle(GenFactory, fv.Model), 1, e.cache); err != nil {
-			return nil, fmt.Errorf("campaign: provisioning vehicle %d: %w", i, err)
-		}
-		if !st.LateJoiner {
-			if err := c.ApplyCached(backend.Bundle(GenBaseline, fv.Model), 2, e.cache); err != nil {
-				return nil, fmt.Errorf("campaign: baseline on vehicle %d: %w", i, err)
-			}
-		}
-		e.states[i] = st
+	if err := e.provisionAll(); err != nil {
+		return nil, err
 	}
 	if cfg.Attack.Kind != AttackNone {
 		e.forged = forge(cfg.Attack.Kind, backend, CampaignExpiry)
 	}
 	return e, nil
+}
+
+// provisionAll provisions every vehicle over fleet.ForShards on
+// Config.Workers goroutines and returns the lowest-index failure. Each
+// shard stops at its own first failure, so the lowest of those is the
+// fleet's.
+func (e *Engine) provisionAll() error {
+	groups := make([]string, e.cfg.Models)
+	hwids := make([]string, e.cfg.Models)
+	for m := range groups {
+		groups[m], hwids[m] = Group(m), hwid(m)
+	}
+	var (
+		mu       sync.Mutex
+		errIdx   = e.cfg.Fleet
+		firstErr error
+	)
+	fleet.ForShards(e.cfg.Fleet, e.cfg.Workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st, err := e.provision(i, groups, hwids)
+			if err != nil {
+				mu.Lock()
+				if i < errIdx {
+					errIdx, firstErr = i, err
+				}
+				mu.Unlock()
+				return
+			}
+			e.states[i] = st
+		}
+	})
+	return firstErr
+}
+
+// provision wires vehicle i's verifier and installs its firmware
+// history: everyone took the factory generation; the baseline campaign
+// reached everyone except the late joiners. groups and hwids hold each
+// model's addressing group and ECU hardware ID.
+func (e *Engine) provision(i int, groups, hwids []string) (*VehicleState, error) {
+	fv := e.fleet.Vehicles[i]
+	dirKey, imgKey := e.backend.Keys()
+	c := ota.NewClient(fv.VIN, dirKey, imgKey)
+	c.Group = groups[fv.Model]
+	c.AddECU(hwids[fv.Model], 0)
+	st := &VehicleState{
+		Idx: i, Model: fv.Model, VIN: fv.VIN, Client: c,
+		LateJoiner: i%7 == 3,
+	}
+	if err := c.ApplyCached(e.backend.Bundle(GenFactory, fv.Model), 1, e.cache); err != nil {
+		return nil, fmt.Errorf("campaign: provisioning vehicle %d: %w", i, err)
+	}
+	if !st.LateJoiner {
+		if err := c.ApplyCached(e.backend.Bundle(GenBaseline, fv.Model), 2, e.cache); err != nil {
+			return nil, fmt.Errorf("campaign: baseline on vehicle %d: %w", i, err)
+		}
+	}
+	return st, nil
 }
 
 // States exposes the per-vehicle campaign states (index order).
@@ -319,7 +363,7 @@ func classify(first, second error, evilInstalled bool) Outcome {
 		// it was the *current* firmware is the caller's reclassification
 		// (stale installs look exactly like this).
 		return OutcomeUpdated
-	case first == ota.ErrNoUpdate && isExpired(second):
+	case errors.Is(first, ota.ErrNoUpdate) && errors.Is(second, ota.ErrExpiredMeta):
 		return OutcomeFrozen
 	case isRejected(first) && second == nil:
 		// Attack bundle rejected, honest re-check installed: recovered.
@@ -329,12 +373,8 @@ func classify(first, second error, evilInstalled bool) Outcome {
 	}
 }
 
-func isExpired(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "expired")
-}
-
 func isRejected(err error) bool {
-	return err != nil && err != ota.ErrNoUpdate
+	return err != nil && !errors.Is(err, ota.ErrNoUpdate)
 }
 
 // Run drives the campaign to completion (or abort) and returns the
@@ -404,7 +444,7 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 			checkIn := func(b *ota.Bundle) error {
 				r.checkins++
 				err := st.Client.ApplyCached(b, k.Now(), e.cache)
-				if err == ota.ErrNoUpdate {
+				if errors.Is(err, ota.ErrNoUpdate) {
 					r.upToDate = true
 				}
 				return err

@@ -2,10 +2,16 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"autosec/internal/obs"
+	"autosec/internal/ota"
+	"autosec/internal/she"
 )
 
 func baseConfig() Config {
@@ -17,6 +23,23 @@ func baseConfig() Config {
 			Name: "conservative", Canary: 16, Growth: 4, AbortThreshold: 0.5,
 		},
 		RotateAtWave: -1,
+	}
+}
+
+// otaCampaignConfig is the benchmark's ota-campaign workload: 2,000
+// vehicles over 4 models, a two-key compromise from wave 1 answered by
+// rotation.
+func otaCampaignConfig(workers int) Config {
+	return Config{
+		Fleet:   2000,
+		Models:  4,
+		Workers: workers,
+		Seed:    1,
+		Strategy: Strategy{Name: "conservative", Canary: 16, Growth: 4,
+			AbortThreshold: 0.5},
+		Attack:        AttackPlan{Kind: AttackTwoKey, FromWave: 1},
+		RotateAtWave:  -1,
+		RotateOnBlast: true,
 	}
 }
 
@@ -407,5 +430,139 @@ func TestCampaignRegistryMatchesWaveReports(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClassifyMatchesSentinelsNotText pins that classify recognizes a
+// freeze by the ErrExpiredMeta sentinel, not by error text: a rejection
+// that quotes an attacker-chosen string containing "expired" after an
+// up-to-date first check-in is a block, not a detected freeze.
+func TestClassifyMatchesSentinelsNotText(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		first, second error
+		want          Outcome
+	}{
+		{"quoted vehicle ID", ota.ErrNoUpdate, fmt.Errorf("%w: %q", ota.ErrWrongVehicle, "expired-fleet"), OutcomeBlocked},
+		{"quoted target name", ota.ErrNoUpdate, fmt.Errorf("%w: target %q", ota.ErrMixAndMatch, "expired/app-fw"), OutcomeBlocked},
+		{"quoted hardware ID", ota.ErrNoUpdate, fmt.Errorf("%w: %q", ota.ErrWrongHW, "ecu-expired"), OutcomeBlocked},
+		{"real expiry", ota.ErrNoUpdate, fmt.Errorf("%w: repo director", ota.ErrExpiredMeta), OutcomeFrozen},
+		{"wrapped no-update", fmt.Errorf("poll: %w", ota.ErrNoUpdate), fmt.Errorf("%w: repo image", ota.ErrExpiredMeta), OutcomeFrozen},
+		{"wrapped no-update is not a rejection", fmt.Errorf("poll: %w", ota.ErrNoUpdate), nil, OutcomeBlocked},
+	} {
+		if got := classify(c.first, c.second, false); got != c.want {
+			t.Errorf("%s: classify = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCampaignNewParInvariance provisions the ota-campaign workload at
+// 1, 2 and 8 workers. After New every vehicle must have the same VIN,
+// model, skew class, MASTER_ECU_KEY slot state, installed firmware and
+// verifier counters, and the cache the same counts; after Run the report
+// and the merged registry must be identical. CI runs this under -race.
+func TestCampaignNewParInvariance(t *testing.T) {
+	type vehicleState struct {
+		vin                         string
+		model                       int
+		late                        bool
+		valid                       bool
+		flags                       she.Flags
+		counter                     uint32
+		installed                   uint64
+		nInstalled, nRej, nUpToDate int64
+	}
+	type snapshot struct {
+		vehicles []vehicleState
+		cache    ota.CacheStats
+		report   string
+	}
+	build := func(workers int) snapshot {
+		e, err := New(otaCampaignConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s snapshot
+		for i, st := range e.States() {
+			valid, flags, counter := e.fleet.Vehicles[i].Engine.KeyState(she.MasterECUKey)
+			ecu, ok := st.Client.ECU(hwid(st.Model))
+			if !ok {
+				t.Fatalf("%d workers: vehicle %d has no ECU %s", workers, i, hwid(st.Model))
+			}
+			c := st.Client
+			s.vehicles = append(s.vehicles, vehicleState{st.VIN, st.Model, st.LateJoiner, valid, flags, counter,
+				ecu.InstalledVersion, c.Installed.Value, c.Rejected.Value, c.UpToDate.Value})
+		}
+		s.cache = e.Cache().Stats()
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		sb.WriteString(res.Render())
+		for _, m := range res.Registry.Snapshot() {
+			sb.WriteString(m.Key + "=" + obs.FormatValue(m.Value) + "\n")
+		}
+		s.report = sb.String()
+		return s
+	}
+	ref := build(1)
+	for _, workers := range []int{2, 8} {
+		got := build(workers)
+		for i := range ref.vehicles {
+			if got.vehicles[i] != ref.vehicles[i] {
+				t.Fatalf("%d workers: after New vehicle %d is %+v, 1 worker %+v", workers, i, got.vehicles[i], ref.vehicles[i])
+			}
+		}
+		if !reflect.DeepEqual(got.cache, ref.cache) {
+			t.Fatalf("%d workers: cache after New %+v, 1 worker %+v", workers, got.cache, ref.cache)
+		}
+		if got.report != ref.report {
+			t.Fatalf("%d workers: campaign diverges:\n--- 1 worker\n%s--- %d workers\n%s", workers, ref.report, workers, got.report)
+		}
+	}
+}
+
+// TestProvisionReportsLowestIndexFailure pins New's provisioning error
+// at every worker count: with model 3's factory bundle and model 1's
+// baseline bundle replaced by ones signed under other keys, vehicles 1
+// and 3 fail first in their shards, and the error is vehicle 1's.
+func TestProvisionReportsLowestIndexFailure(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		cfg := baseConfig()
+		cfg.Workers = workers
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := NewBackend(cfg.Models, StaleExpiry, CampaignExpiry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.backend.gens[GenFactory][3] = other.Bundle(GenFactory, 3)
+		e.backend.gens[GenBaseline][1] = other.Bundle(GenBaseline, 1)
+		err = e.provisionAll()
+		if !errors.Is(err, ota.ErrBadSignature) || !strings.HasPrefix(err.Error(), "campaign: baseline on vehicle 1: ") {
+			t.Fatalf("%d workers: provisioning error %v, want vehicle 1's baseline", workers, err)
+		}
+	}
+}
+
+// BenchmarkCampaignNew is provisioning's own layer number: campaign.New
+// on the ota-campaign workload at 1 worker and at GOMAXPROCS.
+func BenchmarkCampaignNew(b *testing.B) {
+	counts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		counts = append(counts, p)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(otaCampaignConfig(workers)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

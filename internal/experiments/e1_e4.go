@@ -157,7 +157,7 @@ func E3FleetCompromise(seed uint64) *Table {
 	master[0] |= 1
 	const size, models = 1000, 10
 	for _, pol := range []fleet.Policy{fleet.SharedKey, fleet.PerModel, fleet.PerDevice} {
-		f := fleet.New(size, models, pol, master)
+		f := fleet.New(size, models, pol, master, 1)
 		res := f.AssessCompromise(0)
 		t.AddRow(pol.String(), size, models, res.Compromised, res.Fraction())
 	}

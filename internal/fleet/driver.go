@@ -35,10 +35,13 @@ func shardWorkers(workers, n int) int {
 	return min(workers, n)
 }
 
-// forShards splits [0, n) into workers contiguous shards whose sizes
-// differ by at most one, runs fn(w, lo, hi) for shard w on its own
-// goroutine, and returns when every shard has.
-func forShards(n, workers int, fn func(w, lo, hi int)) {
+// ForShards splits [0, n) into contiguous shards whose sizes differ by
+// at most one, one per worker (workers resolves as in shardWorkers), runs
+// fn(w, lo, hi) for shard w on its own goroutine, and returns when every
+// shard has. It is the one partition of every sharded fleet loop:
+// provisioning, key rotation and the drive loop.
+func ForShards(n, workers int, fn func(w, lo, hi int)) {
+	workers = shardWorkers(workers, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -88,26 +88,32 @@ func deriveKey(master [16]byte, policy Policy, model int, uid she.UID) [16]byte 
 }
 
 // New provisions a fleet of n vehicles across the given number of model
-// lines under the policy, from the production master secret.
-func New(n, models int, policy Policy, master [16]byte) *Fleet {
+// lines under the policy, from the production master secret. Vehicles
+// are built over ForShards' contiguous index shards on workers
+// goroutines (<= 0 means GOMAXPROCS), each at its own index, and every
+// vehicle is a function of its index alone, so the fleet is the same at
+// any worker count.
+func New(n, models int, policy Policy, master [16]byte, workers int) *Fleet {
 	if models < 1 {
 		models = 1
 	}
-	f := &Fleet{Policy: policy}
-	for i := 0; i < n; i++ {
-		var uid she.UID
-		binary.BigEndian.PutUint64(uid[:8], uint64(i+1))
-		model := i % models
-		key := deriveKey(master, policy, model, uid)
-		e := she.NewEngine(uid)
-		e.ProvisionMasterKey(key)
-		f.Vehicles = append(f.Vehicles, &Vehicle{
-			VIN:       fmt.Sprintf("VIN-%06d", i+1),
-			Model:     model,
-			Engine:    e,
-			masterKey: key,
-		})
-	}
+	f := &Fleet{Policy: policy, Vehicles: make([]*Vehicle, max(n, 0))}
+	ForShards(len(f.Vehicles), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var uid she.UID
+			binary.BigEndian.PutUint64(uid[:8], uint64(i+1))
+			model := i % models
+			key := deriveKey(master, policy, model, uid)
+			e := she.NewEngine(uid)
+			e.ProvisionMasterKey(key)
+			f.Vehicles[i] = &Vehicle{
+				VIN:       fmt.Sprintf("VIN-%06d", i+1),
+				Model:     model,
+				Engine:    e,
+				masterKey: key,
+			}
+		}
+	})
 	return f
 }
 
@@ -136,13 +142,12 @@ func (r CompromiseResult) Fraction() float64 {
 // — fail the update and are returned for out-of-band recovery.
 //
 // The exchanges are sharded over workers goroutines (<= 0 means
-// GOMAXPROCS) in contiguous index ranges, the partition Driver uses.
-// Each vehicle's verdict is kept at its index, so failed lists VINs in
-// slice order at any worker count.
+// GOMAXPROCS) by ForShards. Each vehicle's verdict is kept at its index,
+// so failed lists VINs in slice order at any worker count.
 func (f *Fleet) RotateKeys(newMaster [16]byte, workers int) (rotated int, failed []string) {
 	n := len(f.Vehicles)
 	ok := make([]bool, n)
-	forShards(n, shardWorkers(workers, n), func(_, lo, hi int) {
+	ForShards(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ok[i] = f.Vehicles[i].rotate(f.Policy, newMaster)
 		}

@@ -9,7 +9,7 @@ import (
 var master = [16]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6}
 
 func TestSharedKeyFullFleetCompromise(t *testing.T) {
-	f := New(100, 4, SharedKey, master)
+	f := New(100, 4, SharedKey, master, 1)
 	res := f.AssessCompromise(0)
 	if res.Compromised != 100 {
 		t.Fatalf("shared-key compromise=%d, want 100", res.Compromised)
@@ -20,7 +20,7 @@ func TestSharedKeyFullFleetCompromise(t *testing.T) {
 }
 
 func TestPerModelCompromiseLimitedToModel(t *testing.T) {
-	f := New(100, 4, PerModel, master)
+	f := New(100, 4, PerModel, master, 1)
 	res := f.AssessCompromise(0) // victim drives model 0
 	// 100 vehicles over 4 models -> 25 per model.
 	if res.Compromised != 25 {
@@ -36,7 +36,7 @@ func TestPerModelCompromiseLimitedToModel(t *testing.T) {
 }
 
 func TestPerDeviceCompromiseOnlyVictim(t *testing.T) {
-	f := New(100, 4, PerDevice, master)
+	f := New(100, 4, PerDevice, master, 1)
 	res := f.AssessCompromise(7)
 	if res.Compromised != 1 {
 		t.Fatalf("per-device compromise=%d, want 1", res.Compromised)
@@ -47,7 +47,7 @@ func TestPerDeviceCompromiseOnlyVictim(t *testing.T) {
 }
 
 func TestPerDeviceKeysDistinct(t *testing.T) {
-	f := New(50, 1, PerDevice, master)
+	f := New(50, 1, PerDevice, master, 1)
 	seen := make(map[[16]byte]bool)
 	for _, v := range f.Vehicles {
 		k := v.MasterKey()
@@ -61,7 +61,7 @@ func TestPerDeviceKeysDistinct(t *testing.T) {
 func TestCompromisedVehicleAcceptsEvilKey(t *testing.T) {
 	// Double-check the compromise is real: after the campaign the evil key
 	// actually works in the victim's Key1 slot.
-	f := New(3, 1, SharedKey, master)
+	f := New(3, 1, SharedKey, master, 1)
 	res := f.AssessCompromise(1)
 	if res.Compromised != 3 {
 		t.Fatalf("compromise=%d", res.Compromised)
@@ -79,7 +79,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestModelsFloor(t *testing.T) {
-	f := New(10, 0, PerModel, master)
+	f := New(10, 0, PerModel, master, 1)
 	for _, v := range f.Vehicles {
 		if v.Model != 0 {
 			t.Fatal("model index with zero models requested")
@@ -91,5 +91,43 @@ func TestFractionEmptyFleet(t *testing.T) {
 	r := CompromiseResult{}
 	if r.Fraction() != 0 {
 		t.Fatal("empty fleet fraction not 0")
+	}
+}
+
+// TestNewParInvariance provisions the same fleet under every policy at
+// 1, 2 and 8 workers: every vehicle must have the same VIN, model, UID,
+// server-side key and MASTER_ECU_KEY slot state at every worker count.
+func TestNewParInvariance(t *testing.T) {
+	type vehicleState struct {
+		vin     string
+		model   int
+		uid     she.UID
+		key     [16]byte
+		valid   bool
+		flags   she.Flags
+		counter uint32
+	}
+	provision := func(policy Policy, workers int) []vehicleState {
+		f := New(301, 4, policy, master, workers)
+		var out []vehicleState
+		for _, v := range f.Vehicles {
+			valid, flags, counter := v.Engine.KeyState(she.MasterECUKey)
+			out = append(out, vehicleState{v.VIN, v.Model, v.Engine.UID(), v.MasterKey(), valid, flags, counter})
+		}
+		return out
+	}
+	for _, policy := range []Policy{SharedKey, PerModel, PerDevice} {
+		ref := provision(policy, 1)
+		if len(ref) != 301 || ref[300].vin != "VIN-000301" || ref[300].model != 0 || !ref[300].valid {
+			t.Fatalf("%v: unexpected 1-worker fleet tail %+v", policy, ref[len(ref)-1])
+		}
+		for _, workers := range []int{2, 8} {
+			got := provision(policy, workers)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%v, %d workers: vehicle %d is %+v, 1 worker %+v", policy, workers, i, got[i], ref[i])
+				}
+			}
+		}
 	}
 }

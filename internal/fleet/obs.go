@@ -275,7 +275,7 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	stats := DriveStats{Vehicles: n, Workers: workers}
 	start := time.Now()
 
-	forShards(n, workers, func(w, slo, shi int) {
+	ForShards(n, workers, func(w, slo, shi int) {
 		// Shard w, offset into the driven range.
 		wlo, whi := lo+slo, lo+shi
 		pool := core.NewVehiclePool(d.Cfg)

@@ -27,7 +27,7 @@ func hijack(t *testing.T, v *Vehicle) {
 }
 
 func TestRotateKeysClosesCompromise(t *testing.T) {
-	f := New(50, 2, SharedKey, master)
+	f := New(50, 2, SharedKey, master, 1)
 	// Attacker extracts the shared key from vehicle 0.
 	stolen := f.Vehicles[0].MasterKey()
 	if res := f.AssessCompromise(0); res.Compromised != 50 {
@@ -62,7 +62,7 @@ func TestRotateKeysClosesCompromise(t *testing.T) {
 }
 
 func TestRotateKeysIsRepeatable(t *testing.T) {
-	f := New(10, 1, PerDevice, master)
+	f := New(10, 1, PerDevice, master, 1)
 	var m2, m3 [16]byte
 	copy(m2[:], "second-master-xx")
 	copy(m3[:], "third-master-xxx")
@@ -83,7 +83,7 @@ func TestRotateKeysIsRepeatable(t *testing.T) {
 }
 
 func TestRotateKeysFailsForHijackedVehicle(t *testing.T) {
-	f := New(5, 1, SharedKey, master)
+	f := New(5, 1, SharedKey, master, 1)
 	// The attacker got there first on vehicle 3: they rotated its master
 	// key to one the OEM does not know.
 	hijacked := f.Vehicles[3]
@@ -115,7 +115,7 @@ func TestRotateKeysParInvariance(t *testing.T) {
 		counter uint32
 	}
 	run := func(workers int) []slotState {
-		f := New(n, 4, PerDevice, master)
+		f := New(n, 4, PerDevice, master, 1)
 		for _, i := range hijacked {
 			hijack(t, f.Vehicles[i])
 		}
@@ -160,7 +160,7 @@ func TestRotateKeysAllocs(t *testing.T) {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	const n = 300
-	f := New(n, 4, PerDevice, master)
+	f := New(n, 4, PerDevice, master, 1)
 	var newMaster [16]byte
 	copy(newMaster[:], "allocs-master-01")
 	f.RotateKeys(newMaster, 1)

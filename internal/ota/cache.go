@@ -3,15 +3,26 @@
 // and the same payload set to every vehicle of a model, so re-running
 // ed25519 signature verification and payload hashing per vehicle is pure
 // waste. VerifyCache memoizes the two expensive verification steps —
-// signature checks keyed by (repo, key fingerprint, version,
-// canonical-bytes hash, signature) and per-bundle target attestation (the
-// director×image cross-check plus payload hash checks) — while every
-// per-vehicle check (expiry at the vehicle's own clock, metadata and
-// target version counters, vehicle/group scoping, ECU compatibility)
-// stays uncached. The cache answers only "are these bytes validly
-// signed" and "do these repositories agree on these payload bytes";
-// nothing vehicle-specific is ever memoized, so a cache hit is exactly
-// as strong as a cold verification.
+// signature checks keyed by the verification key and a digest of the
+// canonical bytes and the signature, and per-bundle target attestation
+// (the director×image cross-check plus payload hash checks) — while
+// every per-vehicle check (expiry at the vehicle's own clock, metadata
+// and target version counters, vehicle/group scoping, ECU
+// compatibility) stays uncached. The cache answers only "are these bytes
+// validly signed" and "do these repositories agree on these payload
+// bytes"; nothing vehicle-specific is ever memoized, so a cache hit is
+// exactly as strong as a cold verification.
+//
+// A signature lookup takes one of two paths. The content path renders
+// the canonical bytes, hashes them with the signature and looks the
+// digest up, verifying cold on a miss. A Metadata object whose content
+// path hits (its content was seen before: the second vehicle to check a
+// published statement) is promoted to an identity memo holding a deep
+// snapshot of its signed fields and signature. Later lookups of that
+// same object compare the snapshot field by field and answer without
+// rendering or hashing. A copy of the object is a different pointer and
+// takes the content path; an in-place mutation fails the compare and
+// takes it too.
 //
 // Attestation is keyed by Bundle identity: a published bundle is
 // immutable campaign state (the backend signs it once per wave and
@@ -21,6 +32,7 @@
 package ota
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
@@ -30,19 +42,60 @@ import (
 	"autosec/internal/sim"
 )
 
-// SigKey is the memoization key of one metadata signature check: the
-// repository name, the verification key fingerprint (so a trust-epoch
-// rotation can never satisfy a stale entry), the metadata version
-// counter, the SHA-256 of the canonical signed bytes and the signature
-// itself. A verdict covers exactly one (content, signature) pair, so a
-// corrupt copy of genuine content can neither poison nor borrow the
-// genuine verdict.
+// SigKey is the content key of one metadata signature check: the
+// verification key itself (so a trust-epoch rotation can never satisfy a
+// stale entry) and the SHA-256 of the canonical signed bytes followed by
+// the 64-byte signature. The canonical bytes carry the repository name
+// and version counter, so a verdict covers exactly one (content,
+// signature) pair under one key: a corrupt copy of genuine content can
+// neither poison nor borrow the genuine verdict. At 64 bytes the key is
+// stored inline in the map, so inserting one allocates nothing.
 type SigKey struct {
-	Repo    string
-	KeyID   uint64
-	Version uint64
-	Sum     [32]byte
-	Sig     [ed25519.SignatureSize]byte
+	Key [ed25519.PublicKeySize]byte
+	Sum [sha256.Size]byte
+}
+
+// identKey names one Metadata object under one verification key.
+type identKey struct {
+	m   *Metadata
+	key [ed25519.PublicKeySize]byte
+}
+
+// sigMemo is a promoted verdict: every field of a Metadata object, deep
+// copied when its content verdict was found, and that verdict. It is
+// immutable once inserted. A field added to Metadata must be added here
+// and to matches (TestSigMemoCoversMetadata fails until it is).
+type sigMemo struct {
+	repo, vehicleID string
+	version         uint64
+	expires         sim.Time
+	targets         []Target
+	sig             [ed25519.SignatureSize]byte
+	valid           bool
+}
+
+func newSigMemo(m *Metadata, valid bool) *sigMemo {
+	s := &sigMemo{
+		repo: m.Repo, vehicleID: m.VehicleID, version: m.Version, expires: m.Expires,
+		targets: append([]Target(nil), m.Targets...), valid: valid,
+	}
+	copy(s.sig[:], m.Sig)
+	return s
+}
+
+// matches reports whether m still holds exactly the snapshotted fields
+// and signature.
+func (s *sigMemo) matches(m *Metadata) bool {
+	if m.Version != s.version || m.Expires != s.expires || m.Repo != s.repo ||
+		m.VehicleID != s.vehicleID || len(m.Targets) != len(s.targets) || !bytes.Equal(m.Sig, s.sig[:]) {
+		return false
+	}
+	for i := range s.targets {
+		if m.Targets[i] != s.targets[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // attestation is the cached result of cross-checking one bundle's
@@ -70,10 +123,17 @@ type CacheStats struct {
 
 // VerifyCache memoizes bundle verification for one trust domain (a
 // campaign). Safe for concurrent use by the fleet driver's workers; the
-// hit path takes only a read lock and performs no allocation.
+// hit paths take only a read lock and perform no allocation.
+//
+// sigs holds one verdict per SigKey, negative verdicts included. idents
+// holds the identity memos of objects promoted on a content hit; it
+// grows with the published objects the fleet looks up, not with the
+// fleet, and is created on the first promotion, so a cache that only
+// ever verifies cold never builds it.
 type VerifyCache struct {
 	mu      sync.RWMutex
 	sigs    map[SigKey]bool
+	idents  map[identKey]*sigMemo
 	attests map[*Bundle]*attestation
 
 	sigLookups    atomic.Int64
@@ -101,23 +161,45 @@ func (vc *VerifyCache) Stats() CacheStats {
 }
 
 // sigValid reports whether m's signature under key is valid, memoized.
-// canon must be m's canonical bytes (rendered by the caller into its own
-// scratch so the hit path stays allocation-free). A signature of the
-// wrong length is rejected without touching the cache.
-func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, keyID uint64, canon []byte) bool {
-	if len(m.Sig) != ed25519.SignatureSize {
+// An identity memo for (m, key) that still matches m answers at once.
+// Otherwise the canonical bytes render into s (the caller's scratch, so
+// the content path stays allocation-free once s has grown) and the
+// content digest is looked up, verifying cold on a miss and promoting
+// (m, key) on a hit. A signature or key of the wrong length is rejected
+// without touching the cache.
+func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, s *canonicalScratch) bool {
+	if len(m.Sig) != ed25519.SignatureSize || len(key) != ed25519.PublicKeySize {
 		return false
 	}
 	vc.sigLookups.Add(1)
-	k := SigKey{Repo: m.Repo, KeyID: keyID, Version: m.Version, Sum: sha256.Sum256(canon), Sig: [ed25519.SignatureSize]byte(m.Sig)}
+	id := identKey{m: m, key: [ed25519.PublicKeySize]byte(key)}
+	vc.mu.RLock()
+	memo := vc.idents[id]
+	vc.mu.RUnlock()
+	if memo != nil && memo.matches(m) {
+		return memo.valid
+	}
+
+	canon := m.canonicalInto(s)
+	s.buf = append(canon, m.Sig...)
+	k := SigKey{Key: id.key, Sum: sha256.Sum256(s.buf)}
 	vc.mu.RLock()
 	valid, ok := vc.sigs[k]
 	vc.mu.RUnlock()
-	if ok {
+	if ok && memo != nil {
+		// m was promoted and has since changed in place; its original
+		// snapshot stays, so restoring m brings the memo back.
 		return valid
 	}
 	vc.mu.Lock()
-	if valid, ok = vc.sigs[k]; !ok {
+	if valid, ok = vc.sigs[k]; ok {
+		if vc.idents[id] == nil {
+			if vc.idents == nil {
+				vc.idents = make(map[identKey]*sigMemo)
+			}
+			vc.idents[id] = newSigMemo(m, valid)
+		}
+	} else {
 		// Double-checked under the write lock: exactly one worker pays
 		// the ed25519 verification per unique key, which is what keeps
 		// Stats deterministic at any worker count.
@@ -224,13 +306,13 @@ func (c *Client) applyCached(b *Bundle, now sim.Time, vc *VerifyCache) error {
 	if b.Director == nil || b.Image == nil {
 		return ErrIncomplete
 	}
-	// Signatures first (memoized), then per-vehicle freshness: the
-	// canonical bytes render into the client's scratch, so a warm cache
-	// sees no allocation here.
-	if !vc.sigValid(b.Director, c.directorKey, c.directorKeyID, b.Director.canonicalInto(&c.scratch)) {
+	// Signatures first (memoized), then per-vehicle freshness. A content
+	// lookup renders into the client's scratch, so a warm cache sees no
+	// allocation here.
+	if !vc.sigValid(b.Director, c.directorKey, &c.scratch) {
 		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Director.Repo)
 	}
-	if !vc.sigValid(b.Image, c.imageKey, c.imageKeyID, b.Image.canonicalInto(&c.scratch)) {
+	if !vc.sigValid(b.Image, c.imageKey, &c.scratch) {
 		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Image.Repo)
 	}
 	if err := checkFresh(b.Director, now); err != nil {

@@ -3,8 +3,10 @@ package ota
 import (
 	"crypto/ed25519"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"autosec/internal/sim"
 )
@@ -261,7 +263,9 @@ func TestApplyCachedGenuineDoesNotVouchForCopy(t *testing.T) {
 
 // TestSigValidMatchesColdVerify is the cache's oracle: over random
 // sequences of (content, signature) lookups, at 1 and 8 workers sharing
-// one cache, every memoized verdict equals a cold ed25519.Verify.
+// one cache, every memoized verdict equals a cold ed25519.Verify. Half
+// the lookups use a fresh struct copy (always the content path); the
+// rest reuse a fixed pool of objects, which reach the identity memo.
 func TestSigValidMatchesColdVerify(t *testing.T) {
 	f := newCampaignFixture(t, sim.Hour)
 	other := MakeTarget("brake-fw", 3, "brake-mcu-r2", []byte("v3"))
@@ -282,6 +286,15 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 	}
 	sigs = append(sigs, make([]byte, ed25519.SignatureSize), nil,
 		contents[0].Sig[:ed25519.SignatureSize-1], append(append([]byte(nil), contents[0].Sig...), 0))
+	// The fixed pool: one object per (content, signature) pair.
+	var pool []*Metadata
+	for _, m := range contents {
+		for _, sig := range sigs {
+			p := *m
+			p.Sig = sig
+			pool = append(pool, &p)
+		}
+	}
 
 	type lookup struct {
 		m   *Metadata
@@ -291,9 +304,14 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 		rnd := sim.NewStream(uint64(workers), "ota.sigvalid")
 		seq := make([]lookup, 4000)
 		for i := range seq {
+			key := keys[rnd.Intn(len(keys))]
+			if rnd.Intn(2) == 0 {
+				seq[i] = lookup{m: pool[rnd.Intn(len(pool))], key: key}
+				continue
+			}
 			m := *contents[rnd.Intn(len(contents))]
 			m.Sig = sigs[rnd.Intn(len(sigs))]
-			seq[i] = lookup{m: &m, key: keys[rnd.Intn(len(keys))]}
+			seq[i] = lookup{m: &m, key: key}
 		}
 		vc := NewVerifyCache()
 		var wg sync.WaitGroup
@@ -304,9 +322,8 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 				var scratch canonicalScratch
 				for i := w; i < len(seq); i += workers {
 					l := seq[i]
-					canon := l.m.canonicalInto(&scratch)
-					cold := ed25519.Verify(l.key, canon, l.m.Sig)
-					if got := vc.sigValid(l.m, l.key, KeyID(l.key), canon); got != cold {
+					cold := ed25519.Verify(l.key, l.m.canonical(), l.m.Sig)
+					if got := vc.sigValid(l.m, l.key, &scratch); got != cold {
 						t.Errorf("workers=%d lookup %d: cached verdict %v, cold verify %v", workers, i, got, cold)
 						return
 					}
@@ -314,6 +331,99 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
+		if len(vc.idents) == 0 {
+			t.Errorf("workers=%d: no pooled object was promoted to an identity memo", workers)
+		}
+	}
+}
+
+// TestSigValidIdentityMemoTracksMutation promotes one published object
+// to an identity memo, then mutates it in place one field at a time,
+// through an alias that shares its backing arrays the way a struct copy
+// does. Every mutated lookup must answer like a cold verify, and once
+// the original is restored the memo must answer again without a render.
+func TestSigValidIdentityMemoTracksMutation(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	adas := MakeTarget("adas-fw", 2, "adas-soc-r1", []byte("adas model weights v2"))
+	m := f.director.Sign("model-S", []Target{f.target, adas}, sim.Hour)
+	key := f.director.PublicKey()
+	vc := NewVerifyCache()
+
+	// lookup returns the cached verdict and whether it rendered the
+	// canonical bytes (false: the identity memo answered).
+	lookup := func() (valid, rendered bool) {
+		var s canonicalScratch
+		valid = vc.sigValid(m, key, &s)
+		return valid, s.buf != nil
+	}
+	if v, r := lookup(); !v || !r {
+		t.Fatalf("first sight: valid=%v rendered=%v", v, r)
+	}
+	if len(vc.idents) != 0 {
+		t.Fatal("first sight created an identity memo")
+	}
+	if v, r := lookup(); !v || !r {
+		t.Fatalf("second sight: valid=%v rendered=%v", v, r)
+	}
+	if v, r := lookup(); !v || r {
+		t.Fatalf("promoted object: valid=%v rendered=%v, want the memo to answer", v, r)
+	}
+
+	alias := *m
+	origVehicle := m.VehicleID
+	mutations := []struct {
+		name     string
+		do, undo func()
+	}{
+		{"flip a signature byte in the shared array", func() { alias.Sig[7] ^= 0x20 }, func() { alias.Sig[7] ^= 0x20 }},
+		{"bump Version", func() { m.Version++ }, func() { m.Version-- }},
+		{"change Expires", func() { m.Expires += sim.Second }, func() { m.Expires -= sim.Second }},
+		{"change VehicleID", func() { m.VehicleID = "model-X" }, func() { m.VehicleID = origVehicle }},
+		{"change Targets[0].Hash through the shared slice", func() { alias.Targets[0].Hash[3] ^= 0x01 }, func() { alias.Targets[0].Hash[3] ^= 0x01 }},
+		{"swap two targets", func() { alias.Targets[0], alias.Targets[1] = alias.Targets[1], alias.Targets[0] },
+			func() { alias.Targets[0], alias.Targets[1] = alias.Targets[1], alias.Targets[0] }},
+	}
+	for _, mu := range mutations {
+		mu.do()
+		cold := ed25519.Verify(key, m.canonical(), m.Sig)
+		for i := 0; i < 2; i++ {
+			if got, _ := lookup(); got != cold {
+				t.Fatalf("%s, lookup %d: cached verdict %v, cold verify %v", mu.name, i, got, cold)
+			}
+		}
+		mu.undo()
+		if v, r := lookup(); !v || r {
+			t.Fatalf("after restoring %s: valid=%v rendered=%v, want the memo to answer", mu.name, v, r)
+		}
+	}
+}
+
+// TestSigMemoCoversMetadata fails when Metadata or Target gains a field,
+// so the identity snapshot and its compare cannot silently miss one.
+func TestSigMemoCoversMetadata(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(Metadata{}), []string{"Repo", "Version", "Expires", "VehicleID", "Targets", "Sig"}},
+		{reflect.TypeOf(Target{}), []string{"Name", "Version", "HWID", "Length", "Hash"}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			got = append(got, c.typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v fields %v, sigMemo covers %v: update sigMemo and its matches", c.typ, got, c.want)
+		}
+	}
+}
+
+// TestSigKeyInline pins SigKey at or below 128 bytes: Go stores larger
+// map keys out of line and allocates on every insert, which would add to
+// every cold verification.
+func TestSigKeyInline(t *testing.T) {
+	if n := unsafe.Sizeof(SigKey{}); n > 128 {
+		t.Fatalf("SigKey is %d bytes", n)
 	}
 }
 
@@ -386,7 +496,12 @@ func BenchmarkCampaignVerifyThroughputCold(b *testing.B) {
 func BenchmarkCampaignVerifyThroughputMemoized(b *testing.B) {
 	f, vc := benchFixture(b)
 	c := f.newVehicleB(b)
+	// The install verifies cold; the first re-poll promotes both
+	// metadata objects to identity memos.
 	if err := c.ApplyCached(f.bundle, sim.Minute, vc); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.ApplyCached(f.bundle, sim.Minute, vc); !errors.Is(err, ErrNoUpdate) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -51,8 +51,8 @@ type Metadata struct {
 }
 
 // canonicalScratch holds the reusable working state of canonicalInto so
-// the verify hot path renders canonical bytes without allocating: buf is
-// the output buffer, order the target-sort index slice. The zero value is
+// a cached verify renders canonical bytes without allocating: buf is the
+// output buffer, order the target-sort index slice. The zero value is
 // ready to use; both slices grow on first use and are reused after.
 type canonicalScratch struct {
 	buf   []byte
@@ -226,10 +226,6 @@ type Client struct {
 
 	directorKey ed25519.PublicKey
 	imageKey    ed25519.PublicKey
-	// Key fingerprints for the verification cache: metadata verified
-	// under one trust epoch must never satisfy a lookup under another.
-	directorKeyID uint64
-	imageKeyID    uint64
 
 	lastDirectorVersion uint64
 	lastImageVersion    uint64
@@ -241,8 +237,9 @@ type Client struct {
 	// UpToDate counts ApplyCached calls that returned ErrNoUpdate.
 	UpToDate sim.Counter
 
-	// scratch backs the allocation-free canonical rendering and install
-	// planning on the cached verify path.
+	// scratch backs the allocation-free canonical rendering of a content
+	// lookup and the install planning on the cached verify path. A client
+	// whose lookups all hit identity memos never grows it.
 	scratch canonicalScratch
 	plan    []pendingInstall
 
@@ -257,12 +254,10 @@ type Client struct {
 // NewClient creates a client trusting the two repository keys.
 func NewClient(vehicleID string, directorKey, imageKey ed25519.PublicKey) *Client {
 	return &Client{
-		VehicleID:     vehicleID,
-		directorKey:   directorKey,
-		imageKey:      imageKey,
-		directorKeyID: KeyID(directorKey),
-		imageKeyID:    KeyID(imageKey),
-		ecus:          make(map[string]*ECUState),
+		VehicleID:   vehicleID,
+		directorKey: directorKey,
+		imageKey:    imageKey,
+		ecus:        make(map[string]*ECUState),
 	}
 }
 
@@ -274,17 +269,8 @@ func NewClient(vehicleID string, directorKey, imageKey ed25519.PublicKey) *Clien
 func (c *Client) SetKeys(directorKey, imageKey ed25519.PublicKey) {
 	c.directorKey = directorKey
 	c.imageKey = imageKey
-	c.directorKeyID = KeyID(directorKey)
-	c.imageKeyID = KeyID(imageKey)
 	c.lastDirectorVersion = 0
 	c.lastImageVersion = 0
-}
-
-// KeyID fingerprints a verification key for cache keying (first eight
-// bytes of its SHA-256).
-func KeyID(pub ed25519.PublicKey) uint64 {
-	sum := sha256.Sum256(pub)
-	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // AddECU registers an ECU by hardware ID with its factory firmware version.
