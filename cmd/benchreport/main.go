@@ -16,12 +16,10 @@
 // trajectory of the suite in one artifact (see BENCH_PR2.json at the
 // repo root for the committed trajectory).
 //
-// Observability: -trace FILE installs a process-default trace sink
-// (sim.SetDefaultTraceSink) before any experiment builds its kernel, so
-// every kernel's dispatch events land in one Chrome trace_event JSON —
-// single-seed mode only, where experiments run sequentially and the
-// interleaving is deterministic. -metrics prints the runtime/metrics
-// snapshot as a table after the run.
+// -metrics prints the runtime/metrics snapshot as a table after the run.
+// benchreport writes no traces: `autosim run -trace` traces one scenario
+// and `autosim run -fleettrace` exports the fleet flight recorder's
+// per-vehicle traces.
 //
 // -cpuprofile / -memprofile write pprof profiles of the run, so future
 // perf work can grab flame graphs without editing code:
@@ -49,7 +47,7 @@
 //
 //	benchreport [-seed N] [-seeds N] [-par N] [-only E3,E8] [-json FILE]
 //	            [-obsfleet SIZES] [-fleetpar N] [-compare FILE]
-//	            [-trace FILE] [-metrics] [-cpuprofile FILE] [-memprofile FILE]
+//	            [-metrics] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -69,7 +67,6 @@ import (
 	"autosec/internal/experiments"
 	"autosec/internal/obs"
 	"autosec/internal/runner"
-	"autosec/internal/sim"
 )
 
 // jsonReport is the schema written by -json. Runtime is the
@@ -100,7 +97,6 @@ func main() {
 	fleetpar := flag.Int("fleetpar", 0, "fleet driver worker count for E20 and E22's campaign waves (0 = default; any value prints identical tables — CI diffs 1 vs 8)")
 	compareFile := flag.String("compare", "", "regression-gate the working tree against this committed BENCH_PRn.json baseline and exit")
 	jsonOut := flag.String("json", "", "write per-experiment ns + table hashes as JSON to this file ('-' for stdout); single-seed mode only")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON of every kernel's dispatch activity to this file; single-seed mode only")
 	showMetrics := flag.Bool("metrics", false, "print a runtime/metrics snapshot (heap, allocs, GC) after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -111,17 +107,6 @@ func main() {
 	if *jsonOut != "" && *nseeds > 1 {
 		fmt.Fprintln(os.Stderr, "benchreport: -json requires single-seed mode (drop -seeds)")
 		os.Exit(1)
-	}
-	if *traceFile != "" && *nseeds > 1 {
-		fmt.Fprintln(os.Stderr, "benchreport: -trace requires single-seed mode (replicates interleave nondeterministically)")
-		os.Exit(1)
-	}
-	var tracer *obs.Tracer
-	if *traceFile != "" {
-		// The experiments build their kernels internally, so the only
-		// tracing hook is the process default every NewKernel picks up.
-		tracer = obs.NewTracer(0)
-		sim.SetDefaultTraceSink(tracer)
 	}
 
 	if *cpuProfile != "" {
@@ -252,15 +237,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if tracer != nil {
-			if err := writeTrace(*traceFile, tracer); err != nil {
-				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-				os.Exit(1)
-			}
-			if !quiet {
-				fmt.Printf("trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), *traceFile)
-			}
-		}
 		if *showMetrics && !quiet {
 			// with -json - the runtime block is already in the JSON and
 			// stdout must stay parseable
@@ -323,19 +299,6 @@ func printRuntimeMetrics(rt map[string]uint64) {
 	}
 	fmt.Println()
 	fmt.Print(experiments.MetricsTable(snap))
-}
-
-// writeTrace dumps the collected dispatch events as Chrome trace JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeJSON marshals the report with stable indentation to path or stdout.

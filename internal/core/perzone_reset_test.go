@@ -43,12 +43,10 @@ func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	t.Helper()
 	r := &eqRng{state: scenSeed}
 
-	tracers := make([]*obs.Tracer, v.Group.Members())
-	for i := range tracers {
-		tracers[i] = obs.NewTracer(1 << 12)
-	}
+	// One ring for the whole vehicle, sized for all its members.
+	tr := obs.NewTracer(v.Group.Members() << 12)
 	reg := obs.NewRegistry()
-	v.InstrumentParallel(tracers, reg)
+	v.Instrument(tr, reg)
 
 	v.Zonal.SetRules(eqRandomRules(r))
 
@@ -112,12 +110,12 @@ func kpScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 		t.Fatalf("run: %v", err)
 	}
 	v.StopTraffic()
-	return kpFingerprint(v, tracers, reg)
+	return kpFingerprint(v, tr, reg)
 }
 
-// kpFingerprint serializes per-member trace bytes in member order,
+// kpFingerprint serializes the trace bytes and the ring's dropped count,
 // metrics, the audit chain, and per-member clocks and step counts.
-func kpFingerprint(v *Vehicle, tracers []*obs.Tracer, reg *obs.Registry) string {
+func kpFingerprint(v *Vehicle, tr *obs.Tracer, reg *obs.Registry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "group: members=%d steps=%d pending=%d\n", v.Group.Members(), v.Group.Steps(), v.Group.Pending())
 	for i := 0; i < v.Group.Members(); i++ {
@@ -128,13 +126,11 @@ func kpFingerprint(v *Vehicle, tracers []*obs.Tracer, reg *obs.Registry) string 
 	fmt.Fprintf(&b, "backbone: frames=%d deliveries=%d\n",
 		v.Zonal.BackboneFramesTotal(), v.Zonal.BackboneDeliveriesTotal())
 
-	for i, tr := range tracers {
-		var trace bytes.Buffer
-		if err := tr.WriteChromeTrace(&trace); err != nil {
-			fmt.Fprintf(&b, "trace %d error: %v\n", i, err)
-		}
-		fmt.Fprintf(&b, "trace %d: %d bytes\n%s\n", i, trace.Len(), trace.String())
+	var trace bytes.Buffer
+	if err := tr.WriteChromeTrace(&trace); err != nil {
+		fmt.Fprintf(&b, "trace error: %v\n", err)
 	}
+	fmt.Fprintf(&b, "trace: %d bytes, %d dropped\n%s\n", trace.Len(), tr.Dropped(), trace.String())
 
 	for _, m := range reg.Snapshot() {
 		fmt.Fprintf(&b, "metric: %s %s = %s\n", m.Kind, m.Key, obs.FormatValue(m.Value))

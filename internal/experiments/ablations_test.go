@@ -6,7 +6,7 @@ import (
 )
 
 func TestA1MACTruncationShape(t *testing.T) {
-	tb := A1MACTruncation(1)
+	tb := seed1Table("A1")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}
@@ -36,7 +36,7 @@ func TestA1MACTruncationShape(t *testing.T) {
 }
 
 func TestA2BoundingThresholdShape(t *testing.T) {
-	tb := A2BoundingThreshold(1)
+	tb := seed1Table("A2")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

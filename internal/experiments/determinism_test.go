@@ -29,7 +29,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 // And distinct seeds actually perturb the stochastic experiments (guards
 // against a silently ignored seed parameter).
 func TestSeedReachesTheWorkloads(t *testing.T) {
-	a := E1BusDoS(1).String()
+	a := seed1Table("E1").String()
 	b := E1BusDoS(2).String()
 	if a == b {
 		t.Fatal("E1 identical across seeds — seed not plumbed through")

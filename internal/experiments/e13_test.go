@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE13DiagnosticAccessShape(t *testing.T) {
-	tb := E13DiagnosticAccess(1)
+	tb := seed1Table("E13")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE14BusOffShape(t *testing.T) {
-	tb := E14BusOff(1)
+	tb := seed1Table("E14")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

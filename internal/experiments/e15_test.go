@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestE15VerifyScalingShape(t *testing.T) {
-	tb := E15VerifyScaling(1)
+	tb := seed1Table("E15")
 	if len(tb.Rows) != 12 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

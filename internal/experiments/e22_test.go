@@ -28,7 +28,7 @@ func TestE22SeedInvariantStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives 24 full campaigns; skipped in -short mode")
 	}
-	a := E22Campaign(1).String()
+	a := seed1Table("E22").String()
 	b := E22Campaign(99).String()
 	if a != b {
 		t.Fatalf("E22 cells drifted with the seed — a string cell must have picked up seed-derived state:\n--- seed=1\n%s\n--- seed=99\n%s", a, b)

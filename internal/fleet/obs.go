@@ -1,7 +1,7 @@
 // Fleet observability plane: DriveWaveObs is the sharded drive loop
 // (DriveObs drives the whole population as one wave) with three
 // attachments, each off in a zero ObsOptions — merged metrics
-// (per-vehicle obs.Registry shards folded into one fleet registry in
+// (per-vehicle obs.Shard captures folded into one fleet registry in
 // vehicle-index order at the drive barrier, so the snapshot is
 // byte-identical at any worker count), a deterministic flight recorder
 // (per-vehicle traces kept for a seed-hash sample of the fleet plus every
@@ -111,8 +111,8 @@ type DriveObserver interface {
 // ObsResult carries the observability artifacts of one DriveObs call.
 type ObsResult struct {
 	// Registry is the fleet-merged metrics registry (nil unless
-	// ObsOptions.Metrics): per-vehicle registries materialized before
-	// pool release and folded in vehicle-index order, so its snapshot is
+	// ObsOptions.Metrics): per-vehicle readings captured before pool
+	// release and folded in vehicle-index order, so its snapshot is
 	// byte-identical at any worker count.
 	Registry *obs.Registry
 	// Traces holds the kept flight-recorder captures in index order.
@@ -235,10 +235,9 @@ func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, fn func(idx in
 // context's error. The returned ObsResult is non-nil even when o is zero
 // (Stats is always populated).
 //
-// Tracing requires a shared-kernel build: per-zone-kernel vehicles take
-// per-member tracers that cannot share one flight-recorder ring, so
-// TraceRate > 0 with Cfg.Zonal.PerZoneKernels is an error. Metrics work
-// on every build.
+// Metrics and tracing work on every build. A per-zone-kernel vehicle
+// records all its member kernels into its one flight-recorder ring, in
+// dispatch order (core.Vehicle.Instrument).
 func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, *ObsResult, error) {
 	if d.N <= 0 {
 		return nil, nil, fmt.Errorf("fleet: population must be positive, got %d", d.N)
@@ -249,9 +248,6 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	lo, hi := wave.Lo, wave.Hi
 	n := hi - lo
 	tracing := o.TraceRate > 0
-	if tracing && d.Cfg.Zonal != nil && d.Cfg.Zonal.PerZoneKernels {
-		return nil, nil, fmt.Errorf("fleet: flight recorder requires a shared-kernel build (Zonal.PerZoneKernels is set)")
-	}
 	workers := shardWorkers(d.Workers, n)
 
 	results := make([]T, n)
@@ -259,8 +255,8 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 	// folded after the barrier — the single merge point that makes the
 	// fleet snapshot independent of the worker count. Shards are flat
 	// value captures under the worker's layout (obs.ShardLayout), not live
-	// registries: each worker binds its vehicle to one scratch registry
-	// and rewinds it between vehicles instead of building ~100
+	// registries: each worker binds its vehicle to one scratch registry,
+	// and each capture zeroes what it reads, instead of building ~100
 	// allocations of instrument graph per vehicle.
 	var shards []obs.Shard
 	var layouts []*obs.ShardLayout
@@ -281,15 +277,13 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 		pool := core.NewVehiclePool(d.Cfg)
 		// scratch is the recycled tracer for captures that end up
 		// discarded; a kept capture surrenders its tracer and the
-		// next vehicle allocates a fresh one. scratchReg is the
-		// worker's rewindable metrics registry and bound the
-		// vehicle Instrument-ed into it. Metric bindings survive
-		// Reset, and the pool hands the worker the same vehicle
-		// for its whole shard (a panic or an Acquire error ends the
-		// worker), so the worker binds once and builds its layout
-		// and arena then.
+		// next vehicle allocates a fresh one. bound is the vehicle
+		// Instrument-ed into the worker's metrics registry. Metric
+		// bindings survive Reset, and the pool hands the worker the
+		// same vehicle for its whole shard (a panic or an Acquire
+		// error ends the worker), so the worker binds once and
+		// builds its layout and arena then.
 		var scratch *obs.Tracer
-		var scratchReg *obs.Registry
 		var bound *core.Vehicle
 		var arena *obs.ShardArena
 		for idx := wlo; idx < whi; idx++ {
@@ -316,16 +310,13 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 				tr = scratch
 			}
 			if o.Metrics && v != bound {
-				scratchReg = obs.NewRegistry()
-				v.Instrument(tr, scratchReg)
+				reg := obs.NewRegistry()
+				v.Instrument(tr, reg)
 				bound = v
-				layouts[w] = obs.NewShardLayout(scratchReg)
+				layouts[w] = obs.NewShardLayout(reg)
 				arena = layouts[w].NewArena(whi - idx)
-			} else {
-				scratchReg.Rewind() // nil, a no-op, with metrics off
-				if tr != nil {
-					v.Instrument(tr, nil)
-				}
+			} else if tr != nil {
+				v.Instrument(tr, nil)
 			}
 			out, panicked, err := contain(idx, seed, func() (T, error) { return fn(idx, v) })
 			if panicked {
@@ -346,11 +337,12 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 				}
 			}
 			if err == nil && o.Metrics {
-				// Export flattens the readings — evaluating every
-				// probe — before the vehicle returns to the pool:
-				// the next Reset rewinds the very state the probe
-				// closures read.
-				shards[idx-lo] = arena.Export(scratchReg)
+				// Capture flattens the readings — evaluating every
+				// probe — before the vehicle returns to the pool (the
+				// next Reset rewinds the very state the probe
+				// closures read), and zeroes the registry for the
+				// next vehicle.
+				shards[idx-lo] = arena.Capture()
 			}
 			pool.Release(v)
 			if err != nil {
@@ -376,9 +368,10 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 		// Every worker bound a vehicle of d.Cfg, whose registry holds
 		// exactly what core.Vehicle.Instrument registers for that Config,
 		// so the workers' layouts differ only by pointer: check each once,
-		// then pre-sum every shard, in vehicle-index order, under the
-		// first — flat array arithmetic, bit-identical to per-shard
-		// MergeInto folding (see ShardLayout.Accumulate) — and merge once.
+		// then sum every shard, in vehicle-index order, under the first —
+		// flat array arithmetic, bit-identical to merging per-vehicle
+		// registries (see ShardLayout.Accumulate) — and build the fleet
+		// registry from the sum.
 		layout := layouts[0]
 		for w, l := range layouts {
 			if !layout.EqualShape(l) {
@@ -391,10 +384,11 @@ func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave,
 				return nil, nil, fmt.Errorf("fleet: merging vehicle %d metrics: %w", lo+i, err)
 			}
 		}
-		res.Registry = obs.NewRegistry()
-		if err := layout.MergeInto(res.Registry, acc); err != nil {
+		reg, err := layout.Registry(acc)
+		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: merging fleet metrics: %w", err)
 		}
+		res.Registry = reg
 	}
 	if tracing {
 		var all []VehicleTrace

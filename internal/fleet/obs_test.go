@@ -296,10 +296,11 @@ func TestTraceSampledDeterministicAndRateShaped(t *testing.T) {
 }
 
 // TestFleetMergeSteadyStateAllocs is the CI alloc gate for the merge hot
-// path: once the fleet registry holds the union of keys, folding another
-// vehicle's shard must not touch the allocator. Both merge paths are
-// pinned — the flat shard fold DriveObs uses at the barrier, and the
-// registry-to-registry Merge it is pinned byte-identical to.
+// path: folding another vehicle's readings must not touch the allocator.
+// Both merge paths are pinned — the flat shard sum DriveObs uses at the
+// barrier (Accumulate into a warm accumulator), and the
+// registry-to-registry Merge it is pinned byte-identical to, once the
+// fleet registry holds the union of keys.
 func TestFleetMergeSteadyStateAllocs(t *testing.T) {
 	cfg := obsTestConfig("OBS-ALLOC", 13)
 	pool := core.NewVehiclePool(cfg)
@@ -312,33 +313,33 @@ func TestFleetMergeSteadyStateAllocs(t *testing.T) {
 	if _, err := obsScenario(0, v); err != nil {
 		t.Fatal(err)
 	}
-	layout := obs.NewShardLayout(reg)
-	shard := layout.Export(reg)
 	reg.Materialize()
-	pool.Release(v)
 
 	fleet := obs.NewRegistry()
-	if err := layout.MergeInto(fleet, shard); err != nil { // warm-up creates the keys
+	if err := fleet.Merge(reg); err != nil { // warm-up creates the keys
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := layout.MergeInto(fleet, shard); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("fleet shard merge steady state allocates %v allocs/vehicle, want 0", allocs)
-	}
-
-	fleet2 := obs.NewRegistry()
-	if err := fleet2.Merge(reg); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := fleet2.Merge(reg); err != nil {
+		if err := fleet.Merge(reg); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("fleet registry merge steady state allocates %v allocs/vehicle, want 0", allocs)
+	}
+
+	layout := obs.NewShardLayout(reg)
+	shard := layout.NewArena(1).Capture()
+	pool.Release(v)
+	var acc obs.Shard
+	if err := layout.Accumulate(&acc, shard); err != nil { // warm-up sizes the accumulator
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := layout.Accumulate(&acc, shard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("fleet shard accumulate steady state allocates %v allocs/vehicle, want 0", allocs)
 	}
 }
 
@@ -413,25 +414,120 @@ func TestDriveObsAbortUnderLoad(t *testing.T) {
 	}
 }
 
-func TestDriveObsRejectsTracingOnPerZoneKernels(t *testing.T) {
-	cfg := core.Config{VIN: "OBS-PZK", Seed: 6, Zonal: &core.ZonalConfig{Zones: 2, PerZoneKernels: true}}
-	_, _, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: 4, Workers: 1},
-		ObsOptions{TraceRate: 0.5},
-		func(idx int, v *core.Vehicle) (int, error) { return idx, nil })
-	if err == nil || !strings.Contains(err.Error(), "PerZoneKernels") {
-		t.Fatalf("tracing on a per-zone-kernel build must be rejected, got %v", err)
-	}
-	// Metrics-only must work on the same build.
-	_, res, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: 4, Workers: 2},
-		ObsOptions{Metrics: true},
-		func(idx int, v *core.Vehicle) (int, error) {
-			return idx, v.Kernel.RunUntil(1_000_000)
+// perZoneScenario drives a per-zone-kernel vehicle with periodic traffic
+// on each standard domain's owning kernel, so every member kernel
+// dispatches, and one cross-zone route, so frames cross the backbone.
+// It returns the group's step count.
+func perZoneScenario(idx int, v *core.Vehicle) (uint64, error) {
+	v.Zonal.SetRules([]*gateway.Rule{{
+		Name: "open", From: core.DomainChassis, To: []string{core.DomainInfotainment},
+		IDLo: 0, IDHi: 0x7FF, Action: gateway.Allow,
+	}})
+	for i, dom := range []string{core.DomainPowertrain, core.DomainChassis, core.DomainInfotainment} {
+		k := v.KernelFor(dom)
+		c := can.NewController(fmt.Sprintf("pz%d", i))
+		v.Buses[dom].Attach(c)
+		id := can.ID(0x200 + 0x10*i + idx%8)
+		st := k.Stream("pz-phase")
+		k.Every(st.Duration(100*sim.Microsecond, sim.Millisecond), 500*sim.Microsecond, func() {
+			_ = c.Send(can.Frame{ID: id, Data: []byte{byte(idx)}}, nil)
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(res.Registry.Snapshot()) == 0 {
-		t.Fatal("metrics-only on per-zone kernels must still merge a registry")
+	if err := v.RunUntil(4 * sim.Millisecond); err != nil {
+		return 0, err
+	}
+	return v.Group.Steps(), nil
+}
+
+// TestDriveObsPerZoneFlightRecorder is the absolute oracle for tracing
+// per-zone-kernel vehicles: every member kernel records into the
+// vehicle's one ring, so a kept trace whose ring dropped nothing holds
+// exactly one kernel dispatch event per event the group stepped, and the
+// merged kernel/steps reading is the fleet's total. The kept traces and
+// the exposition must be byte-identical at 1, 2 and 3 workers.
+func TestDriveObsPerZoneFlightRecorder(t *testing.T) {
+	const n = 24
+	cfg := core.Config{VIN: "OBS-PZK", Seed: 6, Zonal: &core.ZonalConfig{Zones: 3, PerZoneKernels: true}}
+	type run struct {
+		steps []uint64
+		res   *ObsResult
+		prom  []byte
+	}
+	drive := func(workers int) run {
+		steps, res, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: n, Workers: workers},
+			ObsOptions{Metrics: true, TraceRate: 1}, perZoneScenario)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var b bytes.Buffer
+		if err := res.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return run{steps, res, b.Bytes()}
+	}
+	chrome := func(tr *obs.Tracer) []byte {
+		var b bytes.Buffer
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	a := drive(1)
+	var total uint64
+	for _, s := range a.steps {
+		total += s
+	}
+	var merged float64
+	for _, m := range a.res.Registry.Snapshot() {
+		if m.Key == "kernel/steps" {
+			merged = m.Value
+		}
+	}
+	if merged != float64(total) {
+		t.Fatalf("merged kernel/steps = %v, want the fleet's %d group steps", merged, total)
+	}
+	if len(a.res.Traces) != n {
+		t.Fatalf("kept %d traces, want all %d vehicles", len(a.res.Traces), n)
+	}
+	checked := 0
+	for _, vt := range a.res.Traces {
+		tr := vt.Tracer
+		if tr.Dropped() > 0 {
+			continue
+		}
+		dispatches := 0
+		for _, e := range tr.Events() {
+			if tr.LabelString(e.Sub) == "kernel" && tr.LabelString(e.Name) == "dispatch" {
+				dispatches++
+			}
+		}
+		if uint64(dispatches) != a.steps[vt.Index] {
+			t.Fatalf("vehicle %d: %d dispatch events traced, group stepped %d", vt.Index, dispatches, a.steps[vt.Index])
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("every kept ring dropped events: the dispatch count checked nothing")
+	}
+
+	for _, workers := range []int{2, 3} {
+		b := drive(workers)
+		if !bytes.Equal(a.prom, b.prom) {
+			t.Fatalf("workers=%d: exposition diverges from 1 worker:\n--- 1\n%s\n--- %d\n%s", workers, a.prom, workers, b.prom)
+		}
+		if len(b.res.Traces) != len(a.res.Traces) {
+			t.Fatalf("workers=%d: kept %d traces, 1 worker kept %d", workers, len(b.res.Traces), len(a.res.Traces))
+		}
+		for i, ta := range a.res.Traces {
+			tb := b.res.Traces[i]
+			if ta.Index != tb.Index || ta.Seed != tb.Seed || ta.Interesting != tb.Interesting {
+				t.Fatalf("workers=%d: trace %d metadata diverges: %+v vs %+v", workers, i, ta, tb)
+			}
+			if !bytes.Equal(chrome(ta.Tracer), chrome(tb.Tracer)) {
+				t.Fatalf("workers=%d: trace of vehicle %d diverges from 1 worker", workers, ta.Index)
+			}
+		}
 	}
 }
 

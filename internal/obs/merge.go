@@ -9,13 +9,15 @@
 // (dst, src) pair, and integer state is associative, but float64 addition
 // is not — merging shards in different orders can differ in the last ULP.
 // Callers that need byte-identical aggregates at any worker count must
-// therefore fold shards in one fixed order at a single merge point;
-// fleet.DriveObs does exactly that (vehicle-index order at the drive
-// barrier — see DESIGN.md "Merge at the barrier").
+// therefore fold shards in one fixed order at a single merge point. The
+// fleet driver does exactly that, in vehicle-index order at the drive
+// barrier, over flat shards (shard.go) whose fold is bit-identical to
+// this merge (see DESIGN.md "Merge at the barrier"); Merge then folds
+// the drive's registry into a campaign's or a replication's.
 //
 // The merge hot path allocates nothing once the destination registry
-// holds the union of keys (first merge creates them); the fleet driver's
-// steady state is pinned by TestFleetMergeSteadyStateAllocs.
+// holds the union of keys (first merge creates them), pinned by
+// TestRegistryMergeSteadyStateAllocs and TestFleetMergeSteadyStateAllocs.
 package obs
 
 import "fmt"

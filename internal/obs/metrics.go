@@ -174,11 +174,11 @@ type Registry struct {
 	probes     map[string]func() float64
 
 	// frozen holds materialized probe readings: Materialize evaluates
-	// every registered probe into this map, and Merge accumulates source
-	// probe readings here. A frozen key overrides its live probe in
-	// Snapshot, so a materialized registry keeps reporting the values it
-	// held at materialization time even after the probed subsystems are
-	// reset — the property the pooled fleet driver depends on.
+	// every registered probe into this map, Merge accumulates source
+	// probe readings here, and ShardLayout.Registry stores summed shard
+	// readings here. A frozen key overrides its live probe in Snapshot,
+	// so a materialized registry keeps reporting the values it held at
+	// materialization time even after the probed subsystems are reset.
 	frozen map[string]float64
 }
 
@@ -254,9 +254,12 @@ func (r *Registry) Probe(key string, fn func() float64) {
 // Materialize evaluates every registered probe now and stores the
 // readings, so later Snapshot and Merge calls report this moment's values
 // instead of re-reading live subsystem state. Call it before the probed
-// subsystems are reset or reused (the pooled fleet driver materializes
-// each vehicle's registry before releasing the vehicle back to its pool).
-// Materializing again re-reads the probes. No-op on a nil registry.
+// subsystems are reset or reused. Materializing again re-reads the
+// probes. No-op on a nil registry. The fleet driver captures shards
+// instead (ShardArena.Capture); Materialize stays for the
+// registry-to-registry fold that the tests use as the shard path's
+// reference and that BenchmarkFleetRegistryMerge, a -compare probe,
+// measures.
 func (r *Registry) Materialize() {
 	if r == nil {
 		return

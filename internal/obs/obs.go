@@ -27,8 +27,9 @@
 //     order, so the same seed produces byte-identical exports.
 //
 // The tracer and registry are NOT goroutine-safe: one instance belongs to
-// one simulation (one kernel), matching the replication model where every
-// seed runs on its own kernel.
+// one simulation (one kernel, or one kernel group, whose members dispatch
+// on one goroutine), matching the replication model where every seed
+// runs on its own kernel.
 package obs
 
 import (

@@ -2,14 +2,16 @@
 // driver's metrics plane. Building a fresh Registry and Instrument-ing a
 // vehicle into it costs a few microseconds and ~100 allocations — fine
 // per simulation, fatal per vehicle at 1e5 vehicles. Instead the driver
-// binds each worker's pooled vehicle to ONE scratch registry, Rewinds it
-// between vehicles, and flattens each vehicle's readings into a Shard:
-// two flat arrays whose slots are assigned by a ShardLayout built once
-// per worker. The barrier then folds shards into the fleet registry in
-// vehicle-index order via MergeInto, which performs arithmetic identical
-// — operation for operation, in the same order — to Registry.Merge over
-// materialized per-vehicle registries, so the two paths produce
-// byte-identical snapshots (pinned by TestDriveObsMergedEqualsUnsharded).
+// binds each worker's pooled vehicle to ONE scratch registry and
+// captures each vehicle's readings into a Shard: two flat arrays whose
+// slots are assigned by a ShardLayout built once per worker. A capture
+// reads every instrument through the layout's cached pointers and zeroes
+// it in the same pass, so the registry starts the next vehicle at zero
+// with no second walk. The barrier sums the shards in vehicle-index
+// order with Accumulate and builds the fleet registry from the sum with
+// ShardLayout.Registry; the result is bit-identical to Registry.Merge
+// over materialized per-vehicle registries in the same order (pinned by
+// TestDriveObsMergedEqualsUnsharded).
 package obs
 
 import (
@@ -17,44 +19,12 @@ import (
 	"sort"
 )
 
-// Rewind zeroes every instrument in place and drops materialized
-// readings, while keeping the instrument objects, their keys, their
-// bucket layouts — and the probe registrations. A pooled vehicle
-// Instrument-ed once keeps feeding these instruments across Reset, and
-// its probe closures bind to subsystem objects, not to a simulation run,
-// so the vehicle re-run under a new seed is read correctly with no
-// second Instrument. Callers that instrument a *different* object graph
-// into a rewound registry must re-Instrument (overwriting the probe
-// entries); callers that shrink the key set must build a fresh registry
-// instead. This is the pooled-vehicle Reset discipline applied to the
-// registry: construction wiring survives, run state does not.
-func (r *Registry) Rewind() {
-	if r == nil {
-		return
-	}
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	for _, g := range r.gauges {
-		g.v = 0
-	}
-	for _, h := range r.histograms {
-		for i := range h.counts {
-			h.counts[i] = 0
-		}
-		h.count, h.sum, h.max = 0, 0, 0
-	}
-	for k := range r.frozen {
-		delete(r.frozen, k)
-	}
-}
-
 // ShardLayout assigns every instrument of one registry a fixed slot in
 // the Shard arrays, in sorted-key order per instrument class. A layout
 // is bound to the registry it was built from: it caches instrument
-// pointers and probe closures so Export runs without map lookups.
-// Rebuild the layout after anything other than Rewind touched the
-// registry's key set or re-registered its probes.
+// pointers and probe closures so a capture runs without map lookups.
+// Rebuild the layout after anything touched the registry's key set or
+// re-registered its probes.
 type ShardLayout struct {
 	counterKeys []string
 	gaugeKeys   []string
@@ -72,7 +42,7 @@ type ShardLayout struct {
 }
 
 // Shard is one vehicle's flattened readings under some ShardLayout: a
-// value capture like Materialize, at two allocations.
+// value capture like Materialize.
 type Shard struct {
 	ints   []uint64
 	floats []float64
@@ -118,49 +88,10 @@ func NewShardLayout(r *Registry) *ShardLayout {
 	return l
 }
 
-// Export flattens r's current readings into a fresh Shard, evaluating
-// every probe now (the Materialize moment). Call it before the probed
-// subsystems are reset or reused. Probes are read through the closures
-// cached at layout-build time, which read the same objects for as long
-// as the pooled vehicle they were registered for is reused.
-func (l *ShardLayout) Export(r *Registry) Shard {
-	s := Shard{
-		ints:   make([]uint64, l.intLen),
-		floats: make([]float64, l.floatLen),
-	}
-	l.exportInto(&s)
-	return s
-}
-
-func (l *ShardLayout) exportInto(s *Shard) {
-	ii, fi := 0, 0
-	for _, c := range l.counterPtrs {
-		s.ints[ii] = uint64(c.v)
-		ii++
-	}
-	for _, g := range l.gaugePtrs {
-		s.floats[fi] = g.v
-		fi++
-	}
-	for _, fn := range l.probeFns {
-		s.floats[fi] = fn()
-		fi++
-	}
-	for _, h := range l.histPtrs {
-		copy(s.ints[ii:ii+len(h.counts)], h.counts)
-		ii += len(h.counts)
-		s.ints[ii] = h.count
-		ii++
-		s.floats[fi] = h.sum
-		s.floats[fi+1] = h.max
-		fi += 2
-	}
-}
-
 // ShardArena carves per-vehicle Shards for one layout out of two backing
 // arrays sized up front, so a fleet worker's shard capture does zero
 // per-vehicle allocations. Every slot of a carved shard is written by
-// Export, so the arena never needs re-zeroing between vehicles.
+// Capture, so the arena never needs re-zeroing between vehicles.
 type ShardArena struct {
 	layout *ShardLayout
 	ints   []uint64
@@ -176,21 +107,52 @@ func (l *ShardLayout) NewArena(n int) *ShardArena {
 	}
 }
 
-// Export carves the next shard off the arena and fills it from r. When
-// the arena is exhausted it falls back to a heap-allocated shard, so
-// sizing is a performance concern, never a correctness one.
-func (a *ShardArena) Export(r *Registry) Shard {
+// Capture carves the next shard off the arena and fills it with the
+// layout's registry's readings, evaluating every probe now (the
+// Materialize moment): call it before the probed subsystems are reset
+// or reused. Every counter, gauge and histogram is zeroed as it is read,
+// keeping its key, bounds and binding, so the registry's next reading
+// starts from zero; probe registrations are untouched. Probes are read
+// through the closures cached at layout-build time, which read the same
+// objects for as long as the pooled vehicle they were registered for is
+// reused. An exhausted arena allocates the shard, so sizing is a
+// performance concern, never a correctness one.
+func (a *ShardArena) Capture() Shard {
 	l := a.layout
+	var s Shard
 	if len(a.ints) < l.intLen || len(a.floats) < l.floatLen {
-		return l.Export(r)
+		s = Shard{ints: make([]uint64, l.intLen), floats: make([]float64, l.floatLen)}
+	} else {
+		s = Shard{ints: a.ints[:l.intLen:l.intLen], floats: a.floats[:l.floatLen:l.floatLen]}
+		a.ints = a.ints[l.intLen:]
+		a.floats = a.floats[l.floatLen:]
 	}
-	s := Shard{
-		ints:   a.ints[:l.intLen:l.intLen],
-		floats: a.floats[:l.floatLen:l.floatLen],
+	ii, fi := 0, 0
+	for _, c := range l.counterPtrs {
+		s.ints[ii] = uint64(c.v)
+		c.v = 0
+		ii++
 	}
-	a.ints = a.ints[l.intLen:]
-	a.floats = a.floats[l.floatLen:]
-	l.exportInto(&s)
+	for _, g := range l.gaugePtrs {
+		s.floats[fi] = g.v
+		g.v = 0
+		fi++
+	}
+	for _, fn := range l.probeFns {
+		s.floats[fi] = fn()
+		fi++
+	}
+	for _, h := range l.histPtrs {
+		copy(s.ints[ii:ii+len(h.counts)], h.counts)
+		clear(h.counts)
+		ii += len(h.counts)
+		s.ints[ii] = h.count
+		ii++
+		s.floats[fi] = h.sum
+		s.floats[fi+1] = h.max
+		h.count, h.sum, h.max = 0, 0, 0
+		fi += 2
+	}
 	return s
 }
 
@@ -233,13 +195,13 @@ func (l *ShardLayout) EqualShape(o *ShardLayout) bool {
 
 // Accumulate folds s into acc element-wise, initializing acc to the
 // layout's zero shard on first use. Folding shards s0..sn into a zero
-// acc and merging acc once is bit-identical to merging s0..sn into a
-// fresh registry one by one: integer adds are associative, the float
-// accumulators start at +0.0 (and IEEE-754 x+0.0 preserves every value
-// a fold from +0.0 can produce), and the histogram count/max guards
-// mirror MergeInto's exactly. This turns the per-vehicle barrier cost
-// from a map-walk (MergeInto) into flat array arithmetic; the fleet
-// driver accumulates every shard of a drive and merges once.
+// acc and building a registry from it (ShardLayout.Registry) is
+// bit-identical to merging the captured registries into a fresh one by
+// one (Registry.Merge): integer adds are associative, the float
+// accumulators start at +0.0 as a fresh registry's instruments do, and
+// the histogram count/max guards mirror Histogram.Merge's exactly. The
+// per-vehicle barrier cost is flat array arithmetic; the fleet driver
+// accumulates every shard of a drive and builds one registry.
 func (l *ShardLayout) Accumulate(acc *Shard, s Shard) error {
 	if len(s.ints) != l.intLen || len(s.floats) != l.floatLen {
 		return fmt.Errorf("obs: shard/layout mismatch: %d/%d values, layout wants %d/%d",
@@ -278,66 +240,48 @@ func (l *ShardLayout) Accumulate(acc *Shard, s Shard) error {
 	return nil
 }
 
-// MergeInto folds s into dst exactly as Registry.Merge would fold the
-// registry s was exported from: counters and bucket counts add as
-// integers, gauge levels, sums and probe readings add as float64 (in
-// this layout's fixed key order — fold shards in one fixed order when
-// byte-identical output matters), max merges as max-of-max with
-// first-sample initialization. Missing dst keys are created on first
-// merge; after that the path allocates nothing
-// (TestFleetMergeSteadyStateAllocs).
-func (l *ShardLayout) MergeInto(dst *Registry, s Shard) error {
-	if dst == nil {
-		return nil
+// Registry builds a registry holding sum, a shard of this layout
+// (typically a drive's Accumulate total). Counters and histogram bucket
+// counts are taken as integers; gauge levels, probe readings and
+// histogram sums are added to +0.0, as Registry.Merge adds them into a
+// fresh registry, so a -0.0 reading renders as +0.0 on both paths.
+// Probe readings become frozen "probe" rows: the result holds no
+// closures into the captured subsystems.
+func (l *ShardLayout) Registry(sum Shard) (*Registry, error) {
+	if len(sum.ints) != l.intLen || len(sum.floats) != l.floatLen {
+		return nil, fmt.Errorf("obs: shard/layout mismatch: %d/%d values, layout wants %d/%d",
+			len(sum.ints), len(sum.floats), l.intLen, l.floatLen)
 	}
-	if len(s.ints) != l.intLen || len(s.floats) != l.floatLen {
-		return fmt.Errorf("obs: shard/layout mismatch: %d/%d values, layout wants %d/%d",
-			len(s.ints), len(s.floats), l.intLen, l.floatLen)
-	}
+	r := NewRegistry()
 	ii, fi := 0, 0
 	for _, k := range l.counterKeys {
-		dst.Counter(k).v += int64(s.ints[ii])
+		r.counters[k] = &Counter{v: int64(sum.ints[ii])}
 		ii++
 	}
 	for _, k := range l.gaugeKeys {
-		dst.Gauge(k).v += s.floats[fi]
+		r.gauges[k] = &Gauge{v: 0 + sum.floats[fi]}
 		fi++
 	}
-	if len(l.probeKeys) > 0 && dst.frozen == nil {
-		dst.frozen = make(map[string]float64, len(l.probeKeys))
+	if len(l.probeKeys) > 0 {
+		r.frozen = make(map[string]float64, len(l.probeKeys))
 	}
 	for _, k := range l.probeKeys {
-		dst.frozen[k] += s.floats[fi]
+		r.frozen[k] = 0 + sum.floats[fi]
 		fi++
 	}
 	for hi, k := range l.histKeys {
-		h, ok := dst.histograms[k]
-		if !ok {
-			// Clone the layout's exact bounds (same rule as
-			// Registry.Merge: the constructor's nil-means-default would
-			// mismatch explicitly empty bounds).
-			h = &Histogram{
-				bounds: append([]float64(nil), l.bounds[hi]...),
-				counts: make([]uint64, len(l.bounds[hi])+1),
-			}
-			dst.histograms[k] = h
+		n := len(l.bounds[hi]) + 1
+		// Clone the layout's exact bounds (same rule as Registry.Merge:
+		// the constructor's nil-means-default would mismatch explicitly
+		// empty bounds).
+		h := &Histogram{bounds: append([]float64(nil), l.bounds[hi]...), counts: make([]uint64, n)}
+		if cnt := sum.ints[ii+n]; cnt > 0 {
+			copy(h.counts, sum.ints[ii:ii+n])
+			h.count, h.sum, h.max = cnt, 0+sum.floats[fi], sum.floats[fi+1]
 		}
-		n := len(h.counts)
-		if n != len(l.bounds[hi])+1 {
-			return fmt.Errorf("obs: shard merge: histogram %q has %d buckets, layout wants %d", k, n, len(l.bounds[hi])+1)
-		}
-		if cnt := s.ints[ii+n]; cnt > 0 {
-			for j := 0; j < n; j++ {
-				h.counts[j] += s.ints[ii+j]
-			}
-			if max := s.floats[fi+1]; h.count == 0 || max > h.max {
-				h.max = max
-			}
-			h.count += cnt
-			h.sum += s.floats[fi]
-		}
+		r.histograms[k] = h
 		ii += n + 1
 		fi += 2
 	}
-	return nil
+	return r, nil
 }

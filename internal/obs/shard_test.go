@@ -18,6 +18,7 @@ func shardTestRegistry(rng *rand.Rand) *Registry {
 	r.Counter("b/drops").Add(int64(rng.Intn(10)))
 	r.Gauge("a/level").Set(rng.NormFloat64())
 	r.Gauge("z/depth").Set(rng.NormFloat64() * 1e-3)
+	r.Gauge("z/negzero").Set(math.Copysign(0, -1)) // merges render it as +0
 	h := r.Histogram("a/lat_us", []float64{1, 10, 100})
 	for i, n := 0, rng.Intn(8); i < n; i++ {
 		h.Observe(rng.NormFloat64() * 50)
@@ -37,23 +38,21 @@ func promBytes(t *testing.T, r *Registry) []byte {
 	return buf.Bytes()
 }
 
-// TestShardRoundTrip pins Export+MergeInto against Materialize+Merge:
-// flattening a registry through a shard and folding it into a fresh
-// registry must reproduce the registry-to-registry merge bit for bit.
+// TestShardRoundTrip pins Capture+Registry against Materialize+Merge:
+// flattening a registry through a shard and building a registry from it
+// must reproduce the registry-to-registry merge bit for bit.
 func TestShardRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
 		src := shardTestRegistry(rng)
-		layout := NewShardLayout(src)
-		shard := layout.Export(src)
-
-		viaShard := NewRegistry()
-		if err := layout.MergeInto(viaShard, shard); err != nil {
-			t.Fatal(err)
-		}
 		src.Materialize()
 		viaMerge := NewRegistry()
 		if err := viaMerge.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		layout := NewShardLayout(src)
+		viaShard, err := layout.Registry(layout.NewArena(1).Capture())
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(viaShard.Snapshot(), viaMerge.Snapshot()) {
@@ -66,31 +65,30 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAccumulateEqualsSequentialMerge pins the barrier fast path: summing
-// shards into one accumulator and merging once must be bit-identical to
-// merging each shard into a fresh registry in the same order.
+// TestAccumulateEqualsSequentialMerge pins the barrier fold: summing
+// shards into one accumulator and building a registry from the sum must
+// be bit-identical to merging each captured registry into a fresh
+// registry in the same order.
 func TestAccumulateEqualsSequentialMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(9)
 		var layout *ShardLayout
 		shards := make([]Shard, n)
+		sequential := NewRegistry()
 		for i := range shards {
 			src := shardTestRegistry(rng)
+			src.Materialize()
+			if err := sequential.Merge(src); err != nil {
+				t.Fatal(err)
+			}
 			l := NewShardLayout(src)
 			if layout == nil {
 				layout = l
 			} else if !layout.EqualShape(l) {
 				t.Fatal("test registries must be shape-equal")
 			}
-			shards[i] = l.Export(src)
-		}
-
-		sequential := NewRegistry()
-		for _, s := range shards {
-			if err := layout.MergeInto(sequential, s); err != nil {
-				t.Fatal(err)
-			}
+			shards[i] = l.NewArena(1).Capture()
 		}
 
 		var acc Shard
@@ -99,8 +97,8 @@ func TestAccumulateEqualsSequentialMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		accumulated := NewRegistry()
-		if err := layout.MergeInto(accumulated, acc); err != nil {
+		accumulated, err := layout.Registry(acc)
+		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -124,29 +122,61 @@ func TestAccumulateEqualsSequentialMerge(t *testing.T) {
 	}
 }
 
-// TestRewindKeepsProbesAndZeroes pins the Rewind contract the fleet
-// driver's reattach fast path depends on: instruments zero in place,
-// materialized readings drop, probe registrations survive.
-func TestRewindKeepsProbesAndZeroes(t *testing.T) {
+// TestCaptureZeroesAndKeepsProbes pins the capture contract the fleet
+// driver depends on: a shard holds the registry's readings, every
+// counter, gauge and histogram reads zero afterwards and keeps feeding
+// the registry through its bound pointer, and probe registrations
+// survive. A capture past the arena's size allocates its own shard and
+// leaves the earlier ones intact.
+func TestCaptureZeroesAndKeepsProbes(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(4)
-	r.Histogram("h", []float64{10}).Observe(-3)
+	c := r.Counter("c")
+	c.Add(3)
+	g := r.Gauge("g")
+	g.Set(4)
+	h := r.Histogram("h", []float64{10})
+	h.Observe(-3)
 	live := 7.0
 	r.Probe("p", func() float64 { return live })
-	r.Materialize()
+	layout := NewShardLayout(r)
+	arena := layout.NewArena(1)
 
-	r.Rewind()
-	live = 11
-
-	got := map[string]float64{}
-	for _, m := range r.Snapshot() {
-		got[m.Key] = m.Value
-	}
-	for k, v := range map[string]float64{"c": 0, "g": 0, "p": 11, "h/count": 0, "h/max": 0} {
-		if got[k] != v {
-			t.Fatalf("after Rewind, %q = %v, want %v", k, got[k], v)
+	read := func(r *Registry) map[string]float64 {
+		out := map[string]float64{}
+		for _, m := range r.Snapshot() {
+			out[m.Key] = m.Value
 		}
+		return out
+	}
+	check := func(what string, got, want map[string]float64) {
+		t.Helper()
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s: %q = %v, want %v", what, k, got[k], v)
+			}
+		}
+	}
+
+	first := arena.Capture()
+	live = 11
+	check("after a capture", read(r), map[string]float64{"c": 0, "g": 0, "p": 11, "h/count": 0, "h/max": 0})
+
+	c.Inc()
+	h.Observe(20)
+	second := arena.Capture() // the arena held one shard: this one is allocated
+	for _, tc := range []struct {
+		name string
+		s    Shard
+		want map[string]float64
+	}{
+		{"first capture", first, map[string]float64{"c": 3, "g": 4, "p": 7, "h/count": 1, "h/max": -3}},
+		{"second capture", second, map[string]float64{"c": 1, "g": 0, "p": 11, "h/count": 1, "h/max": 20}},
+	} {
+		got, err := layout.Registry(tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tc.name, read(got), tc.want)
 	}
 }
 

@@ -15,14 +15,15 @@
 //
 // A signature lookup takes one of two paths. The content path renders
 // the canonical bytes, hashes them with the signature and looks the
-// digest up, verifying cold on a miss. A Metadata object whose content
-// path hits (its content was seen before: the second vehicle to check a
-// published statement) is promoted to an identity memo holding a deep
-// snapshot of its signed fields and signature. Later lookups of that
-// same object compare the snapshot field by field and answer without
-// rendering or hashing. A copy of the object is a different pointer and
-// takes the content path; an in-place mutation fails the compare and
-// takes it too.
+// digest up, verifying cold on a miss. The first Metadata object whose
+// content path hits (its content was seen before: the second vehicle to
+// check a published statement) is promoted to an identity memo holding
+// a deep snapshot of its signed fields and signature; each verdict
+// promotes at most one object, so copies cannot grow the memo table.
+// Later lookups of that same object compare the snapshot field by field
+// and answer without rendering or hashing. A copy of the object is a
+// different pointer and takes the content path; an in-place mutation
+// fails the compare and takes it too.
 //
 // Attestation is keyed by Bundle identity: a published bundle is
 // immutable campaign state (the backend signs it once per wave and
@@ -53,6 +54,12 @@ import (
 type SigKey struct {
 	Key [ed25519.PublicKeySize]byte
 	Sum [sha256.Size]byte
+}
+
+// sigVerdict is the cached outcome of one content key. promoted records
+// that an object has been promoted to an identity memo for it.
+type sigVerdict struct {
+	valid, promoted bool
 }
 
 // identKey names one Metadata object under one verification key.
@@ -126,13 +133,12 @@ type CacheStats struct {
 // hit paths take only a read lock and perform no allocation.
 //
 // sigs holds one verdict per SigKey, negative verdicts included. idents
-// holds the identity memos of objects promoted on a content hit; it
-// grows with the published objects the fleet looks up, not with the
-// fleet, and is created on the first promotion, so a cache that only
-// ever verifies cold never builds it.
+// holds the identity memos of objects promoted on a content hit, at most
+// one per verdict, so it never outgrows sigs; it is created on the first
+// promotion, so a cache that only ever verifies cold never builds it.
 type VerifyCache struct {
 	mu      sync.RWMutex
-	sigs    map[SigKey]bool
+	sigs    map[SigKey]sigVerdict
 	idents  map[identKey]*sigMemo
 	attests map[*Bundle]*attestation
 
@@ -145,7 +151,7 @@ type VerifyCache struct {
 // NewVerifyCache creates an empty cache.
 func NewVerifyCache() *VerifyCache {
 	return &VerifyCache{
-		sigs:    make(map[SigKey]bool),
+		sigs:    make(map[SigKey]sigVerdict),
 		attests: make(map[*Bundle]*attestation),
 	}
 }
@@ -164,9 +170,10 @@ func (vc *VerifyCache) Stats() CacheStats {
 // An identity memo for (m, key) that still matches m answers at once.
 // Otherwise the canonical bytes render into s (the caller's scratch, so
 // the content path stays allocation-free once s has grown) and the
-// content digest is looked up, verifying cold on a miss and promoting
-// (m, key) on a hit. A signature or key of the wrong length is rejected
-// without touching the cache.
+// content digest is looked up, verifying cold on a miss and, on a hit,
+// promoting (m, key) unless the verdict already promoted an object. A
+// signature or key of the wrong length is rejected without touching the
+// cache.
 func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, s *canonicalScratch) bool {
 	if len(m.Sig) != ed25519.SignatureSize || len(key) != ed25519.PublicKeySize {
 		return false
@@ -184,31 +191,34 @@ func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, s *canonical
 	s.buf = append(canon, m.Sig...)
 	k := SigKey{Key: id.key, Sum: sha256.Sum256(s.buf)}
 	vc.mu.RLock()
-	valid, ok := vc.sigs[k]
+	v, ok := vc.sigs[k]
 	vc.mu.RUnlock()
-	if ok && memo != nil {
-		// m was promoted and has since changed in place; its original
-		// snapshot stays, so restoring m brings the memo back.
-		return valid
+	if ok && (v.promoted || memo != nil) {
+		// Nothing to promote: the verdict's one memo is taken, or m
+		// holds a memo it no longer matches after an in-place change
+		// (the snapshot stays, so restoring m brings the memo back).
+		return v.valid
 	}
 	vc.mu.Lock()
-	if valid, ok = vc.sigs[k]; ok {
-		if vc.idents[id] == nil {
+	if v, ok = vc.sigs[k]; ok {
+		if !v.promoted && vc.idents[id] == nil {
 			if vc.idents == nil {
 				vc.idents = make(map[identKey]*sigMemo)
 			}
-			vc.idents[id] = newSigMemo(m, valid)
+			vc.idents[id] = newSigMemo(m, v.valid)
+			v.promoted = true
+			vc.sigs[k] = v
 		}
 	} else {
 		// Double-checked under the write lock: exactly one worker pays
 		// the ed25519 verification per unique key, which is what keeps
 		// Stats deterministic at any worker count.
 		vc.sigVerifies.Add(1)
-		valid = ed25519.Verify(key, canon, m.Sig)
-		vc.sigs[k] = valid
+		v.valid = ed25519.Verify(key, canon, m.Sig)
+		vc.sigs[k] = v
 	}
 	vc.mu.Unlock()
-	return valid
+	return v.valid
 }
 
 // attest returns the cached cross-check of b's director targets against

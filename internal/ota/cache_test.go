@@ -398,6 +398,38 @@ func TestSigValidIdentityMemoTracksMutation(t *testing.T) {
 	}
 }
 
+// TestSigValidOneMemoPerVerdict bounds the identity memos by the content
+// verdicts: looking up a published statement and then 1,000 fresh struct
+// copies of it must leave one verdict and at most one memo, and every
+// copy must still answer like a cold verify. The published object, seen
+// again, gets its memo on that second sight.
+func TestSigValidOneMemoPerVerdict(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	pub, key := f.bundle.Director, f.director.PublicKey()
+	vc := NewVerifyCache()
+	var s canonicalScratch
+	if !vc.sigValid(pub, key, &s) {
+		t.Fatal("published statement rejected")
+	}
+	for i := 0; i < 1000; i++ {
+		c := *pub
+		if !vc.sigValid(&c, key, &s) {
+			t.Fatalf("copy %d rejected", i)
+		}
+	}
+	if len(vc.sigs) != 1 || len(vc.idents) > 1 {
+		t.Fatalf("cache holds %d verdicts and %d identity memos, want 1 and at most 1", len(vc.sigs), len(vc.idents))
+	}
+
+	vc = NewVerifyCache()
+	for i := 0; i < 2; i++ {
+		vc.sigValid(pub, key, &s)
+	}
+	if vc.idents[identKey{m: pub, key: [ed25519.PublicKeySize]byte(key)}] == nil {
+		t.Fatal("published statement not promoted on its second sight")
+	}
+}
+
 // TestSigMemoCoversMetadata fails when Metadata or Target gains a field,
 // so the identity snapshot and its compare cannot silently miss one.
 func TestSigMemoCoversMetadata(t *testing.T) {

@@ -159,19 +159,6 @@ type TraceSink interface {
 	KernelDispatch(at Time, pending int)
 }
 
-// defaultTraceSink, when non-nil, is attached to every kernel NewKernel
-// creates. It exists for tooling (benchreport -trace) that wants to
-// observe kernels constructed deep inside experiment code it does not
-// control; library code must use SetTraceSink on its own kernel instead,
-// and replicated runs must leave this unset (it would funnel every seed's
-// events into one sink).
-var defaultTraceSink TraceSink
-
-// SetDefaultTraceSink installs (or, with nil, removes) the process-wide
-// sink picked up by subsequent NewKernel calls. Not safe for concurrent
-// use with NewKernel; intended for single-seed CLI tooling only.
-func SetDefaultTraceSink(s TraceSink) { defaultTraceSink = s }
-
 // Kernel is a discrete-event simulator. The zero value is not usable;
 // construct with NewKernel.
 type Kernel struct {
@@ -190,7 +177,7 @@ type Kernel struct {
 // NewKernel returns a kernel at time zero whose named random streams are
 // derived from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{seed: seed, streams: make(map[string]*Stream), trace: defaultTraceSink}
+	return &Kernel{seed: seed, streams: make(map[string]*Stream)}
 }
 
 // Reset rewinds the kernel to its post-NewKernel state under a new seed
@@ -199,7 +186,7 @@ func NewKernel(seed uint64) *Kernel {
 // re-derived in place (subsystems cache *Stream pointers, so the stream
 // objects must survive). After Reset the kernel is indistinguishable —
 // event sequencing included — from NewKernel(seed), except that the heap
-// and free list stay warm.
+// and free list stay warm. Like a new kernel, it has no trace sink.
 func (k *Kernel) Reset(seed uint64) {
 	for _, n := range k.queue {
 		k.recycle(n)
@@ -214,7 +201,7 @@ func (k *Kernel) Reset(seed uint64) {
 	for name, s := range k.streams {
 		s.Reseed(seed, name)
 	}
-	k.trace = defaultTraceSink
+	k.trace = nil
 }
 
 // SetTraceSink attaches (or, with nil, detaches) a per-dispatch trace

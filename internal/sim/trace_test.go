@@ -42,29 +42,14 @@ func TestKernelTraceSinkSeesEveryDispatch(t *testing.T) {
 			t.Fatalf("dispatch %d pending=%d, want %d", i, sink.pending[i], want)
 		}
 	}
-}
 
-func TestDefaultTraceSinkAttachesToNewKernels(t *testing.T) {
-	sink := &recordingSink{}
-	SetDefaultTraceSink(sink)
-	defer SetDefaultTraceSink(nil)
-
-	k := NewKernel(7)
+	// Reset detaches the sink.
+	k.Reset(2)
 	k.At(5, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.at) != 1 || sink.at[0] != 5 {
-		t.Fatalf("default sink saw %v, want one dispatch at 5", sink.at)
-	}
-
-	SetDefaultTraceSink(nil)
-	k2 := NewKernel(7)
-	k2.At(5, func() {})
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.at) != 1 {
-		t.Fatal("kernel created after SetDefaultTraceSink(nil) must not trace")
+	if len(sink.at) != 3 {
+		t.Fatalf("sink saw %d dispatches after Reset, want the first run's 3", len(sink.at))
 	}
 }

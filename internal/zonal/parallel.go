@@ -26,7 +26,6 @@ import (
 
 	"autosec/internal/ethernet"
 	"autosec/internal/netif"
-	"autosec/internal/obs"
 	"autosec/internal/sim"
 )
 
@@ -232,30 +231,4 @@ func (m *bbMsg) deliver() {
 		p.recv(m.at, &m.frame)
 	}
 	p.free = append(p.free, m)
-}
-
-// InstrumentZones is Instrument for partitioned fabrics: each zone's
-// gateway attaches to tracers[z.Member()] — per-zone tracers, since one
-// shared ring would interleave the zones' windows out of time order — and
-// the registry gets per-zone metrics plus the fabric totals. On a shared
-// fabric every zone is member 0, which is how Instrument reuses this
-// body. Registry counters are only written by their owning zone's kernel
-// and must only be read between runs. tracers may be nil or shorter than
-// the zone list; missing entries mean metrics-only for that zone.
-func (f *Fabric) InstrumentZones(tracers []*obs.Tracer, reg *obs.Registry) {
-	for _, z := range f.zones {
-		var tr *obs.Tracer
-		if m := z.Member(); m < len(tracers) {
-			tr = tracers[m]
-		}
-		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
-		if reg != nil {
-			z := z
-			reg.Probe("zone-"+z.Name+"/backbone_deliveries", func() float64 { return float64(z.bbDeliveries.Value) })
-		}
-	}
-	if reg != nil {
-		reg.Probe("zonal/backbone_frames", func() float64 { return float64(f.BackboneFramesTotal()) })
-		reg.Probe("zonal/backbone_deliveries", func() float64 { return float64(f.BackboneDeliveriesTotal()) })
-	}
 }

@@ -327,15 +327,15 @@ func BenchmarkZonalPartitioned(b *testing.B) {
 	}
 }
 
-// TestInstrumentZonesPerZoneProbes pins the partitioned flavor of the
-// per-zone delivery probes: each zone's zone-<name>/backbone_deliveries
-// reads its own kernel-local counter, and the sum matches the fabric
-// total.
+// TestInstrumentZonesPerZoneProbes pins the per-zone delivery probes
+// that Instrument registers on a partitioned fabric: each zone's
+// zone-<name>/backbone_deliveries reads its own kernel-local counter,
+// and the sum matches the fabric total.
 func TestInstrumentZonesPerZoneProbes(t *testing.T) {
 	const zones = 3
 	r := newZoneRig(t, zones, true, 7)
 	reg := obs.NewRegistry()
-	r.fab.InstrumentZones(nil, reg)
+	r.fab.Instrument(nil, reg)
 	collisionFreeWorkload(r, zones, 2)
 	r.run(t)
 

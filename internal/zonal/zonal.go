@@ -347,15 +347,23 @@ func (f *Fabric) Observe(fn ObserveFunc) { f.observers = append(f.observers, fn)
 // Instrument attaches every zone gateway and the fabric counters to the
 // observability layer. Zone metrics register as "zone-<name>/..." so
 // several gateways share one registry without key collisions; fabric
-// totals register under "zonal/". A partitioned fabric rejects a shared
-// tracer: its zones run on separate kernels whose windows would
-// interleave in one ring out of time order — use InstrumentZones with
-// per-zone tracers.
+// totals register under "zonal/". On a partitioned fabric every zone's
+// gateway records into tr from its own kernel; the kernel group
+// dispatches its members one after another, so the ring holds them in
+// dispatch order, window by window. Registry counters are only written
+// by their owning zone's kernel and must only be read between runs.
 func (f *Fabric) Instrument(tr *obs.Tracer, reg *obs.Registry) {
-	if f.group != nil && tr != nil {
-		panic("zonal: shared tracer on a partitioned fabric; use InstrumentZones")
+	for _, z := range f.zones {
+		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
+		if reg != nil {
+			z := z
+			reg.Probe("zone-"+z.Name+"/backbone_deliveries", func() float64 { return float64(z.bbDeliveries.Value) })
+		}
 	}
-	f.InstrumentZones([]*obs.Tracer{tr}, reg)
+	if reg != nil {
+		reg.Probe("zonal/backbone_frames", func() float64 { return float64(f.BackboneFramesTotal()) })
+		reg.Probe("zonal/backbone_deliveries", func() float64 { return float64(f.BackboneDeliveriesTotal()) })
+	}
 }
 
 // recompile rebuilds every zone's compiled rule shard from the logical
