@@ -10,9 +10,11 @@ import (
 	"autosec/internal/ethernet"
 	"autosec/internal/flexray"
 	"autosec/internal/gateway"
+	"autosec/internal/ids"
 	"autosec/internal/lin"
 	"autosec/internal/netif"
 	"autosec/internal/obs"
+	"autosec/internal/policy"
 	"autosec/internal/sim"
 	"autosec/internal/workload"
 )
@@ -36,14 +38,14 @@ func (r *eqRng) chance(pct int) bool { return r.intn(100) < pct }
 
 // eqRandomConfig draws a build configuration from the full extensibility
 // envelope: central or zonal topology, mixed-media extra domains, MAC
-// truncation widths and an optional policy plane.
-func eqRandomConfig(r *eqRng, trial int) Config {
+// truncation widths and an optional policy plane trusting auth.
+func eqRandomConfig(r *eqRng, trial int, auth *policy.Authority) Config {
 	cfg := Config{
 		VIN:     fmt.Sprintf("EQ-%02d", trial),
 		MACBits: []int{0, 0, 24, 32}[r.intn(4)],
 	}
 	if r.chance(40) {
-		cfg.PolicyKey = []byte("eq-policy-authority-key")
+		cfg.PolicyKey = auth.PublicKey()
 	}
 	kinds := []netif.Kind{netif.CAN, netif.LIN, netif.FlexRay, netif.Ethernet}
 	for i, n := 0, r.intn(3); i < n; i++ {
@@ -78,9 +80,39 @@ func eqRandomConfig(r *eqRng, trial int) Config {
 // replays the same script on any vehicle) or from the vehicle's own
 // kernel streams (so the vehicle seed is load-bearing too).
 func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
+	return eqScenarioHooks(t, v, scenSeed, &eqHooks{})
+}
+
+// eqHooks carries what a scenario shares across runs of one trial.
+type eqHooks struct {
+	// auth signs the scenario's policy pushes; nil skips them.
+	auth *policy.Authority
+	// stale is a periodic stop handle kept from an earlier run of the
+	// vehicle, called mid-run; nil calls a no-op at the same instant, so
+	// runs with and without one schedule the same events.
+	stale func()
+	// stop is set by the run: its heartbeat periodic's stop handle.
+	stop func()
+}
+
+// eqScenarioHooks is eqScenario with cross-run hooks.
+func eqScenarioHooks(t *testing.T, v *Vehicle, scenSeed uint64, h *eqHooks) string {
 	t.Helper()
 	r := &eqRng{state: scenSeed}
 	k := v.Kernel
+
+	// A heartbeat periodic, the run's first: on a reused vehicle it runs
+	// on the periodic node an earlier run's first periodic used, so a
+	// stale stop handle that still reached the node would silence it and
+	// move the kernel step count.
+	h.stop = k.Every(150*sim.Microsecond, 300*sim.Microsecond, func() {})
+	if r.chance(50) {
+		stale := h.stale
+		if stale == nil {
+			stale = func() {}
+		}
+		k.At(sim.Duration(1+r.intn(3))*sim.Millisecond, stale)
+	}
 
 	tr := obs.NewTracer(1 << 12)
 	reg := obs.NewRegistry()
@@ -91,6 +123,22 @@ func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	// alerts.
 	if r.chance(50) {
 		v.TrainIDS(workload.SyntheticTrace(workload.PowertrainMatrix(), sim.Second, r.next(), 0.01))
+	}
+
+	// A policy push that replaces one baseline detector mid-run with an
+	// untrained one of the same family (the policy plane's replace-in-
+	// place semantics). Reset must reinstall the baseline detector.
+	if v.Policy != nil && h.auth != nil && r.chance(50) {
+		names := v.IDS.Detectors()
+		p := &policy.Policy{Name: "eq-detector", Version: 1, Directives: []policy.Directive{
+			{Kind: "ids.detector", Params: map[string]string{"name": names[r.intn(len(names))]}},
+		}}
+		h.auth.Sign(p)
+		k.At(sim.Duration(1+r.intn(3))*sim.Millisecond, func() {
+			if err := v.Policy.Install(p); err != nil {
+				t.Errorf("policy push: %v", err)
+			}
+		})
 	}
 
 	// Policy-layer churn: a randomized cross-domain rule set.
@@ -119,6 +167,7 @@ func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 	// Traffic on the standard domains, phases drawn from the vehicle's
 	// seeded kernel stream.
 	st := k.Stream("eq-phase")
+	ptID := can.ID(0) // the powertrain ECU's identifier, when it sends
 	for i, dom := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
 		if !r.chance(70) {
 			continue
@@ -131,6 +180,25 @@ func eqScenario(t *testing.T, v *Vehicle, scenSeed uint64) string {
 		k.Every(st.Duration(100*sim.Microsecond, sim.Millisecond), period, func() {
 			_ = c.Send(can.Frame{ID: id, Data: []byte{payload, 0x01}}, nil)
 		})
+		if dom == DomainPowertrain {
+			ptID = id
+		}
+	}
+
+	// A runtime-added entropy detector fed through the powertrain tap:
+	// trained on stuck payloads of the powertrain ECU's identifier, it
+	// alerts on every live batch of the ECU's two-valued payloads. Reset
+	// must drop it, batches and all.
+	if ptID != 0 && r.chance(50) {
+		ent := ids.NewEntropyDetector()
+		ent.BatchSize, ent.Tolerance = 2, 0.5
+		stuck := &netif.Trace{}
+		for i := 0; i < 4; i++ {
+			stuck.Records = append(stuck.Records, can.NetifRecord(sim.Time(i)*sim.Millisecond,
+				can.Frame{ID: ptID, Data: []byte{0x07, 0x07}}, "eq-ecu0"))
+		}
+		ent.Train(stuck)
+		v.IDS.Add(ent)
 	}
 
 	// Mixed-media traffic on the extra domains. On builds with an
@@ -293,15 +361,22 @@ func eqFingerprint(v *Vehicle, tr *obs.Tracer, reg *obs.Registry) string {
 // randomized configs (central and zonal, mixed media, MAC widths, policy
 // plane on and off) a pooled vehicle that was dirtied by one scenario and
 // then Reset must replay a second scenario byte-identically to a fresh
-// NewVehicle build — traces, metrics and audit verdicts included.
+// NewVehicle build — traces, metrics and audit verdicts included. The
+// scenarios also push a policy that replaces a baseline detector, add an
+// entropy detector at runtime, and call a periodic stop handle kept from
+// the dirty run after the reused vehicle's Reset.
 func TestResetEquivalence(t *testing.T) {
 	trials := 24
 	if testing.Short() {
 		trials = 6
 	}
+	auth, err := policy.NewAuthority()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &eqRng{state: 0xE0E0}
 	for trial := 0; trial < trials; trial++ {
-		cfg := eqRandomConfig(r, trial)
+		cfg := eqRandomConfig(r, trial, auth)
 		runSeed := r.next()
 		scenSeed := r.next()
 		dirtySeed := r.next()
@@ -313,14 +388,15 @@ func TestResetEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fresh build (%+v): %v", fcfg, err)
 			}
-			want := eqScenario(t, fresh, scenSeed)
+			want := eqScenarioHooks(t, fresh, scenSeed, &eqHooks{auth: auth})
 
 			pool := NewVehiclePool(cfg)
 			dirty, err := pool.Acquire(dirtySeed)
 			if err != nil {
 				t.Fatalf("pool build: %v", err)
 			}
-			_ = eqScenario(t, dirty, scenDirty)
+			dirtyRun := &eqHooks{auth: auth}
+			_ = eqScenarioHooks(t, dirty, scenDirty, dirtyRun)
 			pool.Release(dirty)
 			reused, err := pool.Acquire(runSeed)
 			if err != nil {
@@ -332,7 +408,7 @@ func TestResetEquivalence(t *testing.T) {
 			if pool.Hits != 1 || pool.Misses != 1 {
 				t.Fatalf("pool counters: hits=%d misses=%d, want 1/1", pool.Hits, pool.Misses)
 			}
-			got := eqScenario(t, reused, scenSeed)
+			got := eqScenarioHooks(t, reused, scenSeed, &eqHooks{auth: auth, stale: dirtyRun.stop})
 
 			if got != want {
 				t.Fatalf("reset vehicle diverged from fresh build (cfg %+v):\n%s",

@@ -97,11 +97,13 @@ func restoreArch(a *Architecture, b archBaseline) {
 }
 
 // Reset rewinds the vehicle to its post-NewVehicle state under a new
-// seed, without reallocating any construction wiring. After Reset the
-// vehicle behaves byte-identically (traces, metrics, audit verdicts) to
-// a fresh NewVehicle built with the same Config but Seed=seed — the
-// property the reset-equivalence harness in pool_equivalence_test.go
-// enforces. Tracers are scenario state and detach; attach one again
+// seed, in place: it rebuilds nothing and, on a warm vehicle, allocates
+// nothing — the IDS returns its own detectors to constructor state, rule
+// sets recompile into storage the gateways already own, and kernel,
+// timer, bus and switch nodes recycle. After Reset the vehicle behaves
+// byte-identically (traces, metrics, audit verdicts) to a fresh
+// NewVehicle built with the same Config but Seed=seed — the property the
+// reset-equivalence harness in pool_equivalence_test.go enforces. Tracers are scenario state and detach; attach one again
 // with Instrument(tr, nil) if needed. Metric bindings stay: the buses,
 // IDS and audit log keep feeding the registry the vehicle was last
 // Instrument-ed into, until the next Instrument with a registry, so a
@@ -150,11 +152,11 @@ func (v *Vehicle) Reset(seed uint64) {
 		v.Gateway.ResetToBaseline()
 	}
 
-	// IDS gets a factory-fresh build of the configured suite, mirroring
-	// NewVehicle — training state lives inside detectors, so fresh
-	// detectors mean an untrained engine, same as a fresh build, and the
-	// suite guarantees the same registry routing order.
-	v.IDS.ResetToBaseline(v.idsSuite.Build()...)
+	// The IDS returns its construction-time detectors to their untrained
+	// constructor state in place and reinstalls them in the same registry
+	// routing order, dropping detectors a scenario or policy push added —
+	// an untrained engine, same as a fresh build, with nothing rebuilt.
+	v.IDS.ResetToBaseline()
 
 	v.SHE.ResetToBaseline()
 	v.CPU.ResetState()

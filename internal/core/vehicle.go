@@ -160,9 +160,6 @@ type Vehicle struct {
 	// entry copies it out.
 	alertBuf []byte
 
-	// idsSuite is the detector construction set the build selected;
-	// Reset rebuilds the detection plane from it.
-	idsSuite ids.Suite
 	// domainOrder records domain names in construction order so Reset
 	// walks the media deterministically (never map order).
 	domainOrder []string
@@ -257,14 +254,14 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 		}
 	}
 
-	// Secure Networks compensating control: the detection plane. The
-	// suite is remembered so pooled Resets rebuild the identical detector
-	// set in the identical registry order.
-	v.idsSuite = ids.BaselineSuite()
+	// Secure Networks compensating control: the detection plane. Pooled
+	// Resets return these detectors to constructor state in place, in the
+	// same registry order.
+	suite := ids.BaselineSuite()
 	if cfg.IDS != nil && cfg.IDS.MediumAware {
-		v.idsSuite = ids.MediumAwareSuite()
+		suite = ids.MediumAwareSuite()
 	}
-	v.IDS = ids.NewEngineFromSuite(v.idsSuite)
+	v.IDS = ids.NewEngineFromSuite(suite)
 	v.IDS.Attach(v.Media[DomainPowertrain])
 	if cfg.IDS != nil {
 		// Widened taps: every mixed-media extra domain feeds the engine.

@@ -265,7 +265,7 @@ func TestFleetVehicleAllocs(t *testing.T) {
 	small, large := drive(100), drive(500)
 	perVehicle := float64(large-small) / 400
 	t.Logf("%.2f allocs per vehicle", perVehicle)
-	if perVehicle > 64 {
-		t.Fatalf("%.2f allocs per canonical fleet vehicle, want <= 64", perVehicle)
+	if perVehicle > 32 {
+		t.Fatalf("%.2f allocs per canonical fleet vehicle, want <= 32", perVehicle)
 	}
 }

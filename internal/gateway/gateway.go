@@ -51,7 +51,11 @@ func (a Action) String() string {
 // A Rule holds configuration only: the token-bucket limiter state lives in
 // the gateway that installed the rule, so the same Rule value can be
 // installed into several gateways (or re-installed after SetRules) without
-// silently sharing limiter state.
+// silently sharing limiter state. A gateway does write the Matched and
+// RateDrops counters of every rule installed into it, so one Rule must
+// not be installed into gateways that run concurrently, such as pooled
+// vehicles on different fleet workers. A zonal fabric only reads its
+// logical rules: its zone gateways run compiled copies.
 type Rule struct {
 	// Name labels the rule in logs and stats.
 	Name string
@@ -153,10 +157,14 @@ type Gateway struct {
 	// it — kernel dispatch order, bus arbitration, traces) is
 	// deterministic.
 	order []string
+	// rules is the gateway's own copy of the installed rule pointers:
+	// SetRules and AddRule copy into it, so the caller's slice is never
+	// aliased and Reset never writes into it.
 	rules []*Rule
 	// states runs parallel to rules: states[i] is the limiter state and
-	// verdict-string cache for rules[i].
-	states []*ruleState
+	// verdict-string cache for rules[i], held by value and reused across
+	// rule-set installs.
+	states []ruleState
 	// DefaultAction applies when no rule matches (Deny is the secure
 	// default; a permissive gateway is the "no gateway" baseline).
 	DefaultAction Action
@@ -241,7 +249,7 @@ type verdictStrings struct {
 
 // newState builds the gateway-owned state for one installed rule. Only
 // the limiter state is fresh; the verdict strings intern per rule name.
-func (g *Gateway) newState(r *Rule) *ruleState {
+func (g *Gateway) newState(r *Rule) ruleState {
 	vs, ok := g.verdictCache[r.Name]
 	if !ok {
 		vs = verdictStrings{
@@ -254,7 +262,7 @@ func (g *Gateway) newState(r *Rule) *ruleState {
 		}
 		g.verdictCache[r.Name] = vs
 	}
-	return &ruleState{allowV: vs.allowV, denyV: vs.denyV, rateV: vs.rateV}
+	return ruleState{allowV: vs.allowV, denyV: vs.denyV, rateV: vs.rateV}
 }
 
 // AddRule appends a rule to the ordered rule set.
@@ -264,17 +272,24 @@ func (g *Gateway) AddRule(r *Rule) {
 }
 
 // SetRules replaces the entire rule set — the in-field update primitive.
-// Limiter state is reset: new policy, fresh buckets.
+// Limiter state is reset: new policy, fresh buckets. The gateway copies
+// the rule pointers into storage it owns and reuses, so rs stays the
+// caller's.
 func (g *Gateway) SetRules(rs []*Rule) {
-	g.rules = rs
-	g.states = make([]*ruleState, len(rs))
-	for i, r := range rs {
-		g.states[i] = g.newState(r)
+	old := len(g.rules)
+	g.rules = append(g.rules[:0], rs...)
+	if n := len(g.rules); n < old {
+		clear(g.rules[n:old]) // drop the replaced rules
+	}
+	g.states = g.states[:0]
+	for _, r := range g.rules {
+		g.states = append(g.states, g.newState(r))
 	}
 }
 
-// Rules returns the active rule set (callers must not mutate entries
-// concurrently with simulation).
+// Rules returns the active rule set: the gateway's copy of the installed
+// rule pointers, valid until the next SetRules, AddRule or Reset. Callers
+// must not mutate entries concurrently with simulation.
 func (g *Gateway) Rules() []*Rule { return g.rules }
 
 // Quarantine isolates a domain: nothing routes in or out of it until
@@ -372,7 +387,7 @@ func (g *Gateway) route(at sim.Time, from *domain, f *netif.Frame) {
 		if !r.matches(from.name, f) {
 			continue
 		}
-		st := g.states[i]
+		st := &g.states[i]
 		r.Matched.Inc()
 		if r.Action == Deny {
 			g.Blocked.Inc()

@@ -17,7 +17,7 @@ import (
 type gwBaseline struct {
 	sealed        bool
 	domains       int
-	rules         int
+	rules         []*Rule // the installed rules, copied
 	observers     int
 	defaultAction Action
 	latency       sim.Duration
@@ -28,7 +28,7 @@ func (g *Gateway) MarkBaseline() {
 	g.base = gwBaseline{
 		sealed:        true,
 		domains:       len(g.order),
-		rules:         len(g.rules),
+		rules:         append([]*Rule(nil), g.rules...),
 		observers:     len(g.observers),
 		defaultAction: g.DefaultAction,
 		latency:       g.Latency,
@@ -52,17 +52,10 @@ func (g *Gateway) ResetToBaseline() {
 		d.in = netif.Frame{}
 		d.buf = d.buf[:0]
 	}
-	for i := g.base.rules; i < len(g.rules); i++ {
-		g.rules[i] = nil
-		g.states[i] = nil
-	}
-	g.rules = g.rules[:g.base.rules]
-	g.states = g.states[:g.base.rules]
-	for i, r := range g.rules {
+	g.SetRules(g.base.rules)
+	for _, r := range g.rules {
 		r.Matched.Value = 0
 		r.RateDrops.Value = 0
-		st := g.states[i]
-		st.tokens, st.last, st.inited = 0, 0, false
 	}
 	g.DefaultAction = g.base.defaultAction
 	g.Latency = g.base.latency

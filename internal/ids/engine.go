@@ -39,40 +39,52 @@ type Engine struct {
 	lastAlert sim.Time
 	hasAlert  bool
 
-	// Pooled-reuse baseline; see MarkBaseline/ResetToBaseline.
+	// Pooled-reuse baseline; see MarkBaseline/ResetToBaseline. base is a
+	// private copy of the construction-time detectors in routing order,
+	// so Remove's in-place shift never reaches it.
 	baseSealed  bool
+	base        []Detector
 	baseOnAlert int
 }
 
-// MarkBaseline seals the engine's construction-time alert wiring so
+// MarkBaseline seals the engine's construction-time state: the installed
+// detectors, which ResetToBaseline reinstalls, and the alert wiring, so
 // ResetToBaseline can drop scenario subscribers (auto-quarantine hooks
 // and the like) while keeping the ones registered during construction.
 func (e *Engine) MarkBaseline() {
 	e.baseSealed = true
+	e.base = e.base[:0]
+	e.base = append(e.base, e.global...)
+	for k := range e.byKind {
+		e.base = append(e.base, e.byKind[k]...)
+	}
 	e.baseOnAlert = len(e.onAlert)
 }
 
-// ResetToBaseline rewinds the engine for pooled reuse: the detector set
-// is replaced with the fresh detectors the caller supplies (detectors
-// are stateful, so the constructor re-creates the construction-time
-// set), alerts and counters clear, scenario alert subscribers drop, and
-// the tracer detaches. The alert-gap histogram stays bound to the
-// registry the engine was last Instrument-ed into, and the gap restarts
-// at the next alert. Taps registered via Attach live on the media and
-// survive by construction.
-func (e *Engine) ResetToBaseline(ds ...Detector) {
+// ResetToBaseline rewinds the engine for pooled reuse, in place: every
+// baseline detector returns to its untrained constructor state
+// (Detector.Reset) and is reinstalled in the same routing order, any
+// detector added at runtime or by a policy push is dropped, alerts and
+// counters clear, scenario alert subscribers drop, and the tracer
+// detaches. The result observes exactly like an engine freshly built
+// from the same constructors. The alert-gap histogram stays bound to
+// the registry the engine was last Instrument-ed into, and the gap
+// restarts at the next alert. Taps registered via Attach live on the
+// media and survive by construction.
+func (e *Engine) ResetToBaseline() {
 	if !e.baseSealed {
 		panic("ids: ResetToBaseline before MarkBaseline")
 	}
-	// Nil the slots so the old detectors are collectable, and keep the
-	// backing arrays for the fresh set.
+	// Nil the slots so runtime detectors are collectable, and keep the
+	// backing arrays for the baseline set.
 	clear(e.global)
 	e.global = e.global[:0]
 	for k := range e.byKind {
 		clear(e.byKind[k])
 		e.byKind[k] = e.byKind[k][:0]
 	}
-	for _, d := range ds {
+	for _, d := range e.base {
+		d.Reset()
 		e.Add(d)
 	}
 	e.Alerts = e.Alerts[:0]
@@ -91,15 +103,22 @@ func (e *Engine) ResetToBaseline(ds ...Detector) {
 // MediumDetectors route to their medium's bucket, everything else to the
 // global set (see Add).
 func NewEngine(ds ...Detector) *Engine {
-	e := &Engine{}
+	e := &Engine{global: make([]Detector, 0, len(ds))}
 	for _, d := range ds {
 		e.Add(d)
 	}
 	return e
 }
 
-// NewEngineFromSuite builds an engine from a detector suite.
-func NewEngineFromSuite(s Suite) *Engine { return NewEngine(s.Build()...) }
+// NewEngineFromSuite builds an engine from a detector suite: one detector
+// per constructor, installed in suite order.
+func NewEngineFromSuite(s Suite) *Engine {
+	e := &Engine{global: make([]Detector, 0, len(s))}
+	for _, f := range s {
+		e.Add(f())
+	}
+	return e
+}
 
 // Add installs a detector at runtime, routing MediumDetectors to their
 // medium's bucket and everything else to the global set — the in-field
@@ -175,20 +194,21 @@ func (e *Engine) OnAlert(fn func(Alert)) { e.onAlert = append(e.onAlert, fn) }
 
 // Observe routes one record: the global detectors first, then the
 // record's medium bucket, each in install order — the
-// deterministic alert merge order the golden tables pin. Alerts append
-// straight to e.Alerts, and the returned slice is that tail of the alert
-// history: it aliases e.Alerts, so it is valid until ResetToBaseline
-// reuses the history's storage. The hot path allocates nothing when no
-// detector alerts.
+// deterministic alert merge order the golden tables pin. Detectors
+// append straight to e.Alerts, and the returned slice is that tail of
+// the alert history: it aliases e.Alerts, so it is valid until
+// ResetToBaseline reuses the history's storage. The hot path allocates
+// nothing when no detector alerts, and once the history has grown, an
+// alert allocates nothing here either.
 func (e *Engine) Observe(rec netif.Record) []Alert {
 	e.observed++
 	start := len(e.Alerts)
 	for _, d := range e.global {
-		e.Alerts = append(e.Alerts, d.Observe(rec)...)
+		e.Alerts = d.Observe(e.Alerts, rec)
 	}
 	if int(rec.Frame.Medium) < len(e.byKind) {
 		for _, d := range e.byKind[rec.Frame.Medium] {
-			e.Alerts = append(e.Alerts, d.Observe(rec)...)
+			e.Alerts = d.Observe(e.Alerts, rec)
 		}
 	}
 	out := e.Alerts[start:len(e.Alerts):len(e.Alerts)]
@@ -236,11 +256,13 @@ func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
-// Attach taps the engine into live traffic on a medium. Records are
-// cloned off the tap's frame view, so detectors may retain payloads.
+// Attach taps the engine into live traffic on a medium. The detectors
+// see the medium's own frame view, not a copy: a record is valid only
+// for the duration of Observe, and a detector that keeps payload bytes
+// copies them (see Detector).
 func (e *Engine) Attach(m netif.Medium) {
 	m.Tap(func(at sim.Time, f *netif.Frame, corrupted bool) {
-		e.Observe(netif.Record{At: at, Frame: f.Clone(), Corrupted: corrupted})
+		e.Observe(netif.Record{At: at, Frame: *f, Corrupted: corrupted})
 	})
 }
 

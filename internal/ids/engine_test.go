@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,5 +113,54 @@ func TestMetricsDegenerate(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestEntropyTapPayloadOwnership: the IDS tap feeds detectors the bus's
+// own frame view, whose payload buffer the sending controller reuses as
+// soon as the frame completes. The entropy detector keeps payload bytes
+// across a batch, so it copies them: fed through the tap, it must raise
+// exactly the alerts it raises on an owned recording of the traffic.
+func TestEntropyTapPayloadOwnership(t *testing.T) {
+	// Two batches whose 32 frames each carry a distinct byte (5 bits of
+	// entropy, as trained), then a stuck batch (0 bits) that alerts.
+	payload := func(i int) []byte {
+		if i >= 64 {
+			return bytes.Repeat([]byte{0x55}, 8)
+		}
+		return bytes.Repeat([]byte{byte(i)}, 8)
+	}
+	train := &netif.Trace{}
+	for i := 0; i < 64; i++ {
+		train.Records = append(train.Records, canRec(sim.Time(i)*sim.Millisecond, 0x100, payload(i)))
+	}
+
+	k := sim.NewKernel(1)
+	bus := can.NewBus(k, "b", 500_000)
+	tx := can.NewController("tx")
+	bus.Attach(tx)
+	recording := netif.Recorder(can.Netif(bus))
+	tapped := NewEngine(NewEntropyDetector())
+	tapped.Attach(can.Netif(bus))
+	tapped.Train(train)
+	buf := make([]byte, 8) // the sender reuses one buffer, too
+	for i := 0; i < 96; i++ {
+		k.At(sim.Time(i)*sim.Millisecond, func() {
+			copy(buf, payload(i))
+			_ = tx.Send(can.Frame{ID: 0x100, Data: buf}, nil)
+		})
+	}
+	_ = k.Run()
+
+	owned := NewEngine(NewEntropyDetector())
+	owned.Train(train)
+	for _, r := range recording.Records {
+		owned.Observe(r)
+	}
+	if len(owned.Alerts) != 1 {
+		t.Fatalf("owned recording raised %v, want the stuck batch's alert alone", owned.Alerts)
+	}
+	if got, want := fmt.Sprint(tapped.Alerts), fmt.Sprint(owned.Alerts); got != want {
+		t.Fatalf("tap-fed entropy alerts %s, want %s", got, want)
 	}
 }

@@ -66,12 +66,22 @@ func alertFor(at sim.Time, detector string, k netif.Key, reason string) Alert {
 }
 
 // Detector is a streaming intrusion detector. Train consumes clean
-// reference traffic; Observe consumes one live record and returns any
-// alerts it raises.
+// reference traffic. Observe consumes one live record, appends any alerts
+// it raises to dst and returns the extended slice (the strconv.Append*
+// idiom), so an engine collects every detector's alerts into one buffer
+// it owns. Reset returns the detector to its untrained constructor state
+// in place: maps are cleared rather than replaced and tunables go back to
+// their constructor values, so a pooled engine reuses the storage.
+//
+// A record passed to Observe is valid only for the duration of the call:
+// an engine's taps feed the medium's frame view, whose payload the medium
+// reuses once the callback returns. A detector that keeps payload bytes
+// copies them.
 type Detector interface {
 	Name() string
 	Train(trace *netif.Trace)
-	Observe(rec netif.Record) []Alert
+	Observe(dst []Alert, rec netif.Record) []Alert
+	Reset()
 }
 
 // FrequencyDetector learns each identifier's frame rate over fixed
@@ -95,7 +105,19 @@ type FrequencyDetector struct {
 // NewFrequencyDetector creates a detector with a 100ms window and 50%
 // slack.
 func NewFrequencyDetector() *FrequencyDetector {
-	return &FrequencyDetector{Window: 100 * sim.Millisecond, Slack: 0.5}
+	d := &FrequencyDetector{}
+	d.Reset()
+	return d
+}
+
+// Reset implements Detector.
+func (d *FrequencyDetector) Reset() {
+	d.Window, d.Slack = 100*sim.Millisecond, 0.5
+	clear(d.bounds)
+	d.boundKeys = d.boundKeys[:0]
+	d.winStart = 0
+	clear(d.counts)
+	clear(d.suppressed)
 }
 
 // Name implements Detector.
@@ -154,12 +176,11 @@ func (d *FrequencyDetector) Train(trace *netif.Trace) {
 }
 
 // Observe implements Detector.
-func (d *FrequencyDetector) Observe(rec netif.Record) []Alert {
+func (d *FrequencyDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	if d.counts == nil {
 		d.counts = make(map[netif.Key]int)
 		d.suppressed = make(map[netif.Key]bool)
 	}
-	var alerts []Alert
 	if rec.At-d.winStart >= d.Window {
 		// Close the window: check all learned keys, including silent ones
 		// (suspension attack shows as counts below the learned minimum).
@@ -168,12 +189,12 @@ func (d *FrequencyDetector) Observe(rec netif.Record) []Alert {
 			c := float64(d.counts[k])
 			switch {
 			case c > b[1]:
-				alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+				dst = append(dst, alertFor(rec.At, d.Name(), k,
 					fmt.Sprintf("rate high: %d > %.1f per window", int(c), b[1])))
 			case c < b[0] && !d.suppressed[k]:
 				// Alert once per suppression episode to bound alert volume.
 				d.suppressed[k] = true
-				alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+				dst = append(dst, alertFor(rec.At, d.Name(), k,
 					fmt.Sprintf("rate low: %d < %.1f per window", int(c), b[0])))
 			default:
 				d.suppressed[k] = false
@@ -185,7 +206,7 @@ func (d *FrequencyDetector) Observe(rec netif.Record) []Alert {
 		d.winStart = rec.At
 	}
 	d.counts[rec.Frame.Key()]++
-	return alerts
+	return dst
 }
 
 // IntervalDetector learns each periodic identifier's minimum inter-arrival
@@ -204,7 +225,16 @@ type IntervalDetector struct {
 // NewIntervalDetector creates a detector alerting below half the learned
 // period.
 func NewIntervalDetector() *IntervalDetector {
-	return &IntervalDetector{MinFraction: 0.5}
+	d := &IntervalDetector{}
+	d.Reset()
+	return d
+}
+
+// Reset implements Detector.
+func (d *IntervalDetector) Reset() {
+	d.MinFraction = 0.5
+	clear(d.period)
+	clear(d.lastAt)
 }
 
 // Name implements Detector.
@@ -242,23 +272,23 @@ func (d *IntervalDetector) Train(trace *netif.Trace) {
 }
 
 // Observe implements Detector.
-func (d *IntervalDetector) Observe(rec netif.Record) []Alert {
+func (d *IntervalDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	k := rec.Frame.Key()
 	p, modelled := d.period[k]
 	if !modelled {
-		return nil
+		return dst
 	}
 	last, seen := d.lastAt[k]
 	d.lastAt[k] = rec.At
 	if !seen {
-		return nil
+		return dst
 	}
 	iv := rec.At - last
 	if float64(iv) < d.MinFraction*float64(p) {
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("interval %v < %.0f%% of period %v", iv, d.MinFraction*100, p))}
+		dst = append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("interval %v < %.0f%% of period %v", iv, d.MinFraction*100, p)))
 	}
-	return nil
+	return dst
 }
 
 // EntropyDetector tracks per-ID payload byte entropy over sliding batches
@@ -272,54 +302,72 @@ type EntropyDetector struct {
 	Tolerance float64
 
 	trained map[netif.Key]float64
-	buf     map[netif.Key][][]byte
+	buf     map[netif.Key]*entropyBatch
 }
 
 // NewEntropyDetector creates a detector with batch 32, tolerance 1.2 bits.
 func NewEntropyDetector() *EntropyDetector {
-	return &EntropyDetector{BatchSize: 32, Tolerance: 1.2}
+	d := &EntropyDetector{}
+	d.Reset()
+	return d
+}
+
+// Reset implements Detector. Each key's batch storage stays for reuse,
+// emptied: an empty batch and an absent one observe alike.
+func (d *EntropyDetector) Reset() {
+	d.BatchSize, d.Tolerance = 32, 1.2
+	clear(d.trained)
+	for _, b := range d.buf {
+		b.empty()
+	}
 }
 
 // Name implements Detector.
 func (d *EntropyDetector) Name() string { return "entropy" }
 
-// payloadEntropy is the byte-level Shannon entropy of the payloads.
-func payloadEntropy(payloads [][]byte) float64 {
-	var hist [256]int
-	total := 0
-	for _, p := range payloads {
-		for _, b := range p {
-			hist[b]++
-			total++
-		}
-	}
-	if total == 0 {
+// byteEntropy is the byte-level Shannon entropy of data.
+func byteEntropy(data []byte) float64 {
+	if len(data) == 0 {
 		return 0
+	}
+	var hist [256]int
+	for _, b := range data {
+		hist[b]++
 	}
 	h := 0.0
 	for _, c := range hist {
 		if c == 0 {
 			continue
 		}
-		p := float64(c) / float64(total)
+		p := float64(c) / float64(len(data))
 		h -= p * math.Log2(p)
 	}
 	return h
 }
 
-// addToBatch appends p to one key's batch. When that fills the batch to
-// size it returns the batch's entropy, full set, and the batch emptied
-// for reuse: clear drops the payload references and the storage serves
-// the next batch.
-func addToBatch(batch [][]byte, p []byte, size int) (next [][]byte, h float64, full bool) {
-	batch = append(batch, p)
-	if len(batch) < size {
-		return batch, 0, false
-	}
-	h = payloadEntropy(batch)
-	clear(batch)
-	return batch[:0], h, true
+// entropyBatch is one key's batch in progress: the payload bytes of its
+// frames so far, copied into storage the batch owns and reuses, so a
+// caller may recycle a payload as soon as add returns.
+type entropyBatch struct {
+	data   []byte
+	frames int
 }
+
+// add copies p into the batch. When that fills the batch to size frames
+// it returns the batch's entropy, full set, and empties the batch for
+// the next one.
+func (b *entropyBatch) add(p []byte, size int) (h float64, full bool) {
+	b.data = append(b.data, p...)
+	b.frames++
+	if b.frames < size {
+		return 0, false
+	}
+	h = byteEntropy(b.data)
+	b.empty()
+	return h, true
+}
+
+func (b *entropyBatch) empty() { b.data, b.frames = b.data[:0], 0 }
 
 // Train implements Detector. It trains on the same statistic Observe
 // computes: the mean entropy of each key's BatchSize-frame batches, in
@@ -329,9 +377,9 @@ func addToBatch(batch [][]byte, p []byte, size int) (next [][]byte, h float64, f
 // not modelled.
 func (d *EntropyDetector) Train(trace *netif.Trace) {
 	d.trained = make(map[netif.Key]float64)
-	d.buf = make(map[netif.Key][][]byte)
+	d.buf = make(map[netif.Key]*entropyBatch)
 	type keyMean struct {
-		batch [][]byte
+		batch entropyBatch
 		sum   float64
 		n     int
 	}
@@ -344,9 +392,7 @@ func (d *EntropyDetector) Train(trace *netif.Trace) {
 			m = &keyMean{}
 			byKey[k] = m
 		}
-		batch, h, full := addToBatch(m.batch, r.Frame.Payload, d.BatchSize)
-		m.batch = batch
-		if full {
+		if h, full := m.batch.add(r.Frame.Payload, d.BatchSize); full {
 			m.sum += h
 			m.n++
 		}
@@ -358,24 +404,25 @@ func (d *EntropyDetector) Train(trace *netif.Trace) {
 	}
 }
 
-// Observe implements Detector. The record must own its payload (taps
-// clone before feeding the engine): batches retain payload references.
-func (d *EntropyDetector) Observe(rec netif.Record) []Alert {
-	if d.buf == nil {
-		d.buf = make(map[netif.Key][][]byte)
-	}
+// Observe implements Detector. It is the only detector that keeps payload
+// bytes: it copies them into its batches, so the record's payload may be
+// a medium's reused view.
+func (d *EntropyDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	k := rec.Frame.Key()
 	ref, modelled := d.trained[k]
 	if !modelled {
-		return nil
+		return dst
 	}
-	batch, h, full := addToBatch(d.buf[k], rec.Frame.Payload, d.BatchSize)
-	d.buf[k] = batch
-	if full && math.Abs(h-ref) > d.Tolerance {
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("entropy %.2f vs trained %.2f bits", h, ref))}
+	b := d.buf[k]
+	if b == nil {
+		b = &entropyBatch{}
+		d.buf[k] = b
 	}
-	return nil
+	if h, full := b.add(rec.Frame.Payload, d.BatchSize); full && math.Abs(h-ref) > d.Tolerance {
+		dst = append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("entropy %.2f vs trained %.2f bits", h, ref)))
+	}
+	return dst
 }
 
 // SignalRange constrains one payload byte of an identifier.
@@ -400,7 +447,17 @@ type SpecDetector struct {
 
 // NewSpecDetector creates an empty specification.
 func NewSpecDetector() *SpecDetector {
-	return &SpecDetector{DLC: make(map[netif.Key]int), Ranges: make(map[netif.Key][]SignalRange), AlertUnknownID: true}
+	d := &SpecDetector{DLC: make(map[netif.Key]int), Ranges: make(map[netif.Key][]SignalRange)}
+	d.Reset()
+	return d
+}
+
+// Reset implements Detector: the specification empties, so the detector
+// relearns it from the next Train.
+func (d *SpecDetector) Reset() {
+	clear(d.DLC)
+	clear(d.Ranges)
+	d.AlertUnknownID = true
 }
 
 // Name implements Detector.
@@ -424,18 +481,18 @@ func (d *SpecDetector) Train(trace *netif.Trace) {
 }
 
 // Observe implements Detector.
-func (d *SpecDetector) Observe(rec netif.Record) []Alert {
+func (d *SpecDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	k := rec.Frame.Key()
 	want, known := d.DLC[k]
 	if !known {
 		if d.AlertUnknownID {
-			return []Alert{alertFor(rec.At, d.Name(), k, "unknown identifier")}
+			dst = append(dst, alertFor(rec.At, d.Name(), k, "unknown identifier"))
 		}
-		return nil
+		return dst
 	}
 	if want >= 0 && len(rec.Frame.Payload) != want {
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("DLC %d, expected %d", len(rec.Frame.Payload), want))}
+		return append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("DLC %d, expected %d", len(rec.Frame.Payload), want)))
 	}
 	for _, sr := range d.Ranges[k] {
 		if sr.Byte >= len(rec.Frame.Payload) {
@@ -443,9 +500,9 @@ func (d *SpecDetector) Observe(rec netif.Record) []Alert {
 		}
 		v := rec.Frame.Payload[sr.Byte]
 		if v < sr.Lo || v > sr.Hi {
-			return []Alert{alertFor(rec.At, d.Name(), k,
-				fmt.Sprintf("byte %d value %#x outside [%#x,%#x]", sr.Byte, v, sr.Lo, sr.Hi))}
+			return append(dst, alertFor(rec.At, d.Name(), k,
+				fmt.Sprintf("byte %d value %#x outside [%#x,%#x]", sr.Byte, v, sr.Lo, sr.Hi)))
 		}
 	}
-	return nil
+	return dst
 }

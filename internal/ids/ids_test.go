@@ -55,7 +55,7 @@ func replay(t *testing.T, d Detector, train, live *netif.Trace) []Alert {
 	d.Train(train)
 	var alerts []Alert
 	for i := range live.Records {
-		alerts = append(alerts, d.Observe(live.Records[i])...)
+		alerts = append(alerts, d.Observe(nil, live.Records[i])...)
 	}
 	return alerts
 }
@@ -139,8 +139,8 @@ func TestIntervalDetectorIgnoresAperiodicIDs(t *testing.T) {
 	}}
 	d := NewIntervalDetector()
 	d.Train(train)
-	a := d.Observe(canRec(2*sim.Second, 0x50, nil))
-	b := d.Observe(canRec(2*sim.Second+1, 0x50, nil))
+	a := d.Observe(nil, canRec(2*sim.Second, 0x50, nil))
+	b := d.Observe(nil, canRec(2*sim.Second+1, 0x50, nil))
 	if len(a)+len(b) != 0 {
 		t.Fatal("aperiodic ID raised interval alerts")
 	}
@@ -198,7 +198,7 @@ func TestIntervalDetectorStateBoundedByModel(t *testing.T) {
 		for i := 0; i < 10000; i++ {
 			rec := canRec(sim.Time(i)*sim.Microsecond, 0x10000+uint32(i), nil)
 			rec.Frame.Flags = netif.FlagExtended
-			if a := d.Observe(rec); len(a) != 0 {
+			if a := d.Observe(nil, rec); len(a) != 0 {
 				t.Fatalf("unmodelled key raised %v", a)
 			}
 		}
@@ -212,7 +212,7 @@ func TestIntervalDetectorStateBoundedByModel(t *testing.T) {
 	trained.Train(makeTrace(5*sim.Second, cleanSpecs()))
 	spray(trained)
 	for i := range 3 {
-		trained.Observe(canRec(5*sim.Second+sim.Time(i)*sim.Second, cleanSpecs()[i].id, nil))
+		trained.Observe(nil, canRec(5*sim.Second+sim.Time(i)*sim.Second, cleanSpecs()[i].id, nil))
 	}
 	if n, m := len(trained.lastAt), len(trained.period); n > m {
 		t.Fatalf("trained detector holds %d last-seen times for %d modelled keys", n, m)
@@ -252,17 +252,17 @@ func TestSpecDetectorUnknownIDAndDLC(t *testing.T) {
 	d := NewSpecDetector()
 	d.Train(train)
 	// Unknown ID.
-	a := d.Observe(canRec(0, 0x666, []byte{1}))
+	a := d.Observe(nil, canRec(0, 0x666, []byte{1}))
 	if len(a) != 1 || !strings.Contains(a[0].Reason, "unknown") {
 		t.Fatalf("unknown ID alerts: %v", a)
 	}
 	// Wrong DLC on a known ID.
-	a = d.Observe(canRec(0, 0x100, []byte{1}))
+	a = d.Observe(nil, canRec(0, 0x100, []byte{1}))
 	if len(a) != 1 || !strings.Contains(a[0].Reason, "DLC") {
 		t.Fatalf("DLC alerts: %v", a)
 	}
 	// Conforming frame is quiet.
-	a = d.Observe(canRec(0, 0x100, counterPayload(0)))
+	a = d.Observe(nil, canRec(0, 0x100, counterPayload(0)))
 	if len(a) != 0 {
 		t.Fatalf("conforming frame alerted: %v", a)
 	}
@@ -273,10 +273,10 @@ func TestSpecDetectorSignalRanges(t *testing.T) {
 	k := netif.MakeKey(netif.CAN, 0x10)
 	d.DLC[k] = 2
 	d.Ranges[k] = []SignalRange{{Byte: 0, Lo: 0x00, Hi: 0x64}} // 0..100
-	if a := d.Observe(canRec(0, 0x10, []byte{50, 0})); len(a) != 0 {
+	if a := d.Observe(nil, canRec(0, 0x10, []byte{50, 0})); len(a) != 0 {
 		t.Fatalf("in-range alerted: %v", a)
 	}
-	a := d.Observe(canRec(0, 0x10, []byte{200, 0}))
+	a := d.Observe(nil, canRec(0, 0x10, []byte{200, 0}))
 	if len(a) != 1 || !strings.Contains(a[0].Reason, "outside") {
 		t.Fatalf("out-of-range: %v", a)
 	}

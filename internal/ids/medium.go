@@ -58,15 +58,20 @@ func (d *FlexRaySlotDetector) Name() string { return "fr-slot" }
 // Medium implements MediumDetector.
 func (d *FlexRaySlotDetector) Medium() netif.Kind { return netif.FlexRay }
 
+// Reset implements Detector.
+func (d *FlexRaySlotDetector) Reset() {
+	clear(d.owner)
+	clear(d.dynSeen)
+	clear(d.lastCycle)
+	clear(d.alerted)
+}
+
 // Train implements Detector: it learns slot ownership from the static
 // segment and the set of dynamically used slots. A slot with multiple
 // static senders in clean traffic is recorded as ambiguous and exempt
 // from the ownership check.
 func (d *FlexRaySlotDetector) Train(trace *netif.Trace) {
-	clear(d.owner)
-	clear(d.dynSeen)
-	clear(d.lastCycle)
-	clear(d.alerted)
+	d.Reset()
 	for i := range trace.Records {
 		r := &trace.Records[i]
 		if r.Frame.Medium != netif.FlexRay || r.Corrupted {
@@ -86,13 +91,12 @@ func (d *FlexRaySlotDetector) Train(trace *netif.Trace) {
 }
 
 // Observe implements Detector.
-func (d *FlexRaySlotDetector) Observe(rec netif.Record) []Alert {
+func (d *FlexRaySlotDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	if rec.Frame.Medium != netif.FlexRay || rec.Corrupted {
-		return nil
+		return dst
 	}
 	id := rec.Frame.ID
 	k := rec.Frame.Key()
-	var alerts []Alert
 	if rec.Frame.Flags&netif.FlagDynamic != 0 {
 		// Dynamic traffic in unlearned slots is the fabric's normal
 		// on-demand path; a learned *static* slot in the dynamic segment
@@ -100,24 +104,24 @@ func (d *FlexRaySlotDetector) Observe(rec netif.Record) []Alert {
 		if _, static := d.owner[id]; static {
 			if d.alerted[id]&frAlertSegment == 0 {
 				d.alerted[id] |= frAlertSegment
-				alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+				dst = append(dst, alertFor(rec.At, d.Name(), k,
 					fmt.Sprintf("static slot %d transmitted in dynamic segment by %q", id, rec.Frame.Sender)))
 			}
 		}
-		return alerts
+		return dst
 	}
 	own, known := d.owner[id]
 	switch {
 	case !known:
 		if d.alerted[id]&frAlertUnknown == 0 {
 			d.alerted[id] |= frAlertUnknown
-			alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+			dst = append(dst, alertFor(rec.At, d.Name(), k,
 				fmt.Sprintf("static frame in unassigned slot %d from %q", id, rec.Frame.Sender)))
 		}
 	case own != "" && rec.Frame.Sender != own:
 		if d.alerted[id]&frAlertOwner == 0 {
 			d.alerted[id] |= frAlertOwner
-			alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+			dst = append(dst, alertFor(rec.At, d.Name(), k,
 				fmt.Sprintf("slot %d owned by %q, frame from %q", id, own, rec.Frame.Sender)))
 		}
 	default:
@@ -126,11 +130,11 @@ func (d *FlexRaySlotDetector) Observe(rec netif.Record) []Alert {
 	}
 	c := int64(rec.Frame.Aux)
 	if last, seen := d.lastCycle[id]; seen && c < last {
-		alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+		dst = append(dst, alertFor(rec.At, d.Name(), k,
 			fmt.Sprintf("cycle counter regressed: %d after %d in slot %d", c, last, id)))
 	}
 	d.lastCycle[id] = c
-	return alerts
+	return dst
 }
 
 // LINScheduleDetector learns the master's schedule table from clean
@@ -163,12 +167,17 @@ func (d *LINScheduleDetector) Name() string { return "lin-schedule" }
 // Medium implements MediumDetector.
 func (d *LINScheduleDetector) Medium() netif.Kind { return netif.LIN }
 
-// Train implements Detector.
-func (d *LINScheduleDetector) Train(trace *netif.Trace) {
+// Reset implements Detector.
+func (d *LINScheduleDetector) Reset() {
 	clear(d.ids)
 	clear(d.succ)
 	clear(d.alerted)
 	d.last, d.hasLast, d.trained = 0, false, false
+}
+
+// Train implements Detector.
+func (d *LINScheduleDetector) Train(trace *netif.Trace) {
+	d.Reset()
 	var prev uint32
 	hasPrev := false
 	for i := range trace.Records {
@@ -189,26 +198,26 @@ func (d *LINScheduleDetector) Train(trace *netif.Trace) {
 // Observe implements Detector. The schedule pointer only advances on
 // conforming frames, so one injected frame raises one alert instead of
 // also implicating the legitimate frame that follows it.
-func (d *LINScheduleDetector) Observe(rec netif.Record) []Alert {
+func (d *LINScheduleDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	if rec.Frame.Medium != netif.LIN || rec.Corrupted || !d.trained {
-		return nil
+		return dst
 	}
 	id := rec.Frame.ID
 	k := rec.Frame.Key()
 	if !d.ids[id] {
 		if d.alerted[id] {
-			return nil
+			return dst
 		}
 		d.alerted[id] = true
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("unscheduled frame id %#x", id))}
+		return append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("unscheduled frame id %#x", id)))
 	}
 	if d.hasLast && !d.succ[uint64(d.last)<<32|uint64(id)] {
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("schedule deviation: id %#x after %#x", id, d.last))}
+		return append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("schedule deviation: id %#x after %#x", id, d.last)))
 	}
 	d.last, d.hasLast = id, true
-	return nil
+	return dst
 }
 
 // ethBindKey binds a source MAC to an identifier (EtherType).
@@ -257,8 +266,8 @@ func (d *EthernetAddrDetector) Name() string { return "eth-addr" }
 // Medium implements MediumDetector.
 func (d *EthernetAddrDetector) Medium() netif.Kind { return netif.Ethernet }
 
-// Train implements Detector.
-func (d *EthernetAddrDetector) Train(trace *netif.Trace) {
+// Reset implements Detector.
+func (d *EthernetAddrDetector) Reset() {
 	clear(d.srcs)
 	clear(d.bind)
 	clear(d.vlans)
@@ -266,6 +275,11 @@ func (d *EthernetAddrDetector) Train(trace *netif.Trace) {
 	clear(d.bindAlerted)
 	clear(d.vlanAlerted)
 	d.trained = false
+}
+
+// Train implements Detector.
+func (d *EthernetAddrDetector) Train(trace *netif.Trace) {
+	d.Reset()
 	for i := range trace.Records {
 		r := &trace.Records[i]
 		if r.Frame.Medium != netif.Ethernet || r.Corrupted {
@@ -283,9 +297,9 @@ func macString(a netif.HWAddr) string {
 }
 
 // Observe implements Detector.
-func (d *EthernetAddrDetector) Observe(rec netif.Record) []Alert {
+func (d *EthernetAddrDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	if rec.Frame.Medium != netif.Ethernet || rec.Corrupted || !d.trained {
-		return nil
+		return dst
 	}
 	k := rec.Frame.Key()
 	src := rec.Frame.Src
@@ -293,26 +307,25 @@ func (d *EthernetAddrDetector) Observe(rec netif.Record) []Alert {
 		// The station itself is the anomaly; its traffic bindings are
 		// noise on top, so they are not separately alerted.
 		if d.srcAlerted[src] {
-			return nil
+			return dst
 		}
 		d.srcAlerted[src] = true
-		return []Alert{alertFor(rec.At, d.Name(), k,
-			fmt.Sprintf("unknown source MAC %s", macString(src)))}
+		return append(dst, alertFor(rec.At, d.Name(), k,
+			fmt.Sprintf("unknown source MAC %s", macString(src))))
 	}
-	var alerts []Alert
 	bk := ethBindKey{src, rec.Frame.ID}
 	if !d.bind[bk] && !d.bindAlerted[bk] {
 		d.bindAlerted[bk] = true
-		alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+		dst = append(dst, alertFor(rec.At, d.Name(), k,
 			fmt.Sprintf("MAC binding drift: %s now sends id %#x", macString(src), rec.Frame.ID)))
 	}
 	vk := ethVLANKey{rec.Frame.ID, rec.Frame.Aux}
 	if !d.vlans[vk] && !d.vlanAlerted[vk] {
 		d.vlanAlerted[vk] = true
-		alerts = append(alerts, alertFor(rec.At, d.Name(), k,
+		dst = append(dst, alertFor(rec.At, d.Name(), k,
 			fmt.Sprintf("VLAN anomaly: id %#x on VLAN %d", rec.Frame.ID, rec.Frame.Aux)))
 	}
-	return alerts
+	return dst
 }
 
 // SOMEIPDetector watches SOME/IP service behaviour on the Ethernet
@@ -345,15 +358,31 @@ type SOMEIPDetector struct {
 // NewSOMEIPDetector creates an untrained detector with a 1s
 // subscription window capped at 10 subscribes.
 func NewSOMEIPDetector() *SOMEIPDetector {
-	return &SOMEIPDetector{
-		EtherType:        someip.EtherTypeSOMEIP,
-		SubWindow:        sim.Second,
-		MaxSubsPerWindow: 10,
-		methods:          make(map[uint32]bool),
-		subs:             make(map[uint32]bool),
-		methodAlerted:    make(map[uint32]bool),
-		notifyAlerted:    make(map[uint32]bool),
+	d := &SOMEIPDetector{
+		methods:       make(map[uint32]bool),
+		subs:          make(map[uint32]bool),
+		methodAlerted: make(map[uint32]bool),
+		notifyAlerted: make(map[uint32]bool),
 	}
+	d.Reset()
+	return d
+}
+
+// Reset implements Detector.
+func (d *SOMEIPDetector) Reset() {
+	d.EtherType, d.SubWindow, d.MaxSubsPerWindow = someip.EtherTypeSOMEIP, sim.Second, 10
+	d.resetModel()
+}
+
+// resetModel forgets the learned interface and the live episode state,
+// keeping the tunables.
+func (d *SOMEIPDetector) resetModel() {
+	clear(d.methods)
+	clear(d.subs)
+	clear(d.methodAlerted)
+	clear(d.notifyAlerted)
+	d.trained = false
+	d.winStart, d.subCount, d.floodAlerted = 0, 0, false
 }
 
 // Name implements Detector.
@@ -366,12 +395,7 @@ func svcKey(h someip.Header) uint32 { return uint32(h.Service)<<16 | uint32(h.Me
 
 // Train implements Detector.
 func (d *SOMEIPDetector) Train(trace *netif.Trace) {
-	clear(d.methods)
-	clear(d.subs)
-	clear(d.methodAlerted)
-	clear(d.notifyAlerted)
-	d.trained = false
-	d.winStart, d.subCount, d.floodAlerted = 0, 0, false
+	d.resetModel()
 	for i := range trace.Records {
 		r := &trace.Records[i]
 		if r.Frame.Medium != netif.Ethernet || r.Corrupted || r.Frame.ID != d.EtherType {
@@ -392,23 +416,23 @@ func (d *SOMEIPDetector) Train(trace *netif.Trace) {
 }
 
 // Observe implements Detector.
-func (d *SOMEIPDetector) Observe(rec netif.Record) []Alert {
+func (d *SOMEIPDetector) Observe(dst []Alert, rec netif.Record) []Alert {
 	if rec.Frame.Medium != netif.Ethernet || rec.Corrupted ||
 		rec.Frame.ID != d.EtherType || !d.trained {
-		return nil
+		return dst
 	}
 	k := rec.Frame.Key()
 	h, ok := someip.PeekHeader(rec.Frame.Payload)
 	if !ok {
-		return []Alert{alertFor(rec.At, d.Name(), k, "malformed SOME/IP message")}
+		return append(dst, alertFor(rec.At, d.Name(), k, "malformed SOME/IP message"))
 	}
 	key := svcKey(h)
 	switch h.Type {
 	case someip.TypeRequest:
 		if !d.methods[key] && !d.methodAlerted[key] {
 			d.methodAlerted[key] = true
-			return []Alert{alertFor(rec.At, d.Name(), k,
-				fmt.Sprintf("unknown service/method %#x/%#x requested", h.Service, h.Method))}
+			return append(dst, alertFor(rec.At, d.Name(), k,
+				fmt.Sprintf("unknown service/method %#x/%#x requested", h.Service, h.Method)))
 		}
 	case someip.TypeSubscribe:
 		if rec.At-d.winStart >= d.SubWindow {
@@ -418,17 +442,17 @@ func (d *SOMEIPDetector) Observe(rec netif.Record) []Alert {
 		d.subs[key] = true
 		if d.subCount > d.MaxSubsPerWindow && !d.floodAlerted {
 			d.floodAlerted = true
-			return []Alert{alertFor(rec.At, d.Name(), k,
-				fmt.Sprintf("subscription flood: %d subscribes in %v", d.subCount, d.SubWindow))}
+			return append(dst, alertFor(rec.At, d.Name(), k,
+				fmt.Sprintf("subscription flood: %d subscribes in %v", d.subCount, d.SubWindow)))
 		}
 	case someip.TypeSubscribeAck:
 		d.subs[key] = true
 	case someip.TypeNotification:
 		if !d.subs[key] && !d.notifyAlerted[key] {
 			d.notifyAlerted[key] = true
-			return []Alert{alertFor(rec.At, d.Name(), k,
-				fmt.Sprintf("unsubscribed notification for service %#x eventgroup %#x", h.Service, h.Method))}
+			return append(dst, alertFor(rec.At, d.Name(), k,
+				fmt.Sprintf("unsubscribed notification for service %#x eventgroup %#x", h.Service, h.Method)))
 		}
 	}
-	return nil
+	return dst
 }

@@ -54,19 +54,19 @@ func TestFlexRaySlotDetectorMasquerade(t *testing.T) {
 		frRec(5*sim.Millisecond, 9, 1, "steer-ecu", false, 8),
 	))
 	// Intruder in an owned slot: one alert per episode.
-	if as := d.Observe(frRec(10*sim.Millisecond, 9, 2, "rogue", false, 8)); len(as) != 1 ||
+	if as := d.Observe(nil, frRec(10*sim.Millisecond, 9, 2, "rogue", false, 8)); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, `owned by "steer-ecu"`) {
 		t.Fatalf("alerts=%v", as)
 	}
-	if as := d.Observe(frRec(15*sim.Millisecond, 9, 3, "rogue", false, 8)); len(as) != 0 {
+	if as := d.Observe(nil, frRec(15*sim.Millisecond, 9, 3, "rogue", false, 8)); len(as) != 0 {
 		t.Fatalf("episode not deduped: %v", as)
 	}
 	// Conforming frame from the owner closes the episode; a later
 	// violation alerts again.
-	if as := d.Observe(frRec(20*sim.Millisecond, 9, 4, "steer-ecu", false, 8)); len(as) != 0 {
+	if as := d.Observe(nil, frRec(20*sim.Millisecond, 9, 4, "steer-ecu", false, 8)); len(as) != 0 {
 		t.Fatalf("owner frame alerted: %v", as)
 	}
-	if as := d.Observe(frRec(25*sim.Millisecond, 9, 5, "rogue", false, 8)); len(as) != 1 {
+	if as := d.Observe(nil, frRec(25*sim.Millisecond, 9, 5, "rogue", false, 8)); len(as) != 1 {
 		t.Fatalf("episode did not rearm: %v", as)
 	}
 }
@@ -78,20 +78,20 @@ func TestFlexRaySlotDetectorUnassignedAndSegment(t *testing.T) {
 		frRec(3*sim.Millisecond, 70, 0, "diag", true, 6),
 	))
 	// Static frame in a slot nobody owned in training.
-	if as := d.Observe(frRec(sim.Second, 44, 0, "x", false, 8)); len(as) != 1 ||
+	if as := d.Observe(nil, frRec(sim.Second, 44, 0, "x", false, 8)); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, "unassigned slot 44") {
 		t.Fatalf("alerts=%v", as)
 	}
-	if as := d.Observe(frRec(sim.Second+1, 44, 0, "x", false, 8)); len(as) != 0 {
+	if as := d.Observe(nil, frRec(sim.Second+1, 44, 0, "x", false, 8)); len(as) != 0 {
 		t.Fatalf("unassigned episode not deduped: %v", as)
 	}
 	// A trained static slot must not move to the dynamic segment;
 	// trained dynamic slots may keep using it.
-	if as := d.Observe(frRec(2*sim.Second, 5, 1, "brake-ecu", true, 8)); len(as) != 1 ||
+	if as := d.Observe(nil, frRec(2*sim.Second, 5, 1, "brake-ecu", true, 8)); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, "dynamic segment") {
 		t.Fatalf("alerts=%v", as)
 	}
-	if as := d.Observe(frRec(2*sim.Second+1, 70, 1, "diag", true, 6)); len(as) != 0 {
+	if as := d.Observe(nil, frRec(2*sim.Second+1, 70, 1, "diag", true, 6)); len(as) != 0 {
 		t.Fatalf("legit dynamic alerted: %v", as)
 	}
 }
@@ -99,8 +99,8 @@ func TestFlexRaySlotDetectorUnassignedAndSegment(t *testing.T) {
 func TestFlexRaySlotDetectorCycleRegression(t *testing.T) {
 	d := NewFlexRaySlotDetector()
 	d.Train(traceOf(frRec(0, 5, 7, "brake-ecu", false, 8)))
-	d.Observe(frRec(sim.Millisecond, 5, 8, "brake-ecu", false, 8))
-	as := d.Observe(frRec(2*sim.Millisecond, 5, 3, "brake-ecu", false, 8))
+	d.Observe(nil, frRec(sim.Millisecond, 5, 8, "brake-ecu", false, 8))
+	as := d.Observe(nil, frRec(2*sim.Millisecond, 5, 3, "brake-ecu", false, 8))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "cycle counter regressed") {
 		t.Fatalf("alerts=%v", as)
 	}
@@ -112,7 +112,7 @@ func TestFlexRaySlotDetectorAmbiguousOwnerExempt(t *testing.T) {
 		frRec(0, 9, 0, "a", false, 8),
 		frRec(1, 9, 1, "b", false, 8),
 	))
-	if as := d.Observe(frRec(2, 9, 2, "c", false, 8)); len(as) != 0 {
+	if as := d.Observe(nil, frRec(2, 9, 2, "c", false, 8)); len(as) != 0 {
 		t.Fatalf("ambiguous slot alerted: %v", as)
 	}
 }
@@ -135,34 +135,34 @@ func linSchedule() *LINScheduleDetector {
 
 func TestLINScheduleDetectorDeviation(t *testing.T) {
 	d := linSchedule()
-	d.Observe(linRec(0, 0x10, "slave", 2))
-	d.Observe(linRec(10*sim.Millisecond, 0x11, "slave", 2))
+	d.Observe(nil, linRec(0, 0x10, "slave", 2))
+	d.Observe(nil, linRec(10*sim.Millisecond, 0x11, "slave", 2))
 	// 0x30 may not follow 0x11.
-	as := d.Observe(linRec(12*sim.Millisecond, 0x30, "rogue", 2))
+	as := d.Observe(nil, linRec(12*sim.Millisecond, 0x30, "rogue", 2))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "schedule deviation") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// The pointer did not advance: the legitimate successor of 0x11 is
 	// still clean, so one injection yields exactly one alert.
-	if as := d.Observe(linRec(20*sim.Millisecond, 0x21, "slave", 2)); len(as) != 0 {
+	if as := d.Observe(nil, linRec(20*sim.Millisecond, 0x21, "slave", 2)); len(as) != 0 {
 		t.Fatalf("legit successor alerted: %v", as)
 	}
 }
 
 func TestLINScheduleDetectorUnscheduledID(t *testing.T) {
 	d := linSchedule()
-	if as := d.Observe(linRec(0, 0x3A, "rogue", 2)); len(as) != 1 ||
+	if as := d.Observe(nil, linRec(0, 0x3A, "rogue", 2)); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, "unscheduled frame") {
 		t.Fatalf("alerts=%v", as)
 	}
-	if as := d.Observe(linRec(1, 0x3A, "rogue", 2)); len(as) != 0 {
+	if as := d.Observe(nil, linRec(1, 0x3A, "rogue", 2)); len(as) != 0 {
 		t.Fatalf("unscheduled episode not deduped: %v", as)
 	}
 }
 
 func TestLINScheduleDetectorUntrainedQuiet(t *testing.T) {
 	d := NewLINScheduleDetector()
-	if as := d.Observe(linRec(0, 0x10, "slave", 2)); len(as) != 0 {
+	if as := d.Observe(nil, linRec(0, 0x10, "slave", 2)); len(as) != 0 {
 		t.Fatalf("untrained detector alerted: %v", as)
 	}
 }
@@ -180,11 +180,11 @@ func ethTrained() *EthernetAddrDetector {
 
 func TestEthernetAddrDetectorUnknownSource(t *testing.T) {
 	d := ethTrained()
-	as := d.Observe(ethRec(2, 0x88B6, mac(0x99), 1, make([]byte, 8)))
+	as := d.Observe(nil, ethRec(2, 0x88B6, mac(0x99), 1, make([]byte, 8)))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "unknown source MAC 02:00:00:00:00:99") {
 		t.Fatalf("alerts=%v", as)
 	}
-	if as := d.Observe(ethRec(3, 0x88B6, mac(0x99), 1, make([]byte, 8))); len(as) != 0 {
+	if as := d.Observe(nil, ethRec(3, 0x88B6, mac(0x99), 1, make([]byte, 8))); len(as) != 0 {
 		t.Fatalf("unknown-source episode not deduped: %v", as)
 	}
 }
@@ -192,17 +192,17 @@ func TestEthernetAddrDetectorUnknownSource(t *testing.T) {
 func TestEthernetAddrDetectorBindingDriftAndVLAN(t *testing.T) {
 	d := ethTrained()
 	// Known station sending another station's traffic class.
-	as := d.Observe(ethRec(2, 0x88B7, mac(0x51), 1, make([]byte, 8)))
+	as := d.Observe(nil, ethRec(2, 0x88B7, mac(0x51), 1, make([]byte, 8)))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "MAC binding drift") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// Known class on a new VLAN.
-	as = d.Observe(ethRec(3, 0x88B6, mac(0x51), 7, make([]byte, 8)))
+	as = d.Observe(nil, ethRec(3, 0x88B6, mac(0x51), 7, make([]byte, 8)))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "VLAN anomaly") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// Both deduped per episode key.
-	if as := d.Observe(ethRec(4, 0x88B7, mac(0x51), 1, make([]byte, 8))); len(as) != 0 {
+	if as := d.Observe(nil, ethRec(4, 0x88B7, mac(0x51), 1, make([]byte, 8))); len(as) != 0 {
 		t.Fatalf("drift episode not deduped: %v", as)
 	}
 }
@@ -221,13 +221,13 @@ func someipTrained() *SOMEIPDetector {
 
 func TestSOMEIPDetectorUnknownMethod(t *testing.T) {
 	d := someipTrained()
-	if as := d.Observe(someipRec(10, mac(0x62), &someip.Message{
+	if as := d.Observe(nil, someipRec(10, mac(0x62), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x7F, Type: someip.TypeRequest})); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, "unknown service/method") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// Learned method stays quiet.
-	if as := d.Observe(someipRec(11, mac(0x62), &someip.Message{
+	if as := d.Observe(nil, someipRec(11, mac(0x62), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x01, Type: someip.TypeRequest})); len(as) != 0 {
 		t.Fatalf("known method alerted: %v", as)
 	}
@@ -235,13 +235,13 @@ func TestSOMEIPDetectorUnknownMethod(t *testing.T) {
 
 func TestSOMEIPDetectorUnsubscribedNotification(t *testing.T) {
 	d := someipTrained()
-	if as := d.Observe(someipRec(10, mac(0x61), &someip.Message{
+	if as := d.Observe(nil, someipRec(10, mac(0x61), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x21, Type: someip.TypeNotification})); len(as) != 1 ||
 		!strings.Contains(as[0].Reason, "unsubscribed notification") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// The subscribed eventgroup is fine.
-	if as := d.Observe(someipRec(11, mac(0x61), &someip.Message{
+	if as := d.Observe(nil, someipRec(11, mac(0x61), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x20, Type: someip.TypeNotification})); len(as) != 0 {
 		t.Fatalf("subscribed notify alerted: %v", as)
 	}
@@ -250,9 +250,9 @@ func TestSOMEIPDetectorUnsubscribedNotification(t *testing.T) {
 func TestSOMEIPDetectorTracksLiveSubscriptions(t *testing.T) {
 	d := someipTrained()
 	// A new eventgroup subscribed after training is legitimate.
-	d.Observe(someipRec(10, mac(0x62), &someip.Message{
+	d.Observe(nil, someipRec(10, mac(0x62), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x22, Type: someip.TypeSubscribe}))
-	if as := d.Observe(someipRec(11, mac(0x61), &someip.Message{
+	if as := d.Observe(nil, someipRec(11, mac(0x61), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x22, Type: someip.TypeNotification})); len(as) != 0 {
 		t.Fatalf("renewed subscription alerted: %v", as)
 	}
@@ -262,14 +262,14 @@ func TestSOMEIPDetectorSubscriptionFlood(t *testing.T) {
 	d := someipTrained()
 	var alerts []Alert
 	for i := 0; i < 12; i++ {
-		alerts = append(alerts, d.Observe(someipRec(sim.Time(10+i), mac(0x62), &someip.Message{
+		alerts = append(alerts, d.Observe(nil, someipRec(sim.Time(10+i), mac(0x62), &someip.Message{
 			ServiceID: 0x1234, MethodID: uint16(0x30 + i), Type: someip.TypeSubscribe}))...)
 	}
 	if len(alerts) != 1 || !strings.Contains(alerts[0].Reason, "subscription flood") {
 		t.Fatalf("alerts=%v", alerts)
 	}
 	// A fresh window rearms the flood alert.
-	as := d.Observe(someipRec(10+2*sim.Second, mac(0x62), &someip.Message{
+	as := d.Observe(nil, someipRec(10+2*sim.Second, mac(0x62), &someip.Message{
 		ServiceID: 0x1234, MethodID: 0x30, Type: someip.TypeSubscribe}))
 	if len(as) != 0 {
 		t.Fatalf("window rollover alerted: %v", as)
@@ -278,12 +278,12 @@ func TestSOMEIPDetectorSubscriptionFlood(t *testing.T) {
 
 func TestSOMEIPDetectorMalformed(t *testing.T) {
 	d := someipTrained()
-	as := d.Observe(ethRec(10, someip.EtherTypeSOMEIP, mac(0x62), 1, []byte{1, 2, 3}))
+	as := d.Observe(nil, ethRec(10, someip.EtherTypeSOMEIP, mac(0x62), 1, []byte{1, 2, 3}))
 	if len(as) != 1 || !strings.Contains(as[0].Reason, "malformed") {
 		t.Fatalf("alerts=%v", as)
 	}
 	// Non-SOME/IP EtherTypes are not decoded at all.
-	if as := d.Observe(ethRec(11, 0x88B6, mac(0x62), 1, []byte{1, 2, 3})); len(as) != 0 {
+	if as := d.Observe(nil, ethRec(11, 0x88B6, mac(0x62), 1, []byte{1, 2, 3})); len(as) != 0 {
 		t.Fatalf("foreign EtherType alerted: %v", as)
 	}
 }

@@ -15,20 +15,13 @@ type MediumDetector interface {
 	Medium() netif.Kind
 }
 
-// Suite is an ordered list of detector constructors. Detectors are
-// stateful, so pooled vehicles rebuild their detection plane from the
-// suite on every Reset — same constructors, same order, byte-identical
-// routing and alert merge order as a fresh build.
+// Suite is an ordered list of detector constructors: a build installs
+// one detector per entry, in order, which fixes the routing and alert
+// merge order. Pooled vehicles build from the suite once; their Reset
+// returns the same detector objects to constructor state in place
+// (Engine.ResetToBaseline), with the same routing order as a fresh
+// build.
 type Suite []func() Detector
-
-// Build constructs one fresh detector instance per entry, in order.
-func (s Suite) Build() []Detector {
-	out := make([]Detector, 0, len(s))
-	for _, f := range s {
-		out = append(out, f())
-	}
-	return out
-}
 
 // BaselineSuite is the historical medium-agnostic detector trio: the
 // statistical models that watch every medium through the same

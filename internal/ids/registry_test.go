@@ -168,14 +168,14 @@ func TestEngineResetToBaselineSuiteParity(t *testing.T) {
 	if len(e.Alerts) == 0 {
 		t.Fatal("setup: expected an alert")
 	}
-	e.ResetToBaseline(s.Build()...)
+	e.ResetToBaseline()
 	if len(e.Alerts) != 0 || e.Observed() != 0 {
 		t.Fatal("reset kept run state")
 	}
 	if got := e.Detectors(); !reflect.DeepEqual(got, names) {
 		t.Fatalf("routing order changed across reset: %v want %v", got, names)
 	}
-	// Fresh detectors are untrained: spec no longer knows the identifier
+	// Reset detectors are untrained: spec no longer knows the identifier
 	// (global alert, first) and fr-slot sees an unassigned slot (bucket
 	// alert, second) — the bucket survived the reset and the merge order
 	// held.

@@ -15,7 +15,7 @@ func TestIntruderInjectsOnUnownedID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Frame
-	sub.Subscribe(0x22, func(_ sim.Time, f Frame) { got = append(got, f) })
+	sub.Subscribe(0x22, keep(&got))
 	c.SetSchedule([]ScheduleEntry{{ID: 0x22, Delay: 10 * sim.Millisecond}})
 	_ = c.Start()
 	_ = k.RunUntil(50 * sim.Millisecond)
@@ -50,7 +50,7 @@ func TestIntruderTakesOverSilentOwner(t *testing.T) {
 	_ = pub.Publish(0x11, func(sim.Time) []byte { return nil })
 	_ = c.Intrude(0x11, func(sim.Time) []byte { return []byte{0x66} })
 	var got []Frame
-	sub.Subscribe(0x11, func(_ sim.Time, f Frame) { got = append(got, f) })
+	sub.Subscribe(0x11, keep(&got))
 	c.SetSchedule([]ScheduleEntry{{ID: 0x11, Delay: 10 * sim.Millisecond}})
 	_ = c.Start()
 	_ = k.RunUntil(30 * sim.Millisecond)

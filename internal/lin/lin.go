@@ -99,7 +99,10 @@ type Frame struct {
 // slave-not-responding error on the wire).
 type PublishFunc func(at sim.Time) []byte
 
-// SubscribeFunc consumes a completed frame at a subscriber node.
+// SubscribeFunc consumes a completed frame at a subscriber node. As with
+// CAN's ReceiveFunc, f.Data is valid only for the duration of the call:
+// the cluster reuses the wire buffer for later transfers, so a
+// subscriber that keeps the data copies it.
 type SubscribeFunc func(at sim.Time, f Frame)
 
 // Slave is a LIN slave node with at most one published frame per ID and
@@ -170,9 +173,65 @@ type Cluster struct {
 
 	observers []SubscribeFunc
 
+	// Pooled kernel-event nodes: steps are pending schedule-table slots,
+	// transfers are frames on the wire. steps and transfers hold every
+	// node the cluster ever made, freeSteps and freeTransfers the idle
+	// ones.
+	steps, freeSteps         []*step
+	transfers, freeTransfers []*transfer
+
 	// base is the post-construction snapshot recorded by MarkBaseline for
 	// pooled reuse; see ResetToBaseline.
 	base linBaseline
+}
+
+// step is one pooled pending schedule-table slot: when it fires, the
+// master polls entry next. fireFn is bound once, when the node is made,
+// so a warm schedule runs without allocating.
+type step struct {
+	c      *Cluster
+	next   int
+	fireFn func()
+}
+
+func (n *step) fire() {
+	c, i := n.c, n.next
+	c.freeSteps = append(c.freeSteps, n)
+	c.runEntry(i)
+}
+
+// transfer is one pooled header+response transfer on the wire: it waits
+// out the frame time, then verifies the checksum and delivers. The node
+// owns its wire buffer and reuses it for later transfers; deliverFn is
+// bound once, when the node is made.
+type transfer struct {
+	c         *Cluster
+	id        FrameID
+	pid, cs   byte
+	sender    string
+	wire      []byte
+	deliverFn func()
+}
+
+// deliver completes the transfer at subscribers and observers, then
+// returns the node to the pool: f.Data is valid only until then.
+func (n *transfer) deliver() {
+	c := n.c
+	if VerifyChecksum(c.model, n.pid, n.wire, n.cs) {
+		c.FramesOK.Inc()
+		f := Frame{ID: n.id, Data: n.wire, Sender: n.sender}
+		for _, s := range c.slaves {
+			for _, fn := range s.subs[n.id] {
+				fn(c.kernel.Now(), f)
+			}
+		}
+		for _, fn := range c.observers {
+			fn(c.kernel.Now(), f)
+		}
+	} else {
+		c.ChecksumErrors.Inc()
+	}
+	c.freeTransfers = append(c.freeTransfers, n)
 }
 
 // NewCluster creates a LIN cluster at the given bitrate (typically 19200).
@@ -244,7 +303,17 @@ func (c *Cluster) runEntry(i int) {
 	}
 	e := c.schedule[i%len(c.schedule)]
 	c.poll(e.ID)
-	c.kernel.After(e.Delay, func() { c.runEntry(i + 1) })
+	var n *step
+	if k := len(c.freeSteps); k > 0 {
+		n = c.freeSteps[k-1]
+		c.freeSteps = c.freeSteps[:k-1]
+	} else {
+		n = &step{c: c}
+		n.fireFn = n.fire
+		c.steps = append(c.steps, n)
+	}
+	n.next = i + 1
+	c.kernel.After(e.Delay, n.fireFn)
 }
 
 // poll sends the header for id and completes the transfer with the
@@ -299,29 +368,23 @@ func (c *Cluster) poll(id FrameID) {
 // observers. Shared by the schedule-table poll path and SendSporadic so
 // both draw from the error stream in the same order.
 func (c *Cluster) transmit(id FrameID, pid byte, sender string, data []byte) {
-	cs := Checksum(c.model, pid, data)
-	wire := append([]byte(nil), data...)
-	if c.CorruptResponse > 0 && c.errStream.Bool(c.CorruptResponse) {
-		idx := c.errStream.Intn(len(wire))
-		wire[idx] ^= 1 << uint(c.errStream.Intn(8))
+	var n *transfer
+	if k := len(c.freeTransfers); k > 0 {
+		n = c.freeTransfers[k-1]
+		c.freeTransfers = c.freeTransfers[:k-1]
+	} else {
+		n = &transfer{c: c}
+		n.deliverFn = n.deliver
+		c.transfers = append(c.transfers, n)
 	}
-	at := c.kernel.Now() + c.FrameTime(len(wire))
-	c.kernel.At(at, func() {
-		if !VerifyChecksum(c.model, pid, wire, cs) {
-			c.ChecksumErrors.Inc()
-			return
-		}
-		c.FramesOK.Inc()
-		f := Frame{ID: id, Data: wire, Sender: sender}
-		for _, s := range c.slaves {
-			for _, fn := range s.subs[id] {
-				fn(c.kernel.Now(), f)
-			}
-		}
-		for _, fn := range c.observers {
-			fn(c.kernel.Now(), f)
-		}
-	})
+	n.id, n.pid, n.sender = id, pid, sender
+	n.cs = Checksum(c.model, pid, data)
+	n.wire = append(n.wire[:0], data...)
+	if c.CorruptResponse > 0 && c.errStream.Bool(c.CorruptResponse) {
+		idx := c.errStream.Intn(len(n.wire))
+		n.wire[idx] ^= 1 << uint(c.errStream.Intn(8))
+	}
+	c.kernel.At(c.kernel.Now()+c.FrameTime(len(n.wire)), n.deliverFn)
 }
 
 // SendSporadic transmits an unscheduled master-initiated frame: the master

@@ -98,6 +98,15 @@ func TestChecksumDetectsBitFlipsProperty(t *testing.T) {
 	}
 }
 
+// keep returns a subscriber that appends every frame to got. Frame data
+// is valid only during the callback, so it keeps a copy.
+func keep(got *[]Frame) SubscribeFunc {
+	return func(_ sim.Time, f Frame) {
+		f.Data = append([]byte(nil), f.Data...)
+		*got = append(*got, f)
+	}
+}
+
 func newCluster(t *testing.T) (*sim.Kernel, *Cluster, *Slave, *Slave) {
 	t.Helper()
 	k := sim.NewKernel(1)
@@ -115,7 +124,7 @@ func TestClusterPollDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Frame
-	sub.Subscribe(0x10, func(_ sim.Time, f Frame) { got = append(got, f) })
+	sub.Subscribe(0x10, keep(&got))
 	c.SetSchedule([]ScheduleEntry{{ID: 0x10, Delay: 10 * sim.Millisecond}})
 	if err := c.Start(); err != nil {
 		t.Fatal(err)

@@ -54,12 +54,14 @@ func (c *Cluster) MarkBaseline() {
 }
 
 // ResetToBaseline rewinds the cluster to its MarkBaseline snapshot. The
-// kernel must have been Reset first (pending schedule slots are gone
-// with the queue).
+// kernel must have been Reset first: pending schedule slots and transfers
+// are gone with the queue, so every pooled node returns to its free list.
 func (c *Cluster) ResetToBaseline() {
 	if !c.base.sealed {
 		panic("lin: ResetToBaseline before MarkBaseline")
 	}
+	c.freeSteps = append(c.freeSteps[:0], c.steps...)
+	c.freeTransfers = append(c.freeTransfers[:0], c.transfers...)
 	for i := len(c.base.slaves); i < len(c.slaves); i++ {
 		c.slaves[i] = nil
 	}

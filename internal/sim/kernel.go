@@ -172,6 +172,45 @@ type Kernel struct {
 	seed    uint64
 	streams map[string]*Stream
 	trace   TraceSink // nil when tracing is off (the common case)
+
+	// periodics holds every periodic node the kernel ever made; the first
+	// livePeriodics are in use by this run's Every calls, the rest are
+	// idle. Reset returns them all.
+	periodics     []*periodic
+	livePeriodics int
+}
+
+// periodic is the kernel-owned state of one Every stream. Its tick is
+// bound once, when the node is made, so a recycled node reschedules
+// without allocating. gen counts the node's recycles: a stop handle
+// carries the generation it was issued under and is inert once the node
+// serves another stream.
+type periodic struct {
+	k       *Kernel
+	fn      func()
+	period  Duration
+	ev      Event
+	gen     uint64
+	stopped bool
+	tick    func()
+}
+
+func (p *periodic) fire() {
+	if p.stopped {
+		return
+	}
+	p.fn()
+	p.ev = p.k.At(p.k.now+p.period, p.tick)
+}
+
+// stop ends the stream if the handle's generation is still current.
+func (p *periodic) stop(gen uint64) {
+	if p.gen != gen {
+		return
+	}
+	p.stopped = true
+	p.fn = nil // release the callback's captures
+	p.k.Cancel(p.ev)
 }
 
 // NewKernel returns a kernel at time zero whose named random streams are
@@ -185,13 +224,21 @@ func NewKernel(seed uint64) *Kernel {
 // free list, the clock returns to zero, and every named stream is
 // re-derived in place (subsystems cache *Stream pointers, so the stream
 // objects must survive). After Reset the kernel is indistinguishable —
-// event sequencing included — from NewKernel(seed), except that the heap
-// and free list stay warm. Like a new kernel, it has no trace sink.
+// event sequencing included — from NewKernel(seed), except that the heap,
+// the free list and the periodic nodes stay warm. Every periodic node is
+// recycled, so stop handles issued before Reset become inert. Like a new
+// kernel, it has no trace sink.
 func (k *Kernel) Reset(seed uint64) {
 	for _, n := range k.queue {
 		k.recycle(n)
 	}
 	k.queue = k.queue[:0]
+	for _, p := range k.periodics[:k.livePeriodics] {
+		p.fn = nil // release the callback's captures
+		p.ev = Event{}
+		p.gen++
+	}
+	k.livePeriodics = 0
 	k.now = 0
 	k.seq = 0
 	k.pending = 0
@@ -245,26 +292,25 @@ func (k *Kernel) After(d Duration, fn func()) Event {
 }
 
 // Every schedules fn to run every period, starting at start, until the
-// returned stop function is called. fn observes the kernel time.
+// returned stop function is called. fn observes the kernel time. The
+// stream runs on a kernel-owned periodic node, recycled by Reset, so on
+// a warm kernel a call allocates only its stop handle. Calling stop
+// again, or after Reset, is a no-op.
 func (k *Kernel) Every(start Time, period Duration, fn func()) (stop func()) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	stopped := false
-	var tick func()
-	var ev Event
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		ev = k.At(k.now+period, tick)
+	if k.livePeriodics == len(k.periodics) {
+		p := &periodic{k: k}
+		p.tick = p.fire
+		k.periodics = append(k.periodics, p)
 	}
-	ev = k.At(start, tick)
-	return func() {
-		stopped = true
-		k.Cancel(ev)
-	}
+	p := k.periodics[k.livePeriodics]
+	k.livePeriodics++
+	p.fn, p.period, p.stopped = fn, period, false
+	p.ev = k.At(start, p.tick)
+	gen := p.gen
+	return func() { p.stop(gen) }
 }
 
 // Cancel prevents a scheduled event from running. Safe to call on the

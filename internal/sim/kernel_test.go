@@ -259,3 +259,45 @@ func TestKernelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelEveryStaleStop: a stop handle is bound to the stream it was
+// issued for. Calling it twice, or after Reset has recycled its
+// periodic node into a new stream, must leave every other stream
+// running.
+func TestKernelEveryStaleStop(t *testing.T) {
+	k := NewKernel(1)
+	stale := k.Every(0, Millisecond, func() {})
+	_ = k.RunUntil(3 * Millisecond)
+	k.Reset(2)
+
+	ticks := 0
+	stop := k.Every(0, Millisecond, func() { ticks++ })
+	other := 0
+	k.Every(0, Millisecond, func() { other++ })
+	k.At(2*Millisecond+1, stale) // the recycled node now serves the first stream
+	k.At(4*Millisecond+1, stop)
+	k.At(6*Millisecond+1, stop) // twice: still only the first stream
+	_ = k.RunUntil(10 * Millisecond)
+	if ticks != 5 || other != 11 {
+		t.Fatalf("ticks=%d other=%d, want 5 (stopped after 4ms) and 11 (never stopped)", ticks, other)
+	}
+}
+
+// TestKernelEveryAllocs pins Every on a warm kernel: the periodic node
+// is recycled by Reset, so a call allocates at most its stop handle,
+// and a running stream allocates nothing per tick.
+func TestKernelEveryAllocs(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	run := func() {
+		k.Reset(1)
+		for i := 0; i < 4; i++ {
+			k.Every(Time(i)*Microsecond, Millisecond, fn)
+		}
+		_ = k.RunUntil(10 * Millisecond)
+	}
+	run() // warm-up makes the nodes
+	if allocs := testing.AllocsPerRun(100, run); allocs > 4 {
+		t.Fatalf("%v allocs per 4 Every calls and 10 ms of ticks, want <= 4", allocs)
+	}
+}

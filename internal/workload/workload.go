@@ -119,62 +119,118 @@ func StartSenders(k *sim.Kernel, bus *can.Bus, specs []MessageSpec, jitterFrac f
 // are ordered by timestamp, then ID, then spec order, then each spec's
 // emission order.
 func SyntheticTrace(specs []MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) *netif.Trace {
-	// Each spec's stream is already in time order (only jitterFrac >= 1
-	// can step backwards, and such a stream is stable-sorted first), so a
-	// merge that takes the earliest (At, ID) head, ties to the lower spec,
-	// yields the stable sort of the streams' concatenation without moving
-	// records through sort's swapper.
-	streams := make([][]netif.Record, len(specs))
-	total := 0
+	// Each spec's stream is in time order unless jitterFrac >= 1 lets a
+	// step go backwards; such streams are materialized and stable-sorted
+	// first. The others generate each record on demand, straight into
+	// the output. A merge that takes the earliest (At, ID) head, ties to
+	// the lower spec, yields the stable sort of the streams'
+	// concatenation without moving records through sort's swapper.
+	gens := make([]specGen, len(specs))
+	size := 0
 	for si, s := range specs {
-		recs := specStream(s, dur, seed, jitterFrac)
-		before := func(i, j int) bool { return recs[i].At < recs[j].At }
-		if !sort.SliceIsSorted(recs, before) {
-			sort.SliceStable(recs, before)
+		g := &gens[si]
+		if jitterFrac >= 1 {
+			recs := specStream(s, dur, seed, jitterFrac)
+			before := func(i, j int) bool { return recs[i].At < recs[j].At }
+			if !sort.SliceIsSorted(recs, before) {
+				sort.SliceStable(recs, before)
+			}
+			g.recs, g.materialized = recs, true
+			size += len(recs)
+			continue
 		}
-		streams[si] = recs
-		total += len(recs)
+		*g = newSpecGen(s, dur, seed, jitterFrac)
+		size += streamCap(s, dur)
 	}
-	tr := &netif.Trace{Records: make([]netif.Record, 0, total)}
-	for len(tr.Records) < total {
+	tr := &netif.Trace{Records: make([]netif.Record, 0, size)}
+	for {
 		best := -1
-		for si, recs := range streams {
-			if len(recs) == 0 {
-				continue
-			}
-			if best < 0 {
-				best = si
-				continue
-			}
-			a, b := &recs[0], &streams[best][0]
-			if a.At < b.At || (a.At == b.At && a.Frame.ID < b.Frame.ID) {
-				best = si
+		var bestAt sim.Time
+		var bestID uint32
+		for si := range gens {
+			at, id, ok := gens[si].head()
+			if ok && (best < 0 || at < bestAt || (at == bestAt && id < bestID)) {
+				best, bestAt, bestID = si, at, id
 			}
 		}
-		tr.Records = append(tr.Records, streams[best][0])
-		streams[best] = streams[best][1:]
+		if best < 0 {
+			return tr
+		}
+		tr.Records = append(tr.Records, gens[best].next())
 	}
-	return tr
+}
+
+// streamCap presizes one spec's stream from dur/Period (jitter moves the
+// count by a record or so either way).
+func streamCap(s MessageSpec, dur sim.Duration) int {
+	if s.Period > 0 && dur > 0 {
+		return int(dur/s.Period) + 2
+	}
+	return 0
+}
+
+// specGen is one spec's stream during the merge: either a materialized,
+// sorted stream consumed from the front, or the generator state that
+// emits the stream one record at a time in specStream's order (rng,
+// next emission time, sequence index).
+type specGen struct {
+	recs         []netif.Record
+	materialized bool
+
+	spec   MessageSpec
+	dur    sim.Duration
+	jitter float64
+	rng    *sim.Stream
+	at     sim.Time
+	i      int
+}
+
+func newSpecGen(s MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) specGen {
+	rng := sim.NewStream(seed, "trace."+s.Sender+streamSuffix(s.ID))
+	return specGen{spec: s, dur: dur, jitter: jitterFrac, rng: rng, at: rng.Duration(0, s.Period)}
+}
+
+// head reports the time and identifier of the stream's next record, and
+// false once the stream is exhausted.
+func (g *specGen) head() (sim.Time, uint32, bool) {
+	if g.materialized {
+		if len(g.recs) == 0 {
+			return 0, 0, false
+		}
+		return g.recs[0].At, g.recs[0].Frame.ID, true
+	}
+	return g.at, uint32(g.spec.ID), g.at < g.dur
+}
+
+// next removes and returns the stream's next record.
+func (g *specGen) next() netif.Record {
+	if g.materialized {
+		r := g.recs[0]
+		g.recs = g.recs[1:]
+		return r
+	}
+	s := &g.spec
+	r := can.NetifRecord(g.at, can.Frame{ID: s.ID, Data: payloadFor(*s, g.i, g.rng)}, s.Sender)
+	g.i++
+	step := s.Period
+	if g.jitter > 0 {
+		step = g.rng.Jitter(s.Period, g.jitter)
+	}
+	g.at += step
+	return r
 }
 
 // specStream generates one spec's records in emission order, presized
-// from dur/Period (jitter moves the count by a record or so either way).
+// from dur/Period.
 func specStream(s MessageSpec, dur sim.Duration, seed uint64, jitterFrac float64) []netif.Record {
-	var recs []netif.Record
-	if s.Period > 0 && dur > 0 {
-		recs = make([]netif.Record, 0, int(dur/s.Period)+2)
-	}
-	rng := sim.NewStream(seed, "trace."+s.Sender+streamSuffix(s.ID))
-	at := rng.Duration(0, s.Period)
-	for i := 0; at < dur; i++ {
-		recs = append(recs, can.NetifRecord(at, can.Frame{ID: s.ID, Data: payloadFor(s, i, rng)}, s.Sender))
-		step := s.Period
-		if jitterFrac > 0 {
-			step = rng.Jitter(s.Period, jitterFrac)
+	recs := make([]netif.Record, 0, streamCap(s, dur))
+	g := newSpecGen(s, dur, seed, jitterFrac)
+	for {
+		if _, _, ok := g.head(); !ok {
+			return recs
 		}
-		at += step
+		recs = append(recs, g.next())
 	}
-	return recs
 }
 
 // streamSuffix derives the per-message RNG stream-name suffix from a CAN

@@ -7,15 +7,17 @@ import "autosec/internal/gateway"
 // observers); ResetToBaseline rewinds to that snapshot: scenario zones,
 // domains, rules and observers are dropped, every zone gateway resets to
 // its own baseline (lifting quarantines and zeroing counters), and the
-// compiled per-zone rule shards are rebuilt from the baseline logical
-// rule set so a reset fabric routes exactly like a freshly built one.
+// compiled per-zone rule shards are recompiled, into the storage each zone
+// already owns, from the baseline logical rule set so a reset fabric
+// routes exactly like a freshly built one. The fabric never writes the
+// logical rules themselves: only compiled shards carry counters.
 
 // fabBaseline is the sealed post-construction state of a Fabric.
 type fabBaseline struct {
 	sealed        bool
 	zones         int
-	domains       int // len(domainOrder)
-	rules         int
+	domains       int             // len(domainOrder)
+	rules         []*gateway.Rule // the logical rules, copied
 	observers     int
 	defaultAction gateway.Action
 }
@@ -27,7 +29,7 @@ func (f *Fabric) MarkBaseline() {
 		sealed:        true,
 		zones:         len(f.zones),
 		domains:       len(f.domainOrder),
-		rules:         len(f.rules),
+		rules:         append([]*gateway.Rule(nil), f.rules...),
 		observers:     len(f.observers),
 		defaultAction: f.defaultAction,
 	}
@@ -61,14 +63,6 @@ func (f *Fabric) ResetToBaseline() {
 		z.locals = z.locals[:z.baseLocals]
 		z.GW.ResetToBaseline()
 	}
-	for i := f.base.rules; i < len(f.rules); i++ {
-		f.rules[i] = nil
-	}
-	f.rules = f.rules[:f.base.rules]
-	for _, r := range f.rules {
-		r.Matched.Value = 0
-		r.RateDrops.Value = 0
-	}
 	f.defaultAction = f.base.defaultAction
 	for _, z := range f.zones {
 		z.GW.DefaultAction = f.defaultAction
@@ -85,5 +79,6 @@ func (f *Fabric) ResetToBaseline() {
 	for _, bn := range f.bb {
 		bn.port.frames.Value = 0
 	}
-	f.recompile()
+	// SetRules recompiles every zone's shards in place.
+	f.SetRules(f.base.rules)
 }

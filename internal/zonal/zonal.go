@@ -89,6 +89,13 @@ type Zone struct {
 
 	// baseLocals is the sealed local-domain count; see Fabric.MarkBaseline.
 	baseLocals int
+
+	// Compiled-shard storage, owned by the zone and rewritten in place by
+	// every recompile: the compiled rules, the pointer view the zone
+	// gateway installs, and the arena their To lists slice.
+	compiled []gateway.Rule
+	shards   []*gateway.Rule
+	dests    []string
 }
 
 // ObserveFunc receives every per-zone gateway verdict, tagged with the
@@ -119,7 +126,11 @@ type Fabric struct {
 	domainZone  map[string]*Zone
 	domainOrder []string
 
-	rules         []*gateway.Rule // logical rules, central-gateway style
+	// rules is the fabric's copy of the logical rules, central-gateway
+	// style. SetRules and AddRule copy into it; the fabric only reads the
+	// rules themselves, so one logical rule set may be shared by fabrics
+	// that run concurrently.
+	rules         []*gateway.Rule
 	defaultAction gateway.Action
 
 	observers []ObserveFunc
@@ -267,9 +278,15 @@ func (f *Fabric) AddRule(r *gateway.Rule) {
 }
 
 // SetRules replaces the logical rule set — the in-field update primitive.
-// Compiled limiter state resets: new policy, fresh buckets.
+// Compiled limiter state resets: new policy, fresh buckets. The fabric
+// copies the rule pointers into storage it owns, so rs stays the
+// caller's.
 func (f *Fabric) SetRules(rs []*gateway.Rule) {
-	f.rules = rs
+	old := len(f.rules)
+	f.rules = append(f.rules[:0], rs...)
+	if n := len(f.rules); n < old {
+		clear(f.rules[n:old]) // drop the replaced rules
+	}
 	f.recompile()
 }
 
@@ -375,36 +392,25 @@ func (f *Fabric) recompile() {
 	}
 }
 
-// compileFor shards the logical rule set for one zone. See the package
-// comment for the sharding semantics.
+// compileFor shards the logical rule set for one zone, into the zone's
+// own storage: each compile overwrites the last one's rules and
+// destination lists, so compiled rules start with zero counters and a
+// warm zone compiles without allocating. See the package comment for
+// the sharding semantics.
 func (f *Fabric) compileFor(z *Zone) []*gateway.Rule {
-	var out []*gateway.Rule
+	z.compiled = z.compiled[:0]
+	z.dests = z.dests[:0]
 	for _, r := range f.rules {
 		// Source-side shard: applies where the source domain lives. A
 		// wildcard source expands per local domain so it can never match
 		// backbone-ingress traffic with egress (loop-forming) destinations.
-		var froms []string
 		switch {
 		case r.From == "*":
-			froms = z.locals
+			for _, from := range z.locals {
+				f.egressShard(z, r, from)
+			}
 		case f.domainZone[r.From] == z:
-			froms = []string{r.From}
-		}
-		for _, from := range froms {
-			cr := &gateway.Rule{
-				Name:        r.Name,
-				From:        from,
-				Medium:      r.Medium,
-				IDLo:        r.IDLo,
-				IDHi:        r.IDHi,
-				Action:      r.Action,
-				RatePerSec:  r.RatePerSec,
-				BurstFrames: r.BurstFrames,
-			}
-			if r.Action == gateway.Allow {
-				cr.To = f.egressDests(z, r.To)
-			}
-			out = append(out, cr)
+			f.egressShard(z, r, r.From)
 		}
 		// Ingress shard: applies where destination domains may live, for
 		// traffic arriving over the backbone. The zone owning a specific
@@ -413,7 +419,7 @@ func (f *Fabric) compileFor(z *Zone) []*gateway.Rule {
 		// backbone traffic cannot be re-flooded.
 		srcZone := f.domainZone[r.From]
 		if r.From == "*" || (srcZone != nil && srcZone != z) {
-			ir := &gateway.Rule{
+			ir := gateway.Rule{
 				Name:   f.inName(r.Name),
 				From:   BackboneDomain,
 				Medium: r.Medium,
@@ -424,22 +430,48 @@ func (f *Fabric) compileFor(z *Zone) []*gateway.Rule {
 			if r.Action == gateway.Allow {
 				ir.To = f.ingressDests(z, r.To)
 			}
-			out = append(out, ir)
+			z.compiled = append(z.compiled, ir)
 		}
 	}
-	return out
+	// Point at the rules only now that appends can no longer move them.
+	clear(z.shards)
+	z.shards = z.shards[:0]
+	for i := range z.compiled {
+		z.shards = append(z.shards, &z.compiled[i])
+	}
+	return z.shards
+}
+
+// egressShard appends the source-side shard of r for one local source
+// domain of zone z.
+func (f *Fabric) egressShard(z *Zone, r *gateway.Rule, from string) {
+	cr := gateway.Rule{
+		Name:        r.Name,
+		From:        from,
+		Medium:      r.Medium,
+		IDLo:        r.IDLo,
+		IDHi:        r.IDHi,
+		Action:      r.Action,
+		RatePerSec:  r.RatePerSec,
+		BurstFrames: r.BurstFrames,
+	}
+	if r.Action == gateway.Allow {
+		cr.To = f.egressDests(z, r.To)
+	}
+	z.compiled = append(z.compiled, cr)
 }
 
 // egressDests compiles a logical destination list for a source-side shard
 // in zone z: local destinations stay, any reachable remote destination
 // becomes one backbone hop, and "all other domains" (empty To) maps to
 // nil — the zone gateway then fans out to all its attachments, which is
-// exactly the locals plus the backbone.
+// exactly the locals plus the backbone. The list is appended to the
+// zone's destination arena.
 func (f *Fabric) egressDests(z *Zone, to []string) []string {
 	if len(to) == 0 {
 		return nil
 	}
-	var out []string
+	lo := len(z.dests)
 	remote := false
 	for _, d := range to {
 		owner, known := f.domainZone[d]
@@ -447,18 +479,15 @@ func (f *Fabric) egressDests(z *Zone, to []string) []string {
 			continue // central gateways ignore unknown destinations too
 		}
 		if owner == z {
-			out = append(out, d)
+			z.dests = append(z.dests, d)
 		} else {
 			remote = true
 		}
 	}
 	if remote {
-		out = append(out, BackboneDomain)
+		z.dests = append(z.dests, BackboneDomain)
 	}
-	if len(out) == 0 {
-		out = []string{noneDomain}
-	}
-	return out
+	return z.destsFrom(lo)
 }
 
 // ingressDests compiles the local destination list for a backbone-ingress
@@ -469,14 +498,24 @@ func (f *Fabric) ingressDests(z *Zone, to []string) []string {
 	if len(to) == 0 {
 		return nil
 	}
-	var out []string
+	lo := len(z.dests)
 	for _, d := range to {
 		if f.domainZone[d] == z {
-			out = append(out, d)
+			z.dests = append(z.dests, d)
 		}
 	}
-	if len(out) == 0 {
-		out = []string{noneDomain}
+	return z.destsFrom(lo)
+}
+
+// destsFrom closes a destination list the arena holds from lo on: an
+// empty list becomes the unattachable noneDomain, so the shard keeps its
+// first-match slot and forwards nowhere. The result is capped, so an
+// append to it never writes into the arena. An arena that grows moves,
+// but the lists compiled before keep the old array, which nothing writes
+// again.
+func (z *Zone) destsFrom(lo int) []string {
+	if len(z.dests) == lo {
+		z.dests = append(z.dests, noneDomain)
 	}
-	return out
+	return z.dests[lo:len(z.dests):len(z.dests)]
 }
