@@ -70,9 +70,9 @@ type Config struct {
 
 // IDSConfig parameterizes the vehicle's detection plane.
 type IDSConfig struct {
-	// MediumAware installs ids.MediumAwareSuite() (the baseline trio
+	// MediumAware installs ids.MediumAwareDetectors() (the baseline trio
 	// plus the FlexRay, LIN, Ethernet and SOME/IP semantic families);
-	// false keeps ids.BaselineSuite().
+	// false keeps ids.BaselineDetectors().
 	MediumAware bool
 }
 
@@ -257,11 +257,11 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	// Secure Networks compensating control: the detection plane. Pooled
 	// Resets return these detectors to constructor state in place, in the
 	// same registry order.
-	suite := ids.BaselineSuite()
+	detectors := ids.BaselineDetectors
 	if cfg.IDS != nil && cfg.IDS.MediumAware {
-		suite = ids.MediumAwareSuite()
+		detectors = ids.MediumAwareDetectors
 	}
-	v.IDS = ids.NewEngineFromSuite(suite)
+	v.IDS = ids.NewEngine(detectors()...)
 	v.IDS.Attach(v.Media[DomainPowertrain])
 	if cfg.IDS != nil {
 		// Widened taps: every mixed-media extra domain feeds the engine.

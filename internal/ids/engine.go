@@ -110,16 +110,6 @@ func NewEngine(ds ...Detector) *Engine {
 	return e
 }
 
-// NewEngineFromSuite builds an engine from a detector suite: one detector
-// per constructor, installed in suite order.
-func NewEngineFromSuite(s Suite) *Engine {
-	e := &Engine{global: make([]Detector, 0, len(s))}
-	for _, f := range s {
-		e.Add(f())
-	}
-	return e
-}
-
 // Add installs a detector at runtime, routing MediumDetectors to their
 // medium's bucket and everything else to the global set — the in-field
 // upgrade path: a policy push of a FlexRay model lands in the FlexRay

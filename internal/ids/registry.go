@@ -15,33 +15,19 @@ type MediumDetector interface {
 	Medium() netif.Kind
 }
 
-// Suite is an ordered list of detector constructors: a build installs
-// one detector per entry, in order, which fixes the routing and alert
-// merge order. Pooled vehicles build from the suite once; their Reset
-// returns the same detector objects to constructor state in place
-// (Engine.ResetToBaseline), with the same routing order as a fresh
-// build.
-type Suite []func() Detector
-
-// BaselineSuite is the historical medium-agnostic detector trio: the
-// statistical models that watch every medium through the same
-// (medium, identifier) keys.
-func BaselineSuite() Suite {
-	return Suite{
-		func() Detector { return NewFrequencyDetector() },
-		func() Detector { return NewIntervalDetector() },
-		func() Detector { return NewSpecDetector() },
-	}
+// BaselineDetectors returns fresh instances of the historical
+// medium-agnostic detector trio: the statistical models that watch every
+// medium through the same (medium, identifier) keys. NewEngine installs
+// them in this order, which fixes the routing and alert merge order.
+func BaselineDetectors() []Detector {
+	return []Detector{NewFrequencyDetector(), NewIntervalDetector(), NewSpecDetector()}
 }
 
-// MediumAwareSuite is the baseline trio plus the four per-medium
-// semantic families: FlexRay slot ownership, LIN schedule conformance,
-// Ethernet address anomalies and SOME/IP service misuse.
-func MediumAwareSuite() Suite {
-	return append(BaselineSuite(),
-		func() Detector { return NewFlexRaySlotDetector() },
-		func() Detector { return NewLINScheduleDetector() },
-		func() Detector { return NewEthernetAddrDetector() },
-		func() Detector { return NewSOMEIPDetector() },
-	)
+// MediumAwareDetectors returns fresh instances of the baseline trio plus
+// the four per-medium semantic families: FlexRay slot ownership, LIN
+// schedule conformance, Ethernet address anomalies and SOME/IP service
+// misuse.
+func MediumAwareDetectors() []Detector {
+	return append(BaselineDetectors(),
+		NewFlexRaySlotDetector(), NewLINScheduleDetector(), NewEthernetAddrDetector(), NewSOMEIPDetector())
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRegistryRoutingOrder(t *testing.T) {
-	e := NewEngineFromSuite(MediumAwareSuite())
+	e := NewEngine(MediumAwareDetectors()...)
 	// Global detectors in install order, then the media buckets in Kind
 	// order (CAN, LIN, FlexRay, Ethernet) — the deterministic routing
 	// and alert merge order.
@@ -72,7 +72,7 @@ func TestRegistryCrossMediaAlertOrderDeterministic(t *testing.T) {
 		}
 	}
 	run := func() []Alert {
-		e := NewEngineFromSuite(MediumAwareSuite())
+		e := NewEngine(MediumAwareDetectors()...)
 		e.Train(e21StyleTrace())
 		for _, r := range stream() {
 			e.Observe(r)
@@ -159,8 +159,7 @@ func TestAlertStringNonCAN(t *testing.T) {
 }
 
 func TestEngineResetToBaselineSuiteParity(t *testing.T) {
-	s := MediumAwareSuite()
-	e := NewEngineFromSuite(s)
+	e := NewEngine(MediumAwareDetectors()...)
 	e.MarkBaseline()
 	names := e.Detectors()
 	e.Train(e21StyleTrace())
@@ -191,14 +190,14 @@ func TestEngineResetToBaselineSuiteParity(t *testing.T) {
 // on every fabric medium at fleet-scale event rates.
 func TestRegistrySteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		suite Suite
+		name      string
+		detectors []Detector
 	}{
-		{"baseline", BaselineSuite()},
-		{"medium-aware", MediumAwareSuite()},
+		{"baseline", BaselineDetectors()},
+		{"medium-aware", MediumAwareDetectors()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngineFromSuite(tc.suite)
+			e := NewEngine(tc.detectors...)
 			e.Train(e21StyleTrace())
 			recs := cleanMixedRecords()
 			// Warm up: let lastAt/window state settle.
@@ -244,11 +243,11 @@ func min(a, b int) int {
 	return b
 }
 
-func BenchmarkIDSObserveBaseline(b *testing.B)    { benchObserve(b, BaselineSuite()) }
-func BenchmarkIDSObserveMediumAware(b *testing.B) { benchObserve(b, MediumAwareSuite()) }
+func BenchmarkIDSObserveBaseline(b *testing.B)    { benchObserve(b, BaselineDetectors()) }
+func BenchmarkIDSObserveMediumAware(b *testing.B) { benchObserve(b, MediumAwareDetectors()) }
 
-func benchObserve(b *testing.B, s Suite) {
-	e := NewEngineFromSuite(s)
+func benchObserve(b *testing.B, ds []Detector) {
+	e := NewEngine(ds...)
 	e.Train(e21StyleTrace())
 	recs := cleanMixedRecords()
 	for i := range recs {

@@ -24,7 +24,7 @@ var families = []func() Detector{
 
 // resetCase is one decoded FuzzEngineResetMatchesFresh input.
 type resetCase struct {
-	suite      Suite
+	suite      []func() Detector
 	train, pre []netif.Record
 	ops        []resetOp
 	retrain    bool
@@ -88,6 +88,16 @@ func (b *fuzzBytes) records(n int) []netif.Record {
 	return recs
 }
 
+// engine builds an engine from one fresh detector per suite constructor,
+// installed in suite order.
+func (c *resetCase) engine() *Engine {
+	ds := make([]Detector, len(c.suite))
+	for i, f := range c.suite {
+		ds[i] = f()
+	}
+	return NewEngine(ds...)
+}
+
 func decodeResetCase(data []byte) resetCase {
 	b := fuzzBytes(data)
 	var c resetCase
@@ -118,7 +128,7 @@ func FuzzEngineResetMatchesFresh(f *testing.F) {
 		c := decodeResetCase(data)
 		train := &netif.Trace{Records: c.train}
 
-		e := NewEngineFromSuite(c.suite)
+		e := c.engine()
 		e.MarkBaseline()
 		e.Train(train)
 		half := len(c.pre) / 2
@@ -143,7 +153,7 @@ func FuzzEngineResetMatchesFresh(f *testing.F) {
 		}
 		e.ResetToBaseline()
 
-		fresh := NewEngineFromSuite(c.suite)
+		fresh := c.engine()
 		for _, eng := range []*Engine{e, fresh} {
 			if c.retrain {
 				eng.Train(train)

@@ -158,7 +158,10 @@ type Cluster struct {
 	intruders map[FrameID]PublishFunc
 	schedule  []ScheduleEntry
 	running   bool
-	stopped   bool
+	// chain numbers the schedule runs: Stop ends the current one, and a
+	// pending step from an ended run returns to the pool without polling,
+	// so a Start within the slot of a Stop runs one schedule, not two.
+	chain uint64
 
 	// ResponseCollisions counts slots where a rogue publisher answered on
 	// top of the legitimate one, destroying both responses.
@@ -186,18 +189,22 @@ type Cluster struct {
 }
 
 // step is one pooled pending schedule-table slot: when it fires, the
-// master polls entry next. fireFn is bound once, when the node is made,
-// so a warm schedule runs without allocating.
+// master polls entry next, unless chain is a run Stop has ended since.
+// fireFn is bound once, when the node is made, so a warm schedule runs
+// without allocating.
 type step struct {
 	c      *Cluster
 	next   int
+	chain  uint64
 	fireFn func()
 }
 
 func (n *step) fire() {
 	c, i := n.c, n.next
 	c.freeSteps = append(c.freeSteps, n)
-	c.runEntry(i)
+	if n.chain == c.chain {
+		c.runEntry(i)
+	}
 }
 
 // transfer is one pooled header+response transfer on the wire: it waits
@@ -289,18 +296,14 @@ func (c *Cluster) Start() error {
 		return errors.New("lin: already running")
 	}
 	c.running = true
-	c.stopped = false
 	c.runEntry(0)
 	return nil
 }
 
 // Stop halts the schedule after the current slot.
-func (c *Cluster) Stop() { c.stopped = true; c.running = false }
+func (c *Cluster) Stop() { c.chain++; c.running = false }
 
 func (c *Cluster) runEntry(i int) {
-	if c.stopped {
-		return
-	}
 	e := c.schedule[i%len(c.schedule)]
 	c.poll(e.ID)
 	var n *step
@@ -312,7 +315,7 @@ func (c *Cluster) runEntry(i int) {
 		n.fireFn = n.fire
 		c.steps = append(c.steps, n)
 	}
-	n.next = i + 1
+	n.next, n.chain = i+1, c.chain
 	c.kernel.After(e.Delay, n.fireFn)
 }
 

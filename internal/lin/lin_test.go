@@ -222,6 +222,30 @@ func TestStartErrors(t *testing.T) {
 	}
 }
 
+// TestClusterRestartWithinSlot stops and restarts the master halfway
+// through a slot. The slot pending from before the stop must not resume
+// its schedule beside the new one: one chain polls once per 10 ms slot.
+func TestClusterRestartWithinSlot(t *testing.T) {
+	k, c, pub, sub := newCluster(t)
+	_ = pub.Publish(0x10, func(sim.Time) []byte { return []byte{0x42} })
+	var got []Frame
+	sub.Subscribe(0x10, keep(&got))
+	c.SetSchedule([]ScheduleEntry{{ID: 0x10, Delay: 10 * sim.Millisecond}})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	k.At(5*sim.Millisecond, func() {
+		c.Stop()
+		if err := c.Start(); err != nil {
+			t.Error(err)
+		}
+	})
+	_ = k.RunUntil(95 * sim.Millisecond)
+	if len(got) != 10 {
+		t.Fatalf("delivered %d frames, want 10 (one at 0 ms, then one per slot from the restart at 5 ms)", len(got))
+	}
+}
+
 func TestFrameTimeScalesWithLength(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewCluster(k, "x", 19200, Classic)

@@ -96,7 +96,6 @@ func (c *Cluster) ResetToBaseline() {
 	}
 	c.schedule = c.base.schedule
 	c.running = false
-	c.stopped = false
 	c.ResponseCollisions.Value = 0
 	c.FramesOK.Value = 0
 	c.NoResponse.Value = 0

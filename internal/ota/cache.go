@@ -13,17 +13,13 @@
 // bytes"; nothing vehicle-specific is ever memoized, so a cache hit is
 // exactly as strong as a cold verification.
 //
-// A signature lookup takes one of two paths. The content path renders
-// the canonical bytes, hashes them with the signature and looks the
-// digest up, verifying cold on a miss. The first Metadata object whose
-// content path hits (its content was seen before: the second vehicle to
-// check a published statement) is promoted to an identity memo holding
-// a deep snapshot of its signed fields and signature; each verdict
-// promotes at most one object, so copies cannot grow the memo table.
-// Later lookups of that same object compare the snapshot field by field
-// and answer without rendering or hashing. A copy of the object is a
-// different pointer and takes the content path; an in-place mutation
-// fails the compare and takes it too.
+// A signature lookup is one map read. Sign and ForgeMetadata seal each
+// Metadata when they build it: its canonical bytes, and the SHA-256 of
+// those bytes followed by the signature, are fixed then and never change,
+// because no field can be written afterwards. The lookup keys the verdict
+// by that digest and the verification key, so no lookup renders or hashes
+// anything, and a struct copy, which carries the same immutable content
+// and digest, answers from the same entry.
 //
 // Attestation is keyed by Bundle identity: a published bundle is
 // immutable campaign state (the backend signs it once per wave and
@@ -33,7 +29,6 @@
 package ota
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
@@ -54,55 +49,6 @@ import (
 type SigKey struct {
 	Key [ed25519.PublicKeySize]byte
 	Sum [sha256.Size]byte
-}
-
-// sigVerdict is the cached outcome of one content key. promoted records
-// that an object has been promoted to an identity memo for it.
-type sigVerdict struct {
-	valid, promoted bool
-}
-
-// identKey names one Metadata object under one verification key.
-type identKey struct {
-	m   *Metadata
-	key [ed25519.PublicKeySize]byte
-}
-
-// sigMemo is a promoted verdict: every field of a Metadata object, deep
-// copied when its content verdict was found, and that verdict. It is
-// immutable once inserted. A field added to Metadata must be added here
-// and to matches (TestSigMemoCoversMetadata fails until it is).
-type sigMemo struct {
-	repo, vehicleID string
-	version         uint64
-	expires         sim.Time
-	targets         []Target
-	sig             [ed25519.SignatureSize]byte
-	valid           bool
-}
-
-func newSigMemo(m *Metadata, valid bool) *sigMemo {
-	s := &sigMemo{
-		repo: m.Repo, vehicleID: m.VehicleID, version: m.Version, expires: m.Expires,
-		targets: append([]Target(nil), m.Targets...), valid: valid,
-	}
-	copy(s.sig[:], m.Sig)
-	return s
-}
-
-// matches reports whether m still holds exactly the snapshotted fields
-// and signature.
-func (s *sigMemo) matches(m *Metadata) bool {
-	if m.Version != s.version || m.Expires != s.expires || m.Repo != s.repo ||
-		m.VehicleID != s.vehicleID || len(m.Targets) != len(s.targets) || !bytes.Equal(m.Sig, s.sig[:]) {
-		return false
-	}
-	for i := range s.targets {
-		if m.Targets[i] != s.targets[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // attestation is the cached result of cross-checking one bundle's
@@ -132,14 +78,10 @@ type CacheStats struct {
 // campaign). Safe for concurrent use by the fleet driver's workers; the
 // hit paths take only a read lock and perform no allocation.
 //
-// sigs holds one verdict per SigKey, negative verdicts included. idents
-// holds the identity memos of objects promoted on a content hit, at most
-// one per verdict, so it never outgrows sigs; it is created on the first
-// promotion, so a cache that only ever verifies cold never builds it.
+// sigs holds one verdict per SigKey, negative verdicts included.
 type VerifyCache struct {
 	mu      sync.RWMutex
-	sigs    map[SigKey]sigVerdict
-	idents  map[identKey]*sigMemo
+	sigs    map[SigKey]bool
 	attests map[*Bundle]*attestation
 
 	sigLookups    atomic.Int64
@@ -151,7 +93,7 @@ type VerifyCache struct {
 // NewVerifyCache creates an empty cache.
 func NewVerifyCache() *VerifyCache {
 	return &VerifyCache{
-		sigs:    make(map[SigKey]sigVerdict),
+		sigs:    make(map[SigKey]bool),
 		attests: make(map[*Bundle]*attestation),
 	}
 }
@@ -166,59 +108,32 @@ func (vc *VerifyCache) Stats() CacheStats {
 	}
 }
 
-// sigValid reports whether m's signature under key is valid, memoized.
-// An identity memo for (m, key) that still matches m answers at once.
-// Otherwise the canonical bytes render into s (the caller's scratch, so
-// the content path stays allocation-free once s has grown) and the
-// content digest is looked up, verifying cold on a miss and, on a hit,
-// promoting (m, key) unless the verdict already promoted an object. A
-// signature or key of the wrong length is rejected without touching the
-// cache.
-func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey, s *canonicalScratch) bool {
-	if len(m.Sig) != ed25519.SignatureSize || len(key) != ed25519.PublicKeySize {
+// sigValid reports whether m's signature under key is valid, memoized
+// by key and m's sealed digest. A signature or key of the wrong length is
+// rejected without touching the cache.
+func (vc *VerifyCache) sigValid(m *Metadata, key ed25519.PublicKey) bool {
+	if len(m.sig) != ed25519.SignatureSize || len(key) != ed25519.PublicKeySize {
 		return false
 	}
 	vc.sigLookups.Add(1)
-	id := identKey{m: m, key: [ed25519.PublicKeySize]byte(key)}
+	k := SigKey{Key: [ed25519.PublicKeySize]byte(key), Sum: m.sum}
 	vc.mu.RLock()
-	memo := vc.idents[id]
+	valid, ok := vc.sigs[k]
 	vc.mu.RUnlock()
-	if memo != nil && memo.matches(m) {
-		return memo.valid
-	}
-
-	canon := m.canonicalInto(s)
-	s.buf = append(canon, m.Sig...)
-	k := SigKey{Key: id.key, Sum: sha256.Sum256(s.buf)}
-	vc.mu.RLock()
-	v, ok := vc.sigs[k]
-	vc.mu.RUnlock()
-	if ok && (v.promoted || memo != nil) {
-		// Nothing to promote: the verdict's one memo is taken, or m
-		// holds a memo it no longer matches after an in-place change
-		// (the snapshot stays, so restoring m brings the memo back).
-		return v.valid
+	if ok {
+		return valid
 	}
 	vc.mu.Lock()
-	if v, ok = vc.sigs[k]; ok {
-		if !v.promoted && vc.idents[id] == nil {
-			if vc.idents == nil {
-				vc.idents = make(map[identKey]*sigMemo)
-			}
-			vc.idents[id] = newSigMemo(m, v.valid)
-			v.promoted = true
-			vc.sigs[k] = v
-		}
-	} else {
+	if valid, ok = vc.sigs[k]; !ok {
 		// Double-checked under the write lock: exactly one worker pays
 		// the ed25519 verification per unique key, which is what keeps
 		// Stats deterministic at any worker count.
 		vc.sigVerifies.Add(1)
-		v.valid = ed25519.Verify(key, canon, m.Sig)
-		vc.sigs[k] = v
+		valid = ed25519.Verify(key, m.canon, m.sig)
+		vc.sigs[k] = valid
 	}
 	vc.mu.Unlock()
-	return v.valid
+	return valid
 }
 
 // attest returns the cached cross-check of b's director targets against
@@ -245,12 +160,12 @@ func (vc *VerifyCache) attest(b *Bundle) *attestation {
 // director target must be attested byte-for-byte by the image repository
 // and backed by a payload matching its length and hash.
 func buildAttestation(b *Bundle) *attestation {
-	imageByName := make(map[string]Target, len(b.Image.Targets))
-	for _, t := range b.Image.Targets {
+	imageByName := make(map[string]Target, len(b.Image.targets))
+	for _, t := range b.Image.targets {
 		imageByName[t.Name] = t
 	}
-	a := &attestation{plan: make([]Target, 0, len(b.Director.Targets))}
-	for _, t := range b.Director.Targets {
+	a := &attestation{plan: make([]Target, 0, len(b.Director.targets))}
+	for _, t := range b.Director.targets {
 		it, ok := imageByName[t.Name]
 		if !ok || it != t {
 			a.err = fmt.Errorf("%w: target %q", ErrMixAndMatch, t.Name)
@@ -299,7 +214,7 @@ func (c *Client) ApplyCached(b *Bundle, now sim.Time, vc *VerifyCache) error {
 	case err == nil:
 		c.Installed.Inc()
 		if c.obsTr != nil {
-			c.obsTr.Instant(now, c.obsSub, c.obsInstall, c.obsTr.Label(c.VehicleID), int64(len(b.Director.Targets)), 0)
+			c.obsTr.Instant(now, c.obsSub, c.obsInstall, c.obsTr.Label(c.VehicleID), int64(len(b.Director.targets)), 0)
 		}
 	case err == ErrNoUpdate:
 		c.UpToDate.Inc()
@@ -316,14 +231,12 @@ func (c *Client) applyCached(b *Bundle, now sim.Time, vc *VerifyCache) error {
 	if b.Director == nil || b.Image == nil {
 		return ErrIncomplete
 	}
-	// Signatures first (memoized), then per-vehicle freshness. A content
-	// lookup renders into the client's scratch, so a warm cache sees no
-	// allocation here.
-	if !vc.sigValid(b.Director, c.directorKey, &c.scratch) {
-		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Director.Repo)
+	// Signatures first (memoized), then per-vehicle freshness.
+	if !vc.sigValid(b.Director, c.directorKey) {
+		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Director.repo)
 	}
-	if !vc.sigValid(b.Image, c.imageKey, &c.scratch) {
-		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Image.Repo)
+	if !vc.sigValid(b.Image, c.imageKey) {
+		return fmt.Errorf("%w: repo %s", ErrBadSignature, b.Image.repo)
 	}
 	if err := checkFresh(b.Director, now); err != nil {
 		return err
@@ -331,20 +244,20 @@ func (c *Client) applyCached(b *Bundle, now sim.Time, vc *VerifyCache) error {
 	if err := checkFresh(b.Image, now); err != nil {
 		return err
 	}
-	if b.Director.VehicleID != c.VehicleID && (c.Group == "" || b.Director.VehicleID != c.Group) {
-		return fmt.Errorf("%w: %q", ErrWrongVehicle, b.Director.VehicleID)
+	if b.Director.vehicleID != c.VehicleID && (c.Group == "" || b.Director.vehicleID != c.Group) {
+		return fmt.Errorf("%w: %q", ErrWrongVehicle, b.Director.vehicleID)
 	}
 	// Version counters. Exactly-current metadata on both repositories is
 	// the freshness re-check a polling vehicle performs every campaign
 	// wave; anything at or below the high-water mark otherwise is replay.
-	if b.Director.Version == c.lastDirectorVersion && b.Image.Version == c.lastImageVersion {
+	if b.Director.version == c.lastDirectorVersion && b.Image.version == c.lastImageVersion {
 		return ErrNoUpdate
 	}
-	if b.Director.Version <= c.lastDirectorVersion {
-		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, b.Director.Repo, b.Director.Version, c.lastDirectorVersion)
+	if b.Director.version <= c.lastDirectorVersion {
+		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, b.Director.repo, b.Director.version, c.lastDirectorVersion)
 	}
-	if b.Image.Version <= c.lastImageVersion {
-		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, b.Image.Repo, b.Image.Version, c.lastImageVersion)
+	if b.Image.version <= c.lastImageVersion {
+		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, b.Image.repo, b.Image.version, c.lastImageVersion)
 	}
 
 	a := vc.attest(b)
@@ -371,7 +284,7 @@ func (c *Client) applyCached(b *Bundle, now sim.Time, vc *VerifyCache) error {
 		p.ecu.InstalledName = p.t.Name
 		p.ecu.InstalledVersion = p.t.Version
 	}
-	c.lastDirectorVersion = b.Director.Version
-	c.lastImageVersion = b.Image.Version
+	c.lastDirectorVersion = b.Director.version
+	c.lastImageVersion = b.Image.version
 	return nil
 }

@@ -3,7 +3,6 @@ package ota
 import (
 	"crypto/ed25519"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -223,10 +222,8 @@ func TestApplyCachedKeyRotationInvalidatesEpoch(t *testing.T) {
 // withDirectorSig returns a copy of b whose director metadata carries sig
 // instead of its own signature; the content is unchanged.
 func withDirectorSig(b *Bundle, sig []byte) *Bundle {
-	d := *b.Director
-	d.Sig = sig
 	c := *b
-	c.Director = &d
+	c.Director = variant(b.Director, func(v *Metadata) { v.sig = sig })
 	return &c
 }
 
@@ -236,7 +233,7 @@ func withDirectorSig(b *Bundle, sig []byte) *Bundle {
 func TestApplyCachedCorruptCopyKeepsGenuine(t *testing.T) {
 	f := newCampaignFixture(t, sim.Hour)
 	vc := NewVerifyCache()
-	sig := append([]byte(nil), f.bundle.Director.Sig...)
+	sig := append([]byte(nil), f.bundle.Director.sig...)
 	sig[0] ^= 0x01
 	if err := f.newVehicle(t, "VIN-1", 1).ApplyCached(withDirectorSig(f.bundle, sig), sim.Minute, vc); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("corrupt copy: %v", err)
@@ -263,9 +260,10 @@ func TestApplyCachedGenuineDoesNotVouchForCopy(t *testing.T) {
 
 // TestSigValidMatchesColdVerify is the cache's oracle: over random
 // sequences of (content, signature) lookups, at 1 and 8 workers sharing
-// one cache, every memoized verdict equals a cold ed25519.Verify. Half
-// the lookups use a fresh struct copy (always the content path); the
-// rest reuse a fixed pool of objects, which reach the identity memo.
+// one cache, every memoized verdict equals a cold ed25519.Verify over
+// bytes rendered afresh from the fields. Half the lookups use a fixed
+// pool of sealed objects, one per (content, signature) pair; the rest
+// use a fresh struct copy of one of them.
 func TestSigValidMatchesColdVerify(t *testing.T) {
 	f := newCampaignFixture(t, sim.Hour)
 	other := MakeTarget("brake-fw", 3, "brake-mcu-r2", []byte("v3"))
@@ -280,19 +278,16 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 	// zero, another content's, and three of the wrong length.
 	var sigs [][]byte
 	for _, m := range contents {
-		flipped := append([]byte(nil), m.Sig...)
+		flipped := append([]byte(nil), m.sig...)
 		flipped[len(flipped)-1] ^= 0x80
-		sigs = append(sigs, m.Sig, flipped)
+		sigs = append(sigs, m.sig, flipped)
 	}
 	sigs = append(sigs, make([]byte, ed25519.SignatureSize), nil,
-		contents[0].Sig[:ed25519.SignatureSize-1], append(append([]byte(nil), contents[0].Sig...), 0))
-	// The fixed pool: one object per (content, signature) pair.
+		contents[0].sig[:ed25519.SignatureSize-1], append(append([]byte(nil), contents[0].sig...), 0))
 	var pool []*Metadata
 	for _, m := range contents {
 		for _, sig := range sigs {
-			p := *m
-			p.Sig = sig
-			pool = append(pool, &p)
+			pool = append(pool, variant(m, func(v *Metadata) { v.sig = sig }))
 		}
 	}
 
@@ -304,14 +299,12 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 		rnd := sim.NewStream(uint64(workers), "ota.sigvalid")
 		seq := make([]lookup, 4000)
 		for i := range seq {
-			key := keys[rnd.Intn(len(keys))]
+			m, key := pool[rnd.Intn(len(pool))], keys[rnd.Intn(len(keys))]
 			if rnd.Intn(2) == 0 {
-				seq[i] = lookup{m: pool[rnd.Intn(len(pool))], key: key}
-				continue
+				c := *m
+				m = &c
 			}
-			m := *contents[rnd.Intn(len(contents))]
-			m.Sig = sigs[rnd.Intn(len(sigs))]
-			seq[i] = lookup{m: &m, key: key}
+			seq[i] = lookup{m: m, key: key}
 		}
 		vc := NewVerifyCache()
 		var wg sync.WaitGroup
@@ -319,11 +312,10 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var scratch canonicalScratch
 				for i := w; i < len(seq); i += workers {
 					l := seq[i]
-					cold := ed25519.Verify(l.key, l.m.canonical(), l.m.Sig)
-					if got := vc.sigValid(l.m, l.key, &scratch); got != cold {
+					cold := ed25519.Verify(l.key, l.m.canonical(), l.m.sig)
+					if got := vc.sigValid(l.m, l.key); got != cold {
 						t.Errorf("workers=%d lookup %d: cached verdict %v, cold verify %v", workers, i, got, cold)
 						return
 					}
@@ -331,122 +323,28 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if len(vc.idents) == 0 {
-			t.Errorf("workers=%d: no pooled object was promoted to an identity memo", workers)
+		if pairs := len(pool) * len(keys); len(vc.sigs) > pairs {
+			t.Errorf("workers=%d: cache holds %d verdicts for %d (object, key) pairs", workers, len(vc.sigs), pairs)
 		}
 	}
 }
 
-// TestSigValidIdentityMemoTracksMutation promotes one published object
-// to an identity memo, then mutates it in place one field at a time,
-// through an alias that shares its backing arrays the way a struct copy
-// does. Every mutated lookup must answer like a cold verify, and once
-// the original is restored the memo must answer again without a render.
-func TestSigValidIdentityMemoTracksMutation(t *testing.T) {
-	f := newCampaignFixture(t, sim.Hour)
-	adas := MakeTarget("adas-fw", 2, "adas-soc-r1", []byte("adas model weights v2"))
-	m := f.director.Sign("model-S", []Target{f.target, adas}, sim.Hour)
-	key := f.director.PublicKey()
-	vc := NewVerifyCache()
-
-	// lookup returns the cached verdict and whether it rendered the
-	// canonical bytes (false: the identity memo answered).
-	lookup := func() (valid, rendered bool) {
-		var s canonicalScratch
-		valid = vc.sigValid(m, key, &s)
-		return valid, s.buf != nil
-	}
-	if v, r := lookup(); !v || !r {
-		t.Fatalf("first sight: valid=%v rendered=%v", v, r)
-	}
-	if len(vc.idents) != 0 {
-		t.Fatal("first sight created an identity memo")
-	}
-	if v, r := lookup(); !v || !r {
-		t.Fatalf("second sight: valid=%v rendered=%v", v, r)
-	}
-	if v, r := lookup(); !v || r {
-		t.Fatalf("promoted object: valid=%v rendered=%v, want the memo to answer", v, r)
-	}
-
-	alias := *m
-	origVehicle := m.VehicleID
-	mutations := []struct {
-		name     string
-		do, undo func()
-	}{
-		{"flip a signature byte in the shared array", func() { alias.Sig[7] ^= 0x20 }, func() { alias.Sig[7] ^= 0x20 }},
-		{"bump Version", func() { m.Version++ }, func() { m.Version-- }},
-		{"change Expires", func() { m.Expires += sim.Second }, func() { m.Expires -= sim.Second }},
-		{"change VehicleID", func() { m.VehicleID = "model-X" }, func() { m.VehicleID = origVehicle }},
-		{"change Targets[0].Hash through the shared slice", func() { alias.Targets[0].Hash[3] ^= 0x01 }, func() { alias.Targets[0].Hash[3] ^= 0x01 }},
-		{"swap two targets", func() { alias.Targets[0], alias.Targets[1] = alias.Targets[1], alias.Targets[0] },
-			func() { alias.Targets[0], alias.Targets[1] = alias.Targets[1], alias.Targets[0] }},
-	}
-	for _, mu := range mutations {
-		mu.do()
-		cold := ed25519.Verify(key, m.canonical(), m.Sig)
-		for i := 0; i < 2; i++ {
-			if got, _ := lookup(); got != cold {
-				t.Fatalf("%s, lookup %d: cached verdict %v, cold verify %v", mu.name, i, got, cold)
-			}
-		}
-		mu.undo()
-		if v, r := lookup(); !v || r {
-			t.Fatalf("after restoring %s: valid=%v rendered=%v, want the memo to answer", mu.name, v, r)
-		}
-	}
-}
-
-// TestSigValidOneMemoPerVerdict bounds the identity memos by the content
-// verdicts: looking up a published statement and then 1,000 fresh struct
-// copies of it must leave one verdict and at most one memo, and every
-// copy must still answer like a cold verify. The published object, seen
-// again, gets its memo on that second sight.
-func TestSigValidOneMemoPerVerdict(t *testing.T) {
+// TestVerifyCacheCopiesShareOneEntry: struct copies of a published
+// statement carry its sealed digest, so 1,000 of them answer from the
+// one entry its first lookup made, with one cold verification.
+func TestVerifyCacheCopiesShareOneEntry(t *testing.T) {
 	f := newCampaignFixture(t, sim.Hour)
 	pub, key := f.bundle.Director, f.director.PublicKey()
 	vc := NewVerifyCache()
-	var s canonicalScratch
-	if !vc.sigValid(pub, key, &s) {
-		t.Fatal("published statement rejected")
-	}
 	for i := 0; i < 1000; i++ {
 		c := *pub
-		if !vc.sigValid(&c, key, &s) {
+		if !vc.sigValid(&c, key) {
 			t.Fatalf("copy %d rejected", i)
 		}
 	}
-	if len(vc.sigs) != 1 || len(vc.idents) > 1 {
-		t.Fatalf("cache holds %d verdicts and %d identity memos, want 1 and at most 1", len(vc.sigs), len(vc.idents))
-	}
-
-	vc = NewVerifyCache()
-	for i := 0; i < 2; i++ {
-		vc.sigValid(pub, key, &s)
-	}
-	if vc.idents[identKey{m: pub, key: [ed25519.PublicKeySize]byte(key)}] == nil {
-		t.Fatal("published statement not promoted on its second sight")
-	}
-}
-
-// TestSigMemoCoversMetadata fails when Metadata or Target gains a field,
-// so the identity snapshot and its compare cannot silently miss one.
-func TestSigMemoCoversMetadata(t *testing.T) {
-	for _, c := range []struct {
-		typ  reflect.Type
-		want []string
-	}{
-		{reflect.TypeOf(Metadata{}), []string{"Repo", "Version", "Expires", "VehicleID", "Targets", "Sig"}},
-		{reflect.TypeOf(Target{}), []string{"Name", "Version", "HWID", "Length", "Hash"}},
-	} {
-		var got []string
-		for i := 0; i < c.typ.NumField(); i++ {
-			got = append(got, c.typ.Field(i).Name)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%v fields %v, sigMemo covers %v: update sigMemo and its matches", c.typ, got, c.want)
-		}
+	if st := vc.Stats(); st.SigLookups != 1000 || st.SigVerifies != 1 || len(vc.sigs) != 1 {
+		t.Fatalf("1,000 copies: %d lookups, %d cold verifies, %d entries; want 1000, 1 and 1",
+			st.SigLookups, st.SigVerifies, len(vc.sigs))
 	}
 }
 
@@ -528,8 +426,7 @@ func BenchmarkCampaignVerifyThroughputCold(b *testing.B) {
 func BenchmarkCampaignVerifyThroughputMemoized(b *testing.B) {
 	f, vc := benchFixture(b)
 	c := f.newVehicleB(b)
-	// The install verifies cold; the first re-poll promotes both
-	// metadata objects to identity memos.
+	// The install verifies cold; every re-poll after it is memoized.
 	if err := c.ApplyCached(f.bundle, sim.Minute, vc); err != nil {
 		b.Fatal(err)
 	}

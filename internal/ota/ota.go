@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"autosec/internal/obs"
 	"autosec/internal/sim"
@@ -37,72 +39,61 @@ type Target struct {
 	Hash   [32]byte
 }
 
-// Metadata is a signed targets statement from one repository.
+// Metadata is a signed targets statement from one repository. Its
+// fields are unexported and written only while Sign or ForgeMetadata
+// builds it; both seal it before returning, so a *Metadata is immutable
+// and a struct copy carries the same content, signature and digest.
 type Metadata struct {
-	Repo    string // "director" or "image"
-	Version uint64 // metadata version counter (anti-rollback)
-	Expires sim.Time
-	// VehicleID scopes director metadata to one vehicle ("" for the image
+	repo    string // "director" or "image"
+	version uint64 // metadata version counter (anti-rollback)
+	expires sim.Time
+	// vehicleID scopes director metadata to one vehicle ("" for the image
 	// repository, whose statements are fleet-wide).
-	VehicleID string
-	Targets   []Target
+	vehicleID string
+	targets   []Target
+	sig       []byte
 
-	Sig []byte
+	// canon is the canonical rendering of the signed fields and sum the
+	// SHA-256 of canon followed by sig, both fixed by seal: the bytes
+	// every verification checks and the VerifyCache's content key.
+	canon []byte
+	sum   [sha256.Size]byte
 }
 
-// canonicalScratch holds the reusable working state of canonicalInto so
-// a cached verify renders canonical bytes without allocating: buf is the
-// output buffer, order the target-sort index slice. The zero value is
-// ready to use; both slices grow on first use and are reused after.
-type canonicalScratch struct {
-	buf   []byte
-	order []int
+// seal renders m's signed fields into canon, signs them with sign and
+// records sum. Sign and ForgeMetadata call it on a Metadata they have
+// just built, so no field changes after its digest is taken.
+func (m *Metadata) seal(sign func(canon []byte) []byte) *Metadata {
+	m.canon = m.canonical()
+	m.sig = sign(m.canon)
+	m.sum = sha256.Sum256(append(m.canon[:len(m.canon):len(m.canon)], m.sig...))
+	return m
 }
 
-// canonical renders the signed portion deterministically (allocating
-// convenience wrapper around canonicalInto; signing-side code paths use
-// it, verifiers reuse a scratch).
-func (m *Metadata) canonical() []byte {
-	var s canonicalScratch
-	return m.canonicalInto(&s)
-}
-
-// canonicalInto renders the signed portion into s.buf and returns it.
-// Every variable-length field (Repo, VehicleID, target Name and HWID) is
+// canonical renders the signed portion deterministically. Every
+// variable-length field (repo, vehicleID, target Name and HWID) is
 // length-prefixed and the target list is count-prefixed, so two distinct
 // metadata values can never share canonical bytes — the earlier
-// NUL-terminated encoding let a VehicleID embedding a NUL byte absorb the
+// NUL-terminated encoding let a vehicleID embedding a NUL byte absorb the
 // first target's name. Targets render in name order regardless of slice
-// order; the returned slice aliases s.buf and is valid until the next
-// call with the same scratch.
-func (m *Metadata) canonicalInto(s *canonicalScratch) []byte {
-	b := s.buf[:0]
-	b = appendLenPrefixed(b, m.Repo)
-	b = binary.BigEndian.AppendUint64(b, m.Version)
-	b = binary.BigEndian.AppendUint64(b, uint64(m.Expires))
-	b = appendLenPrefixed(b, m.VehicleID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Targets)))
-	// Name-order indices via a reused insertion sort: target lists are
-	// short (one per model in campaign bundles), and sort.Slice on a
-	// fresh copy would allocate on every verify.
-	order := s.order[:0]
-	for i := range m.Targets {
-		j := len(order)
-		order = append(order, i)
-		for j > 0 && m.Targets[order[j]].Name < m.Targets[order[j-1]].Name {
-			order[j], order[j-1] = order[j-1], order[j]
-			j--
-		}
-	}
-	for _, i := range order {
-		t := &m.Targets[i]
+// order.
+func (m *Metadata) canonical() []byte {
+	var b []byte
+	b = appendLenPrefixed(b, m.repo)
+	b = binary.BigEndian.AppendUint64(b, m.version)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.expires))
+	b = appendLenPrefixed(b, m.vehicleID)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.targets)))
+	byName := slices.Clone(m.targets)
+	slices.SortStableFunc(byName, func(x, y Target) int { return strings.Compare(x.Name, y.Name) })
+	for i := range byName {
+		t := &byName[i]
 		b = appendLenPrefixed(b, t.Name)
 		b = binary.BigEndian.AppendUint64(b, t.Version)
 		b = appendLenPrefixed(b, t.HWID)
 		b = binary.BigEndian.AppendUint64(b, uint64(t.Length))
 		b = append(b, t.Hash[:]...)
 	}
-	s.buf, s.order = b, order
 	return b
 }
 
@@ -140,24 +131,16 @@ func (r *Repository) StealKey() ed25519.PrivateKey { return r.priv }
 
 // Sign publishes signed metadata with the next version counter.
 func (r *Repository) Sign(vehicleID string, targets []Target, expires sim.Time) *Metadata {
-	m := &Metadata{
-		Repo:      r.Name,
-		Version:   r.nextVersion,
-		Expires:   expires,
-		VehicleID: vehicleID,
-		Targets:   append([]Target(nil), targets...),
-	}
+	m := ForgeMetadata(r.priv, r.Name, vehicleID, r.nextVersion, targets, expires)
 	r.nextVersion++
-	m.Sig = ed25519.Sign(r.priv, m.canonical())
 	return m
 }
 
 // ForgeMetadata signs arbitrary metadata with a (presumably stolen) key —
-// the attacker-side primitive.
+// the attacker-side primitive. Like Sign it keeps its own copy of targets.
 func ForgeMetadata(key ed25519.PrivateKey, repo, vehicleID string, version uint64, targets []Target, expires sim.Time) *Metadata {
-	m := &Metadata{Repo: repo, Version: version, Expires: expires, VehicleID: vehicleID, Targets: targets}
-	m.Sig = ed25519.Sign(key, m.canonical())
-	return m
+	m := &Metadata{repo: repo, version: version, expires: expires, vehicleID: vehicleID, targets: append([]Target(nil), targets...)}
+	return m.seal(func(canon []byte) []byte { return ed25519.Sign(key, canon) })
 }
 
 // HashPayload computes a target payload hash.
@@ -237,11 +220,8 @@ type Client struct {
 	// UpToDate counts ApplyCached calls that returned ErrNoUpdate.
 	UpToDate sim.Counter
 
-	// scratch backs the allocation-free canonical rendering of a content
-	// lookup and the install planning on the cached verify path. A client
-	// whose lookups all hit identity memos never grows it.
-	scratch canonicalScratch
-	plan    []pendingInstall
+	// plan backs the install planning on the cached verify path.
+	plan []pendingInstall
 
 	// Observability (nil when off); see Instrument in obs.go.
 	obsTr      *obs.Tracer
@@ -286,14 +266,14 @@ func (c *Client) ECU(hwid string) (*ECUState, bool) {
 
 // verifyMeta checks one repository's signature, freshness and counters.
 func (c *Client) verifyMeta(m *Metadata, key ed25519.PublicKey, lastVersion uint64, now sim.Time) error {
-	if !ed25519.Verify(key, m.canonical(), m.Sig) {
-		return fmt.Errorf("%w: repo %s", ErrBadSignature, m.Repo)
+	if !ed25519.Verify(key, m.canon, m.sig) {
+		return fmt.Errorf("%w: repo %s", ErrBadSignature, m.repo)
 	}
 	if err := checkFresh(m, now); err != nil {
 		return err
 	}
-	if m.Version <= lastVersion {
-		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, m.Repo, m.Version, lastVersion)
+	if m.version <= lastVersion {
+		return fmt.Errorf("%w: repo %s version %d <= %d", ErrRollback, m.repo, m.version, lastVersion)
 	}
 	return nil
 }
@@ -303,8 +283,8 @@ func (c *Client) verifyMeta(m *Metadata, key ed25519.PublicKey, lastVersion uint
 // its expiry instant is already rejected (an off-by-one here handed a
 // freeze attacker one extra replay window at the boundary).
 func checkFresh(m *Metadata, now sim.Time) error {
-	if m.Expires != 0 && now >= m.Expires {
-		return fmt.Errorf("%w: repo %s at %v (expired %v)", ErrExpiredMeta, m.Repo, now, m.Expires)
+	if m.expires != 0 && now >= m.expires {
+		return fmt.Errorf("%w: repo %s at %v (expired %v)", ErrExpiredMeta, m.repo, now, m.expires)
 	}
 	return nil
 }
@@ -327,7 +307,7 @@ func (c *Client) Apply(b *Bundle, now sim.Time) error {
 	if c.obsTr != nil {
 		targets := 0
 		if b.Director != nil {
-			targets = len(b.Director.Targets)
+			targets = len(b.Director.targets)
 		}
 		c.obsTr.Instant(now, c.obsSub, c.obsInstall, c.obsTr.Label(c.VehicleID), int64(targets), 0)
 	}
@@ -344,19 +324,19 @@ func (c *Client) apply(b *Bundle, now sim.Time) error {
 	if err := c.verifyMeta(b.Image, c.imageKey, c.lastImageVersion, now); err != nil {
 		return err
 	}
-	if b.Director.VehicleID != c.VehicleID {
-		return fmt.Errorf("%w: %q", ErrWrongVehicle, b.Director.VehicleID)
+	if b.Director.vehicleID != c.VehicleID {
+		return fmt.Errorf("%w: %q", ErrWrongVehicle, b.Director.vehicleID)
 	}
 
 	// Every director target must be attested, byte for byte, by the image
 	// repository: this is the two-party control that makes a single stolen
 	// key insufficient.
-	imageByName := make(map[string]Target, len(b.Image.Targets))
-	for _, t := range b.Image.Targets {
+	imageByName := make(map[string]Target, len(b.Image.targets))
+	for _, t := range b.Image.targets {
 		imageByName[t.Name] = t
 	}
 	var plan []pendingInstall
-	for _, t := range b.Director.Targets {
+	for _, t := range b.Director.targets {
 		it, ok := imageByName[t.Name]
 		if !ok || it != t {
 			return fmt.Errorf("%w: target %q", ErrMixAndMatch, t.Name)
@@ -384,7 +364,7 @@ func (c *Client) apply(b *Bundle, now sim.Time) error {
 		p.ecu.InstalledName = p.t.Name
 		p.ecu.InstalledVersion = p.t.Version
 	}
-	c.lastDirectorVersion = b.Director.Version
-	c.lastImageVersion = b.Image.Version
+	c.lastDirectorVersion = b.Director.version
+	c.lastImageVersion = b.Image.version
 	return nil
 }
