@@ -120,6 +120,9 @@ func cmdAttack(args []string) {
 	models := fs.Int("models", 10, "model lines")
 	polName := fs.String("policy", "shared", "key provisioning: shared|per-model|per-device")
 	_ = fs.Parse(args)
+	if *n < 1 {
+		fatal(fmt.Errorf("-fleet must be at least 1 (the attacked vehicle), got %d", *n))
+	}
 
 	var pol fleet.Policy
 	switch *polName {

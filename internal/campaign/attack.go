@@ -6,6 +6,7 @@
 package campaign
 
 import (
+	"crypto/ed25519"
 	"fmt"
 
 	"autosec/internal/ota"
@@ -82,35 +83,42 @@ type forged struct {
 }
 
 // forge builds the attacker's per-model bundles against backend b at the
-// moment of compromise (the current trust epoch's keys).
+// moment of compromise (the current trust epoch's keys). The director
+// and the image statements are signed at the same time when the
+// backend's workers allow.
 func forge(kind AttackKind, b *Backend, expires sim.Time) *forged {
 	f := &forged{bundles: make([]*ota.Bundle, b.models)}
+	var dirKey, imgKey ed25519.PrivateKey
 	switch kind {
 	case AttackImageKey:
-		imgKey := b.StealImageKey()
-		for m := 0; m < b.models; m++ {
-			evil := evilTarget(m)
-			legit := b.Current(m)
-			f.bundles[m] = &ota.Bundle{
-				// Director metadata is replayed verbatim — its signature
-				// is valid but it attests the real target, so the forged
-				// image metadata can never agree with it.
-				Director: legit.Director,
-				Image:    ota.ForgeMetadata(imgKey, "image", "", versionEvil, []ota.Target{evil}, expires),
-				Payloads: map[string][]byte{evil.Name: evilPayload(m)},
-			}
-		}
+		imgKey = b.StealImageKey()
 	case AttackTwoKey:
-		dirKey, imgKey := b.StealKeys()
-		for m := 0; m < b.models; m++ {
-			evil := evilTarget(m)
-			f.bundles[m] = &ota.Bundle{
-				Director: ota.ForgeMetadata(dirKey, "director", Group(m), versionEvil, []ota.Target{evil}, expires),
-				Image:    ota.ForgeMetadata(imgKey, "image", "", versionEvil, []ota.Target{evil}, expires),
-				Payloads: map[string][]byte{evil.Name: evilPayload(m)},
-			}
-		}
+		dirKey, imgKey = b.StealKeys()
+	default:
+		return f
 	}
+	evil := make([][]ota.Target, b.models)
+	for m := range f.bundles {
+		evil[m] = []ota.Target{evilTarget(m)}
+		f.bundles[m] = &ota.Bundle{Payloads: map[string][]byte{evil[m][0].Name: evilPayload(m)}}
+	}
+	bothRepos(b.workers, func() {
+		for m, bundle := range f.bundles {
+			if dirKey == nil {
+				// With the image key alone, director metadata is replayed
+				// verbatim — its signature is valid but it attests the
+				// real target, so the forged image metadata can never
+				// agree with it.
+				bundle.Director = b.Current(m).Director
+				continue
+			}
+			bundle.Director = ota.ForgeMetadata(dirKey, "director", Group(m), versionEvil, evil[m], expires)
+		}
+	}, func() {
+		for m, bundle := range f.bundles {
+			bundle.Image = ota.ForgeMetadata(imgKey, "image", "", versionEvil, evil[m], expires)
+		}
+	})
 	return f
 }
 

@@ -12,6 +12,7 @@ import (
 	"crypto/ed25519"
 	"fmt"
 
+	"autosec/internal/fleet"
 	"autosec/internal/ota"
 	"autosec/internal/sim"
 )
@@ -45,24 +46,29 @@ type Backend struct {
 	// gens[g][m] is generation g's bundle for model m. Published bundles
 	// are immutable.
 	gens [][]*ota.Bundle
+	// workers bounds the goroutines that sign (see bothRepos).
+	workers int
 	// Epoch counts trust-epoch rotations (0 = factory trust).
 	Epoch int
 }
 
 // NewBackend creates the repositories and publishes the factory and
 // baseline generations with the given stale-metadata expiry, then the
-// current campaign with the campaign expiry.
-func NewBackend(models int, staleExpiry, campaignExpiry sim.Time) (*Backend, error) {
+// current campaign with the campaign expiry. The two repositories sign
+// at the same time when workers (<= 0 means GOMAXPROCS) allows.
+func NewBackend(models, workers int, staleExpiry, campaignExpiry sim.Time) (*Backend, error) {
 	if models < 1 {
 		models = 1
 	}
-	b := &Backend{models: models}
+	b := &Backend{models: models, workers: workers}
 	if err := b.newRepos(); err != nil {
 		return nil, err
 	}
-	b.publish(versionFactory, staleExpiry)
-	b.publish(versionBaseline, staleExpiry)
-	b.publish(versionCurrent, campaignExpiry)
+	b.publish(
+		release{versionFactory, staleExpiry},
+		release{versionBaseline, staleExpiry},
+		release{versionCurrent, campaignExpiry},
+	)
 	return b, nil
 }
 
@@ -97,19 +103,60 @@ func target(model int, version uint64) ota.Target {
 	return ota.MakeTarget(fmt.Sprintf("model-%d/app-fw", model), version, hwid(model), payload(model, version))
 }
 
-// publish signs one bundle per model at the given firmware version and
-// appends the generation.
-func (b *Backend) publish(version uint64, expires sim.Time) {
-	gen := make([]*ota.Bundle, b.models)
-	for m := 0; m < b.models; m++ {
-		t := target(m, version)
-		gen[m] = &ota.Bundle{
-			Director: b.director.Sign(Group(m), []ota.Target{t}, expires),
-			Image:    b.image.Sign("", []ota.Target{t}, expires),
-			Payloads: map[string][]byte{t.Name: payload(m, version)},
-		}
+// release is one generation to publish: its firmware version and the
+// expiry of its metadata.
+type release struct {
+	version uint64
+	expires sim.Time
+}
+
+// publish appends one generation per release, each one bundle per model
+// at the release's firmware version. Each repository signs its
+// statements in (generation, model) order, so the version counters are
+// the same whether or not the two sign at the same time.
+func (b *Backend) publish(rels ...release) {
+	type statement struct {
+		bundle  *ota.Bundle
+		group   string
+		targets []ota.Target
+		expires sim.Time
 	}
-	b.gens = append(b.gens, gen)
+	var stmts []statement
+	for _, r := range rels {
+		gen := make([]*ota.Bundle, b.models)
+		for m := range gen {
+			t := target(m, r.version)
+			gen[m] = &ota.Bundle{Payloads: map[string][]byte{t.Name: payload(m, r.version)}}
+			stmts = append(stmts, statement{gen[m], Group(m), []ota.Target{t}, r.expires})
+		}
+		b.gens = append(b.gens, gen)
+	}
+	bothRepos(b.workers, func() {
+		for _, s := range stmts {
+			s.bundle.Director = b.director.Sign(s.group, s.targets, s.expires)
+		}
+	}, func() {
+		for _, s := range stmts {
+			s.bundle.Image = b.image.Sign("", s.targets, s.expires)
+		}
+	})
+}
+
+// bothRepos runs director and image, each one repository's signing, on a
+// goroutine of their own when workers (<= 0 means GOMAXPROCS) is above
+// 1, and in turn on one goroutine otherwise; it returns when both have.
+// A Repository is not safe for concurrent Sign, so each repository's
+// statements stay on one goroutine.
+func bothRepos(workers int, director, image func()) {
+	fleet.ForShards(2, workers, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if r == 0 {
+				director()
+			} else {
+				image()
+			}
+		}
+	})
 }
 
 // Bundle returns generation gen's bundle for model m.
@@ -143,6 +190,6 @@ func (b *Backend) RotateTrust(campaignExpiry sim.Time) error {
 		return err
 	}
 	b.Epoch++
-	b.publish(versionCurrent, campaignExpiry)
+	b.publish(release{versionCurrent, campaignExpiry})
 	return nil
 }

@@ -208,11 +208,14 @@ type Engine struct {
 // firmware history: factory firmware everywhere, baseline on everyone
 // except the late joiners (every 7th vehicle starting at index 3 — an
 // index predicate, so the skew population is identical at any worker
-// count and any seed). The per-vehicle work runs on Config.Workers
-// goroutines over fleet.ForShards; each vehicle's state depends on its
-// index alone and the cache's counts on the set of lookups, not their
-// order, so New builds the same engine at any worker count. A failure
-// reports the lowest-index vehicle that failed.
+// count and any seed). All of it runs on Config.Workers goroutines: the
+// two repositories sign at the same time, the fleet and the vehicles'
+// verifiers are built over fleet.ForShards, and the verification cache
+// lets workers verify different statements at once while its hits take
+// no lock. Each vehicle's state depends on its index alone and the
+// cache's counts on the set of lookups, not their order, so New builds
+// the same engine at any worker count. A failure reports the
+// lowest-index vehicle that failed.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Fleet <= 0 {
 		return nil, fmt.Errorf("campaign: fleet size must be positive, got %d", cfg.Fleet)
@@ -220,7 +223,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Models < 1 {
 		cfg.Models = 1
 	}
-	backend, err := NewBackend(cfg.Models, StaleExpiry, CampaignExpiry)
+	backend, err := NewBackend(cfg.Models, cfg.Workers, StaleExpiry, CampaignExpiry)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +235,6 @@ func New(cfg Config) (*Engine, error) {
 		fleet:   fleet.New(cfg.Fleet, cfg.Models, fleet.PerDevice, master, cfg.Workers),
 		cache:   ota.NewVerifyCache(),
 		waves:   fleet.StageWaves(cfg.Fleet, cfg.Strategy.Canary, cfg.Strategy.Growth),
-		states:  make([]*VehicleState, cfg.Fleet),
 	}
 	if err := e.provisionAll(); err != nil {
 		return nil, err
@@ -243,61 +245,76 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// provisionAll provisions every vehicle over fleet.ForShards on
-// Config.Workers goroutines and returns the lowest-index failure. Each
-// shard stops at its own first failure, so the lowest of those is the
-// fleet's.
+// provisionAll provisions every vehicle on Config.Workers goroutines,
+// into one backing array of states, and returns the lowest-index
+// failure. It runs in two phases over fleet.ForShards: first the first
+// vehicle of each model, indices [0, min(Models, Fleet)), then the rest.
+// The first vehicles are the ones whose check-ins miss the verification
+// cache, so the first phase spreads different models' cold
+// verifications over the workers, where contiguous shards of the whole
+// fleet would all start on model 0 and wait for the same ones; the
+// second phase answers from the cache. Each shard stops at its own first
+// failure, so the lowest of those is its phase's, and the first phase
+// holds the lowest indices, so its failure is the fleet's.
 func (e *Engine) provisionAll() error {
 	groups := make([]string, e.cfg.Models)
 	hwids := make([]string, e.cfg.Models)
 	for m := range groups {
 		groups[m], hwids[m] = Group(m), hwid(m)
 	}
-	var (
-		mu       sync.Mutex
-		errIdx   = e.cfg.Fleet
-		firstErr error
-	)
-	fleet.ForShards(e.cfg.Fleet, e.cfg.Workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st, err := e.provision(i, groups, hwids)
-			if err != nil {
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstErr = i, err
+	states := make([]VehicleState, e.cfg.Fleet)
+	e.states = make([]*VehicleState, e.cfg.Fleet)
+	phase := func(lo, hi int) error {
+		var (
+			mu       sync.Mutex
+			errIdx   = hi
+			firstErr error
+		)
+		fleet.ForShards(hi-lo, e.cfg.Workers, func(_, slo, shi int) {
+			for i := lo + slo; i < lo+shi; i++ {
+				if err := e.provision(i, &states[i], groups, hwids); err != nil {
+					mu.Lock()
+					if i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					return
 				}
-				mu.Unlock()
-				return
+				e.states[i] = &states[i]
 			}
-			e.states[i] = st
-		}
-	})
-	return firstErr
+		})
+		return firstErr
+	}
+	firsts := min(e.cfg.Models, e.cfg.Fleet)
+	if err := phase(0, firsts); err != nil {
+		return err
+	}
+	return phase(firsts, e.cfg.Fleet)
 }
 
-// provision wires vehicle i's verifier and installs its firmware
+// provision wires vehicle i's verifier into st and installs its firmware
 // history: everyone took the factory generation; the baseline campaign
 // reached everyone except the late joiners. groups and hwids hold each
 // model's addressing group and ECU hardware ID.
-func (e *Engine) provision(i int, groups, hwids []string) (*VehicleState, error) {
+func (e *Engine) provision(i int, st *VehicleState, groups, hwids []string) error {
 	fv := e.fleet.Vehicles[i]
 	dirKey, imgKey := e.backend.Keys()
 	c := ota.NewClient(fv.VIN, dirKey, imgKey)
 	c.Group = groups[fv.Model]
 	c.AddECU(hwids[fv.Model], 0)
-	st := &VehicleState{
+	*st = VehicleState{
 		Idx: i, Model: fv.Model, VIN: fv.VIN, Client: c,
 		LateJoiner: i%7 == 3,
 	}
 	if err := c.ApplyCached(e.backend.Bundle(GenFactory, fv.Model), 1, e.cache); err != nil {
-		return nil, fmt.Errorf("campaign: provisioning vehicle %d: %w", i, err)
+		return fmt.Errorf("campaign: provisioning vehicle %d: %w", i, err)
 	}
 	if !st.LateJoiner {
 		if err := c.ApplyCached(e.backend.Bundle(GenBaseline, fv.Model), 2, e.cache); err != nil {
-			return nil, fmt.Errorf("campaign: baseline on vehicle %d: %w", i, err)
+			return fmt.Errorf("campaign: baseline on vehicle %d: %w", i, err)
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // States exposes the per-vehicle campaign states (index order).

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,6 +15,9 @@ import (
 	"autosec/internal/ota"
 	"autosec/internal/she"
 )
+
+// cipherSink keeps the measured aes.NewCipher result on the heap.
+var cipherSink cipher.Block
 
 func baseConfig() Config {
 	return Config{
@@ -524,27 +529,71 @@ func TestCampaignNewParInvariance(t *testing.T) {
 }
 
 // TestProvisionReportsLowestIndexFailure pins New's provisioning error
-// at every worker count: with model 3's factory bundle and model 1's
-// baseline bundle replaced by ones signed under other keys, vehicles 1
-// and 3 fail first in their shards, and the error is vehicle 1's.
+// at every worker count, in both provisioning phases. With model 3's
+// factory bundle and model 1's baseline bundle replaced by ones signed
+// under other keys, vehicles 1 and 3 fail in the first phase, and the
+// error is vehicle 1's. With only model 3's baseline bundle replaced,
+// the first phase passes (vehicle 3 is a late joiner and never checks
+// the baseline), and the error is vehicle 7's, the first failure of the
+// second phase.
 func TestProvisionReportsLowestIndexFailure(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		cfg := baseConfig()
-		cfg.Workers = workers
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	type bundleSwap struct{ gen, model int }
+	for _, c := range []struct {
+		swaps []bundleSwap
+		want  string
+	}{
+		{[]bundleSwap{{GenFactory, 3}, {GenBaseline, 1}}, "campaign: baseline on vehicle 1: "},
+		{[]bundleSwap{{GenBaseline, 3}}, "campaign: baseline on vehicle 7: "},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := baseConfig()
+			cfg.Workers = workers
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := NewBackend(cfg.Models, cfg.Workers, StaleExpiry, CampaignExpiry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sw := range c.swaps {
+				e.backend.gens[sw.gen][sw.model] = other.Bundle(sw.gen, sw.model)
+			}
+			err = e.provisionAll()
+			if !errors.Is(err, ota.ErrBadSignature) || !strings.HasPrefix(err.Error(), c.want) {
+				t.Fatalf("%d workers, swapped %v: provisioning error %v, want %q", workers, c.swaps, err, c.want)
+			}
 		}
-		other, err := NewBackend(cfg.Models, StaleExpiry, CampaignExpiry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.backend.gens[GenFactory][3] = other.Bundle(GenFactory, 3)
-		e.backend.gens[GenBaseline][1] = other.Bundle(GenBaseline, 1)
-		err = e.provisionAll()
-		if !errors.Is(err, ota.ErrBadSignature) || !strings.HasPrefix(err.Error(), "campaign: baseline on vehicle 1: ") {
-			t.Fatalf("%d workers: provisioning error %v, want vehicle 1's baseline", workers, err)
-		}
+	}
+}
+
+// TestCampaignNewAllocs pins campaign.New's allocations per provisioned
+// vehicle on the ota-campaign workload at 2 workers: 7 besides the one
+// AES key schedule each vehicle's per-device key derivation expands. It
+// takes the difference between builds of 2,000 and 1,000 vehicles, so
+// the build's fixed cost (signing, cold verifies, goroutines) cancels
+// out. aes.NewCipher allocates once per schedule since Go 1.24 and three
+// times before, so the pin is 8 on Go 1.24.
+func TestCampaignNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	build := func(fleet int) float64 {
+		cfg := otaCampaignConfig(2)
+		cfg.Fleet = fleet
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perVehicle := (build(2000) - build(1000)) / 1000
+	var key [16]byte
+	perSchedule := testing.AllocsPerRun(100, func() { cipherSink, _ = aes.NewCipher(key[:]) })
+	limit := 7.02 + perSchedule // 0.02: a few allocations vary with scheduling
+	t.Logf("%.3f allocs per provisioned vehicle (limit %.2f)", perVehicle, limit)
+	if perVehicle > limit {
+		t.Fatalf("%.3f allocs per provisioned vehicle, want <= %.2f", perVehicle, limit)
 	}
 }
 

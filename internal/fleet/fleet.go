@@ -92,13 +92,14 @@ func deriveKey(master [16]byte, policy Policy, model int, uid she.UID) [16]byte 
 // are built over ForShards' contiguous index shards on workers
 // goroutines (<= 0 means GOMAXPROCS), each at its own index, and every
 // vehicle is a function of its index alone, so the fleet is the same at
-// any worker count.
+// any worker count. The Vehicles all live in one backing array.
 func New(n, models int, policy Policy, master [16]byte, workers int) *Fleet {
 	if models < 1 {
 		models = 1
 	}
-	f := &Fleet{Policy: policy, Vehicles: make([]*Vehicle, max(n, 0))}
-	ForShards(len(f.Vehicles), workers, func(_, lo, hi int) {
+	vs := make([]Vehicle, max(n, 0))
+	f := &Fleet{Policy: policy, Vehicles: make([]*Vehicle, len(vs))}
+	ForShards(len(vs), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var uid she.UID
 			binary.BigEndian.PutUint64(uid[:8], uint64(i+1))
@@ -106,12 +107,13 @@ func New(n, models int, policy Policy, master [16]byte, workers int) *Fleet {
 			key := deriveKey(master, policy, model, uid)
 			e := she.NewEngine(uid)
 			e.ProvisionMasterKey(key)
-			f.Vehicles[i] = &Vehicle{
+			vs[i] = Vehicle{
 				VIN:       fmt.Sprintf("VIN-%06d", i+1),
 				Model:     model,
 				Engine:    e,
 				masterKey: key,
 			}
+			f.Vehicles[i] = &vs[i]
 		}
 	})
 	return f

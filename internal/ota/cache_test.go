@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"autosec/internal/obs"
 	"autosec/internal/sim"
 )
 
@@ -219,6 +220,61 @@ func TestApplyCachedKeyRotationInvalidatesEpoch(t *testing.T) {
 	}
 }
 
+// TestApplyCachedRejectsEquivocation is the regression test for a signed
+// equivocation that read as "up to date". A client installs genuine
+// release 1, then a two-key forgery at version 2. The genuine release 2
+// carries other targets at the same version counters: it must be
+// rejected as ErrEquivocation, counted and traced as a rejection, and
+// change no ECU, while the installed forgery itself still re-polls as
+// current.
+func TestApplyCachedRejectsEquivocation(t *testing.T) {
+	f := newCampaignFixture(t, sim.Hour)
+	vc := NewVerifyCache()
+	c := f.newVehicle(t, "VIN-1", 1)
+	tr := obs.NewTracer(0)
+	c.Instrument(tr, nil)
+	if err := c.ApplyCached(f.bundle, sim.Minute, vc); err != nil {
+		t.Fatalf("genuine release 1: %v", err)
+	}
+	implant := []byte("brake implant")
+	evil := MakeTarget("brake-fw", 3, "brake-mcu-r2", implant)
+	forged := &Bundle{
+		Director: ForgeMetadata(f.director.StealKey(), "director", "model-S", 2, []Target{evil}, sim.Hour),
+		Image:    ForgeMetadata(f.image.StealKey(), "image", "", 2, []Target{evil}, sim.Hour),
+		Payloads: map[string][]byte{"brake-fw": implant},
+	}
+	if err := c.ApplyCached(forged, 2*sim.Minute, vc); err != nil {
+		t.Fatalf("two-key forgery: %v", err)
+	}
+	p := []byte("brake firmware v4")
+	genuine := MakeTarget("brake-fw", 4, "brake-mcu-r2", p)
+	release2 := &Bundle{
+		Director: f.director.Sign("model-S", []Target{genuine}, sim.Hour),
+		Image:    f.image.Sign("", []Target{genuine}, sim.Hour),
+		Payloads: map[string][]byte{"brake-fw": p},
+	}
+	if release2.Director.version != 2 || release2.Image.version != 2 {
+		t.Fatalf("release 2 signed at versions %d and %d", release2.Director.version, release2.Image.version)
+	}
+	if err := c.ApplyCached(release2, 3*sim.Minute, vc); !errors.Is(err, ErrEquivocation) {
+		t.Fatalf("genuine release at the forgery's versions: %v, want ErrEquivocation", err)
+	}
+	if ecu, _ := c.ECU("brake-mcu-r2"); ecu.InstalledVersion != 3 {
+		t.Fatalf("rejected equivocation moved the ECU to version %d", ecu.InstalledVersion)
+	}
+	if c.Installed.Value != 2 || c.Rejected.Value != 1 || c.UpToDate.Value != 0 {
+		t.Fatalf("counters installed=%d rejected=%d uptodate=%d, want 2, 1 and 0",
+			c.Installed.Value, c.Rejected.Value, c.UpToDate.Value)
+	}
+	evs := tr.Events()
+	if last := evs[len(evs)-1]; tr.LabelString(last.Name) != "reject" || tr.LabelString(last.Str) != "equivocation" {
+		t.Fatalf("last trace event %s %q, want reject \"equivocation\"", tr.LabelString(last.Name), tr.LabelString(last.Str))
+	}
+	if err := c.ApplyCached(forged, 4*sim.Minute, vc); !errors.Is(err, ErrNoUpdate) {
+		t.Fatalf("re-poll of the installed statements: %v, want ErrNoUpdate", err)
+	}
+}
+
 // withDirectorSig returns a copy of b whose director metadata carries sig
 // instead of its own signature; the content is unchanged.
 func withDirectorSig(b *Bundle, sig []byte) *Bundle {
@@ -323,9 +379,61 @@ func TestSigValidMatchesColdVerify(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if pairs := len(pool) * len(keys); len(vc.sigs) > pairs {
-			t.Errorf("workers=%d: cache holds %d verdicts for %d (object, key) pairs", workers, len(vc.sigs), pairs)
+		if pairs := len(pool) * len(keys); sigEntries(vc) > pairs {
+			t.Errorf("workers=%d: cache holds %d verdicts for %d (object, key) pairs", workers, sigEntries(vc), pairs)
 		}
+	}
+}
+
+// TestVerifyCacheSingleFlight starts 8 goroutines together on one cold
+// cache, each looking up the same K unseen (content, signature, key)
+// triples, half of them in reverse order, so they race both to the same
+// key and to different keys while the table grows twice. The cache must
+// perform exactly K ed25519 verifications, one per key, and every
+// verdict must equal a cold verify.
+func TestVerifyCacheSingleFlight(t *testing.T) {
+	const workers, k = 8, 40
+	f := newCampaignFixture(t, sim.Hour)
+	type lookup struct {
+		m    *Metadata
+		key  ed25519.PublicKey
+		want bool
+	}
+	lookups := make([]lookup, k)
+	for i := range lookups {
+		target := MakeTarget("brake-fw", uint64(i+2), "brake-mcu-r2", []byte{byte(i)})
+		m, key := f.director.Sign("model-S", []Target{target}, sim.Hour), f.director.PublicKey()
+		switch i % 4 {
+		case 1:
+			m = variant(m, func(v *Metadata) { v.sig[0] ^= 0x01 })
+		case 2:
+			key = f.image.PublicKey()
+		}
+		lookups[i] = lookup{m: m, key: key, want: ed25519.Verify(key, m.canonical(), m.sig)}
+	}
+	vc := NewVerifyCache()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for j := range lookups {
+				if w%2 == 1 {
+					j = k - 1 - j
+				}
+				if l := lookups[j]; vc.sigValid(l.m, l.key) != l.want {
+					t.Errorf("worker %d, key %d: cached verdict differs from the cold verify %v", w, j, l.want)
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if st := vc.Stats(); st.SigLookups != workers*k || st.SigVerifies != k || sigEntries(vc) != k {
+		t.Fatalf("%d lookups, %d cold verifies, %d entries; want %d, %d and %d",
+			st.SigLookups, st.SigVerifies, sigEntries(vc), workers*k, k, k)
 	}
 }
 
@@ -342,15 +450,23 @@ func TestVerifyCacheCopiesShareOneEntry(t *testing.T) {
 			t.Fatalf("copy %d rejected", i)
 		}
 	}
-	if st := vc.Stats(); st.SigLookups != 1000 || st.SigVerifies != 1 || len(vc.sigs) != 1 {
+	if st := vc.Stats(); st.SigLookups != 1000 || st.SigVerifies != 1 || sigEntries(vc) != 1 {
 		t.Fatalf("1,000 copies: %d lookups, %d cold verifies, %d entries; want 1000, 1 and 1",
-			st.SigLookups, st.SigVerifies, len(vc.sigs))
+			st.SigLookups, st.SigVerifies, sigEntries(vc))
 	}
 }
 
-// TestSigKeyInline pins SigKey at or below 128 bytes: Go stores larger
-// map keys out of line and allocates on every insert, which would add to
-// every cold verification.
+// sigEntries counts the signature verdicts vc holds.
+func sigEntries(vc *VerifyCache) int {
+	vc.sigs.mu.Lock()
+	defer vc.sigs.mu.Unlock()
+	return vc.sigs.used
+}
+
+// TestSigKeyInline pins SigKey at or below 128 bytes: every lookup, hit
+// or miss, hashes the whole key and compares it with the entry's, so it
+// must stay two fixed-size digests rather than grow toward the bytes it
+// stands for.
 func TestSigKeyInline(t *testing.T) {
 	if n := unsafe.Sizeof(SigKey{}); n > 128 {
 		t.Fatalf("SigKey is %d bytes", n)

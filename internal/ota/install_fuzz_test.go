@@ -19,9 +19,10 @@ var (
 
 // installFuzz is the state of one FuzzInstallInvariants input: the
 // current trust epoch's repositories, every bundle published so far,
-// the clock, and two twin clients. twins[0] verifies through one warm
-// cache shared by every call; twins[1] gets a fresh cache for every
-// call, so it verifies everything cold.
+// the clock, two twin clients, and the statements they have accepted.
+// twins[0] verifies through one warm cache shared by every call;
+// twins[1] gets a fresh cache for every call, so it verifies everything
+// cold.
 type installFuzz struct {
 	epoch           byte
 	director, image *Repository
@@ -30,6 +31,17 @@ type installFuzz struct {
 	now             sim.Time
 	warm            *VerifyCache
 	twins           [2]*Client
+	// accepted holds the canonical bytes of every statement a twin has
+	// installed or answered ErrNoUpdate to, by trust epoch, repository
+	// and version.
+	accepted map[statementID]string
+}
+
+// statementID names one repository's version counter in one trust epoch.
+type statementID struct {
+	epoch   byte
+	repo    string
+	version uint64
 }
 
 // seededRepository is a repository with a key from seededKey.
@@ -39,7 +51,7 @@ func seededRepository(name string, seed byte) *Repository {
 }
 
 func newInstallFuzz() *installFuzz {
-	f := &installFuzz{next: 2, now: sim.Minute, warm: NewVerifyCache()}
+	f := &installFuzz{next: 2, now: sim.Minute, warm: NewVerifyCache(), accepted: make(map[statementID]string)}
 	f.rotate()
 	for i := range f.twins {
 		c := NewClient("VIN-1", f.director.PublicKey(), f.image.PublicKey())
@@ -226,7 +238,8 @@ func installOutcome(err error) string {
 func ecuVersions(c *Client) [2]ECUState {
 	var s [2]ECUState
 	for i, hw := range installHW {
-		s[i] = *c.ecus[hw]
+		e, _ := c.ECU(hw)
+		s[i] = *e
 	}
 	return s
 }
@@ -244,7 +257,10 @@ func ecuVersions(c *Client) [2]ECUState {
 //   - no installed version ever decreases;
 //   - nothing installs at or after either statement's expiry, nor
 //     unless both statements verify under the client's current keys
-//     over canonical bytes rendered afresh from their fields.
+//     over canonical bytes rendered afresh from their fields;
+//   - two different statements of one repository are never accepted
+//     (installed, or answered ErrNoUpdate) at one version of one trust
+//     epoch.
 func FuzzInstallInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		if len(steps) > 3*32 {
@@ -262,6 +278,15 @@ func FuzzInstallInvariants(f *testing.F) {
 			step := fmt.Sprintf("step %d (op %d, arg %#x, now %v)", i/3, op%8, arg, s.now)
 			if installOutcome(warm) != installOutcome(cold) {
 				t.Fatalf("%s: warm cache %v, cold %v", step, warm, cold)
+			}
+			if warm == nil || errors.Is(warm, ErrNoUpdate) {
+				for _, m := range []*Metadata{b.Director, b.Image} {
+					id, canon := statementID{s.epoch, m.repo, m.version}, string(m.canonical())
+					if prev, ok := s.accepted[id]; ok && prev != canon {
+						t.Fatalf("%s: accepted (%v) a second %s statement at version %d", step, warm, m.repo, m.version)
+					}
+					s.accepted[id] = canon
+				}
 			}
 			if twin := ecuVersions(s.twins[1]); twin != after {
 				t.Fatalf("%s: warm twin holds %+v, cold twin %+v", step, after, twin)

@@ -12,8 +12,8 @@ import (
 // Trace events (subsystem "ota"): every Apply emits a "verify" instant
 // when verification starts, then either "install" (Str = vehicle ID,
 // Arg1 = number of targets committed) or "reject" (Str = a stable error
-// class: bad-signature, rollback, expired, wrong-vehicle, mix-and-match,
-// wrong-hw, hash-mismatch, incomplete, or error).
+// class: bad-signature, rollback, equivocation, expired, wrong-vehicle,
+// mix-and-match, wrong-hw, hash-mismatch, incomplete, or error).
 //
 // Metrics: ota/installed and ota/rejected probe the client's counters.
 func (c *Client) Instrument(tr *obs.Tracer, reg *obs.Registry) {
@@ -39,6 +39,8 @@ func errClass(err error) string {
 		return "bad-signature"
 	case errors.Is(err, ErrRollback):
 		return "rollback"
+	case errors.Is(err, ErrEquivocation):
+		return "equivocation"
 	case errors.Is(err, ErrExpiredMeta):
 		return "expired"
 	case errors.Is(err, ErrWrongVehicle):

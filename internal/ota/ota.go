@@ -172,12 +172,19 @@ var (
 	ErrIncomplete   = errors.New("ota: bundle is missing payloads")
 	// ErrNoUpdate is returned by ApplyCached when the bundle's metadata
 	// is exactly the client's current metadata (both version counters
-	// equal) and still verifies: the vehicle is up to date, nothing was
-	// installed and nothing was rejected. A freeze attacker replaying a
-	// vehicle's own stale-but-signed metadata hides behind this answer
-	// until the metadata expires — at which point the reply becomes
-	// ErrExpiredMeta, which is the freeze detection signal.
+	// equal, both sealed digests equal) and still verifies: the vehicle
+	// is up to date, nothing was installed and nothing was rejected. A
+	// freeze attacker replaying a vehicle's own stale-but-signed metadata
+	// hides behind this answer until the metadata expires — at which
+	// point the reply becomes ErrExpiredMeta, which is the freeze
+	// detection signal.
 	ErrNoUpdate = errors.New("ota: metadata current, no update available")
+	// ErrEquivocation is returned by ApplyCached when validly signed
+	// metadata carries the client's current version counters but is not
+	// the metadata the client installed at them: a repository signed two
+	// statements at one version, which only a stolen key or a broken
+	// repository does.
+	ErrEquivocation = errors.New("ota: different metadata signed at the current version")
 )
 
 // pendingInstall is one planned target commit; Apply and ApplyCached
@@ -212,15 +219,20 @@ type Client struct {
 
 	lastDirectorVersion uint64
 	lastImageVersion    uint64
+	// directorSum and imageSum are the sealed digests of the installed
+	// statements at those versions (zero before the first install and
+	// after SetKeys).
+	directorSum, imageSum [sha256.Size]byte
 
-	ecus map[string]*ECUState // by HWID
+	// ecus holds one state per hardware ID, in registration order.
+	ecus []ECUState
 
 	Installed sim.Counter
 	Rejected  sim.Counter
 	// UpToDate counts ApplyCached calls that returned ErrNoUpdate.
 	UpToDate sim.Counter
 
-	// plan backs the install planning on the cached verify path.
+	// plan backs the install planning of Apply and ApplyCached.
 	plan []pendingInstall
 
 	// Observability (nil when off); see Instrument in obs.go.
@@ -233,12 +245,7 @@ type Client struct {
 
 // NewClient creates a client trusting the two repository keys.
 func NewClient(vehicleID string, directorKey, imageKey ed25519.PublicKey) *Client {
-	return &Client{
-		VehicleID:   vehicleID,
-		directorKey: directorKey,
-		imageKey:    imageKey,
-		ecus:        make(map[string]*ECUState),
-	}
+	return &Client{VehicleID: vehicleID, directorKey: directorKey, imageKey: imageKey}
 }
 
 // SetKeys rotates the client onto a new trust epoch: both repository
@@ -251,17 +258,31 @@ func (c *Client) SetKeys(directorKey, imageKey ed25519.PublicKey) {
 	c.imageKey = imageKey
 	c.lastDirectorVersion = 0
 	c.lastImageVersion = 0
+	c.directorSum, c.imageSum = [sha256.Size]byte{}, [sha256.Size]byte{}
 }
 
-// AddECU registers an ECU by hardware ID with its factory firmware version.
+// AddECU registers an ECU by hardware ID with its factory firmware
+// version, replacing any ECU already registered under that ID. It may
+// move the ECU states, so a pointer ECU returned earlier stays valid
+// only until the next AddECU; register every ECU while constructing the
+// client, before handing out its ECUs.
 func (c *Client) AddECU(hwid string, installedVersion uint64) {
-	c.ecus[hwid] = &ECUState{HWID: hwid, InstalledVersion: installedVersion}
+	if e, ok := c.ECU(hwid); ok {
+		*e = ECUState{HWID: hwid, InstalledVersion: installedVersion}
+		return
+	}
+	c.ecus = append(c.ecus, ECUState{HWID: hwid, InstalledVersion: installedVersion})
 }
 
-// ECU returns the state for a hardware ID.
+// ECU returns the state for a hardware ID. The pointer stays valid until
+// the next AddECU.
 func (c *Client) ECU(hwid string) (*ECUState, bool) {
-	e, ok := c.ecus[hwid]
-	return e, ok
+	for i := range c.ecus {
+		if c.ecus[i].HWID == hwid {
+			return &c.ecus[i], true
+		}
+	}
+	return nil, false
 }
 
 // verifyMeta checks one repository's signature, freshness and counters.
@@ -331,40 +352,53 @@ func (c *Client) apply(b *Bundle, now sim.Time) error {
 	// Every director target must be attested, byte for byte, by the image
 	// repository: this is the two-party control that makes a single stolen
 	// key insufficient.
-	imageByName := make(map[string]Target, len(b.Image.targets))
-	for _, t := range b.Image.targets {
-		imageByName[t.Name] = t
+	a := buildAttestation(b)
+	if a.err != nil {
+		return a.err
 	}
-	var plan []pendingInstall
-	for _, t := range b.Director.targets {
-		it, ok := imageByName[t.Name]
-		if !ok || it != t {
-			return fmt.Errorf("%w: target %q", ErrMixAndMatch, t.Name)
-		}
-		ecu, ok := c.ecus[t.HWID]
+	if err := c.stage(a.plan, false); err != nil {
+		return err
+	}
+	c.commit(b)
+	return nil
+}
+
+// stage plans the install of attested targets into c.plan, checking each
+// against its ECU. A target for hardware the vehicle lacks is rejected,
+// and so is one older than its ECU's firmware. A target at the installed
+// version is rejected too, unless skew is set: then it is skipped, so a
+// vehicle that joins a campaign already at some of its targets
+// converges.
+func (c *Client) stage(targets []Target, skew bool) error {
+	c.plan = c.plan[:0]
+	for i := range targets {
+		t := &targets[i]
+		ecu, ok := c.ECU(t.HWID)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrWrongHW, t.HWID)
 		}
-		if t.Version <= ecu.InstalledVersion {
+		switch {
+		case skew && t.Version < ecu.InstalledVersion:
+			return fmt.Errorf("%w: target %q version %d < installed %d",
+				ErrRollback, t.Name, t.Version, ecu.InstalledVersion)
+		case skew && t.Version == ecu.InstalledVersion:
+			continue // already at the campaign target
+		case !skew && t.Version <= ecu.InstalledVersion:
 			return fmt.Errorf("%w: target %q version %d <= installed %d",
 				ErrRollback, t.Name, t.Version, ecu.InstalledVersion)
 		}
-		payload, ok := b.Payloads[t.Name]
-		if !ok {
-			return fmt.Errorf("%w: payload %q", ErrIncomplete, t.Name)
-		}
-		if len(payload) != t.Length || HashPayload(payload) != t.Hash {
-			return fmt.Errorf("%w: target %q", ErrHashMismatch, t.Name)
-		}
-		plan = append(plan, pendingInstall{ecu: ecu, t: t})
+		c.plan = append(c.plan, pendingInstall{ecu: ecu, t: *t})
 	}
+	return nil
+}
 
-	// Commit.
-	for _, p := range plan {
+// commit installs the staged plan and makes b's statements the client's
+// current metadata.
+func (c *Client) commit(b *Bundle) {
+	for _, p := range c.plan {
 		p.ecu.InstalledName = p.t.Name
 		p.ecu.InstalledVersion = p.t.Version
 	}
-	c.lastDirectorVersion = b.Director.version
-	c.lastImageVersion = b.Image.version
-	return nil
+	c.lastDirectorVersion, c.directorSum = b.Director.version, b.Director.sum
+	c.lastImageVersion, c.imageSum = b.Image.version, b.Image.sum
 }
