@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"autosec/internal/can"
@@ -126,4 +128,32 @@ func BenchmarkFleetSteadyState(b *testing.B) {
 	}
 	b.StopTimer()
 	pool.Release(v)
+}
+
+// BenchmarkRotateKeys is the key rotation's own layer number: RotateKeys
+// on a warm 2,000-vehicle, 4-model per-device fleet at 1 worker and at
+// GOMAXPROCS. Every pass re-rotates under the same new master, which
+// only bumps each vehicle's update counter, so every iteration re-keys
+// all 2,000 vehicles.
+func BenchmarkRotateKeys(b *testing.B) {
+	counts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		counts = append(counts, p)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			const n = 2000
+			f := New(n, 4, PerDevice, master, workers)
+			var newMaster [16]byte
+			copy(newMaster[:], "bench-rotation-1")
+			f.RotateKeys(newMaster, workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rotated, failed := f.RotateKeys(newMaster, workers); rotated != n {
+					b.Fatalf("rotated %d of %d, failed %v", rotated, n, failed)
+				}
+			}
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"reflect"
 	"testing"
 
@@ -147,33 +145,31 @@ func TestRotateKeysParInvariance(t *testing.T) {
 	}
 }
 
-// cipherSink keeps the measured aes.NewCipher result on the heap.
-var cipherSink cipher.Block
-
-// TestRotateKeysAllocs pins a warm rotation's allocations per vehicle:
-// 14 besides the 10 AES key schedules a rotated per-device vehicle
-// expands (pinned in internal/she). aes.NewCipher allocates once per
-// schedule since Go 1.24 and three times before, so the pin is 24 on Go
-// 1.24.
+// TestRotateKeysAllocs pins a warm rotation's allocations per vehicle at
+// 2: the update request and the confirmation the SHE exchange returns.
+// The 10 AES key schedules a rotated per-device vehicle expands (pinned
+// in internal/she) live on the stack. It takes the difference between
+// rotations of 600 and 300 vehicles, so the call's fixed cost (its
+// verdict slice and worker goroutine) cancels out.
 func TestRotateKeysAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const n = 300
-	f := New(n, 4, PerDevice, master, 1)
-	var newMaster [16]byte
-	copy(newMaster[:], "allocs-master-01")
-	f.RotateKeys(newMaster, 1)
-	perVehicle := testing.AllocsPerRun(5, func() {
-		if rotated, failed := f.RotateKeys(newMaster, 1); rotated != n {
-			t.Fatalf("rotated %d of %d, failed %v", rotated, n, failed)
-		}
-	}) / n
-	var key [16]byte
-	perSchedule := testing.AllocsPerRun(100, func() { cipherSink, _ = aes.NewCipher(key[:]) })
-	limit := 14 + 10*perSchedule
-	t.Logf("%.2f allocs per rotated vehicle (limit %.0f)", perVehicle, limit)
+	rotate := func(n int) float64 {
+		f := New(n, 4, PerDevice, master, 1)
+		var newMaster [16]byte
+		copy(newMaster[:], "allocs-master-01")
+		f.RotateKeys(newMaster, 1)
+		return testing.AllocsPerRun(5, func() {
+			if rotated, failed := f.RotateKeys(newMaster, 1); rotated != n {
+				t.Fatalf("rotated %d of %d, failed %v", rotated, n, failed)
+			}
+		})
+	}
+	perVehicle := (rotate(600) - rotate(300)) / 300
+	const limit = 2.02 // 0.02: a few allocations vary with scheduling
+	t.Logf("%.3f allocs per rotated vehicle (limit %.2f)", perVehicle, limit)
 	if perVehicle > limit {
-		t.Fatalf("%.2f allocs per rotated vehicle, want <= %.0f", perVehicle, limit)
+		t.Fatalf("%.2f allocs per rotated vehicle, want <= %.2f", perVehicle, limit)
 	}
 }

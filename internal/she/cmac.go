@@ -9,11 +9,16 @@
 // protection, update counters, boot protection, key derivation) is a
 // property of the protocol, which is reproduced faithfully from the SHE
 // 1.1 functional specification.
+//
+// The AES-128 under every command is the package's own (aes.go): a
+// table-based, variable-time cipher, the algorithm crypto/aes itself
+// falls back to on CPUs without AES instructions, whose key schedules
+// are values on the caller's stack. Its timing is not a modelled
+// property: the keys it protects are simulated, and side channels are
+// modelled through the Engine's Leak tap instead.
 package she
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"errors"
 )
@@ -25,33 +30,21 @@ const BlockSize = 16
 // protocol's CBC IV and the KDF's first chaining value.
 var zeroBlock [BlockSize]byte
 
-// onExpand, when a test sets it, runs at every AES key expansion.
-var onExpand func()
-
-// expand returns the AES-128 cipher for a 16-byte key. Every key schedule
-// the package builds comes from here.
-func expand(key []byte) cipher.Block {
-	if onExpand != nil {
-		onExpand()
-	}
-	c, err := aes.NewCipher(key)
-	if err != nil {
-		panic("she: callers expand 16-byte keys only: " + err.Error())
-	}
+// zeroChain is the schedule under the all-zero chaining value that keys
+// every KDF's first compression. It is expanded once, at package
+// initialization, and only read afterwards, so any number of goroutines
+// may share it.
+var zeroChain = func() (c block) {
+	c.expand(&zeroBlock)
 	return c
-}
+}()
 
-// zeroChain is the cipher under the all-zero chaining value that keys
-// every KDF's first compression. It is expanded once and only read
-// afterwards, so any number of goroutines may share it.
-var zeroChain = expand(zeroBlock[:])
-
-// cmacSubkeys derives the RFC 4493 subkeys K1, K2 with c, the cipher of
-// the MAC key. l is scratch c writes through.
-func cmacSubkeys(c cipher.Block, l *[BlockSize]byte) (k1, k2 [BlockSize]byte) {
-	*l = zeroBlock
-	c.Encrypt(l[:], l[:])
-	k1 = dbl(*l)
+// cmacSubkeys derives the RFC 4493 subkeys K1, K2 with c, the schedule of
+// the MAC key.
+func cmacSubkeys(c *block) (k1, k2 [BlockSize]byte) {
+	var l [BlockSize]byte
+	c.encrypt(&l, &l)
+	k1 = dbl(l)
 	k2 = dbl(k1)
 	return k1, k2
 }
@@ -71,10 +64,10 @@ func dbl(in [BlockSize]byte) [BlockSize]byte {
 }
 
 // cmacInto computes AES-CMAC (RFC 4493) of msg under c into x, which is
-// also the chaining state c writes through. One key schedule serves both
-// the subkeys and the MAC.
-func cmacInto(c cipher.Block, x *[BlockSize]byte, msg []byte) {
-	k1, k2 := cmacSubkeys(c, x)
+// also the chaining state. One key schedule serves both the subkeys and
+// the MAC.
+func cmacInto(c *block, x *[BlockSize]byte, msg []byte) {
+	k1, k2 := cmacSubkeys(c)
 
 	n := (len(msg) + BlockSize - 1) / BlockSize
 	complete := n > 0 && len(msg)%BlockSize == 0
@@ -101,12 +94,12 @@ func cmacInto(c cipher.Block, x *[BlockSize]byte, msg []byte) {
 		for j := 0; j < BlockSize; j++ {
 			x[j] ^= msg[i*BlockSize+j]
 		}
-		c.Encrypt(x[:], x[:])
+		c.encrypt(x, x)
 	}
 	for j := 0; j < BlockSize; j++ {
 		x[j] ^= last[j]
 	}
-	c.Encrypt(x[:], x[:])
+	c.encrypt(x, x)
 }
 
 // CMAC computes AES-CMAC (RFC 4493) of msg under a 128-bit key.
@@ -114,8 +107,10 @@ func CMAC(key, msg []byte) ([]byte, error) {
 	if len(key) != BlockSize {
 		return nil, errors.New("she: CMAC requires a 128-bit key")
 	}
+	var c block
+	c.expand((*[BlockSize]byte)(key))
 	out := make([]byte, BlockSize)
-	cmacInto(expand(key), (*[BlockSize]byte)(out), msg)
+	cmacInto(&c, (*[BlockSize]byte)(out), msg)
 	return out, nil
 }
 
@@ -138,52 +133,57 @@ func VerifyCMAC(key, msg, mac []byte, macBits int) (bool, error) {
 }
 
 // encryptECB encrypts whole blocks in ECB mode (CMD_ENC_ECB).
-func encryptECB(key, in []byte) ([]byte, error) {
+func encryptECB(key *[BlockSize]byte, in []byte) ([]byte, error) {
 	if len(in)%BlockSize != 0 {
 		return nil, errors.New("she: ECB input not block aligned")
 	}
-	c := expand(key)
+	var c block
+	c.expand(key)
 	out := make([]byte, len(in))
 	for i := 0; i < len(in); i += BlockSize {
-		c.Encrypt(out[i:i+BlockSize], in[i:i+BlockSize])
+		c.encrypt((*[BlockSize]byte)(out[i:]), (*[BlockSize]byte)(in[i:]))
 	}
 	return out, nil
 }
 
 // decryptECB inverts encryptECB (used by the M4 proof check).
-func decryptECB(key, in []byte) ([]byte, error) {
+func decryptECB(key *[BlockSize]byte, in []byte) ([]byte, error) {
 	if len(in)%BlockSize != 0 {
 		return nil, errors.New("she: ECB input not block aligned")
 	}
-	c := expand(key)
+	var c block
+	c.expand(key)
+	c.invert()
 	out := make([]byte, len(in))
 	for i := 0; i < len(in); i += BlockSize {
-		c.Decrypt(out[i:i+BlockSize], in[i:i+BlockSize])
+		c.decrypt((*[BlockSize]byte)(out[i:]), (*[BlockSize]byte)(in[i:]))
 	}
 	return out, nil
 }
 
 // cbcEncrypt encrypts the whole blocks of src into dst in CBC mode under
 // c, chaining from iv. dst may be src.
-func cbcEncrypt(c cipher.Block, iv, dst, src []byte) {
+func cbcEncrypt(c *block, iv, dst, src []byte) {
 	prev := iv
 	for i := 0; i < len(src); i += BlockSize {
-		for j := 0; j < BlockSize; j++ {
-			dst[i+j] = src[i+j] ^ prev[j]
+		b := (*[BlockSize]byte)(dst[i:])
+		for j := range b {
+			b[j] = src[i+j] ^ prev[j]
 		}
-		c.Encrypt(dst[i:i+BlockSize], dst[i:i+BlockSize])
-		prev = dst[i : i+BlockSize]
+		c.encrypt(b, b)
+		prev = b[:]
 	}
 }
 
-// cbcDecrypt inverts cbcEncrypt. dst must not overlap src: each block's
-// ciphertext chains into the next.
-func cbcDecrypt(c cipher.Block, iv, dst, src []byte) {
+// cbcDecrypt inverts cbcEncrypt; c's inverse schedule must be filled. dst
+// must not overlap src: each block's ciphertext chains into the next.
+func cbcDecrypt(c *block, iv, dst, src []byte) {
 	prev := iv
 	for i := 0; i < len(src); i += BlockSize {
-		c.Decrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
-		for j := 0; j < BlockSize; j++ {
-			dst[i+j] ^= prev[j]
+		b := (*[BlockSize]byte)(dst[i:])
+		c.decrypt(b, (*[BlockSize]byte)(src[i:]))
+		for j := range b {
+			b[j] ^= prev[j]
 		}
 		prev = src[i : i+BlockSize]
 	}
@@ -202,48 +202,46 @@ func checkCBC(iv, in []byte) error {
 
 // encryptCBC encrypts whole blocks in CBC mode with the caller's IV
 // (CMD_ENC_CBC).
-func encryptCBC(key, iv, in []byte) ([]byte, error) {
+func encryptCBC(key *[BlockSize]byte, iv, in []byte) ([]byte, error) {
 	if err := checkCBC(iv, in); err != nil {
 		return nil, err
 	}
+	var c block
+	c.expand(key)
 	out := make([]byte, len(in))
-	cbcEncrypt(expand(key), iv, out, in)
+	cbcEncrypt(&c, iv, out, in)
 	return out, nil
 }
 
 // decryptCBC inverts encryptCBC (CMD_DEC_CBC).
-func decryptCBC(key, iv, in []byte) ([]byte, error) {
+func decryptCBC(key *[BlockSize]byte, iv, in []byte) ([]byte, error) {
 	if err := checkCBC(iv, in); err != nil {
 		return nil, err
 	}
+	var c block
+	c.expand(key)
+	c.invert()
 	out := make([]byte, len(in))
-	cbcDecrypt(expand(key), iv, out, in)
+	cbcDecrypt(&c, iv, out, in)
 	return out, nil
 }
 
 // kdfCipher runs the KDF's first Miyaguchi-Preneel compression, whose
-// chaining value is always zero, under the shared zeroChain cipher. It
+// chaining value is always zero, under the shared zeroChain schedule. It
 // returns the compression's output, the chaining value of the second
-// compression, and the cipher keyed by it. s is scratch the ciphers
-// write through.
-func kdfCipher(key [BlockSize]byte, s *[BlockSize]byte) (chain [BlockSize]byte, c cipher.Block) {
-	*s = key
-	zeroChain.Encrypt(s[:], s[:])
-	for i := range chain {
-		chain[i] = s[i] ^ key[i]
-	}
-	return chain, expand(chain[:])
+// compression, and expands it into c.
+func kdfCipher(key [BlockSize]byte, c *block) (chain [BlockSize]byte) {
+	chain = mpCompress(&zeroChain, zeroBlock, key)
+	c.expand(&chain)
+	return chain
 }
 
 // mpCompress is the Miyaguchi-Preneel compression function over AES-128,
-// out = AES(chain, block) XOR block XOR chain, with c the cipher keyed by
-// chain. s is scratch c writes through.
-func mpCompress(c cipher.Block, chain, block [BlockSize]byte, s *[BlockSize]byte) [BlockSize]byte {
-	*s = block
-	c.Encrypt(s[:], s[:])
-	var out [BlockSize]byte
+// out = AES(chain, m) XOR m XOR chain, with c the schedule of chain.
+func mpCompress(c *block, chain, m [BlockSize]byte) (out [BlockSize]byte) {
+	c.encrypt(&out, &m)
 	for i := range out {
-		out[i] = s[i] ^ block[i] ^ chain[i]
+		out[i] ^= m[i] ^ chain[i]
 	}
 	return out
 }
@@ -251,9 +249,9 @@ func mpCompress(c cipher.Block, chain, block [BlockSize]byte, s *[BlockSize]byte
 // KDF is the SHE key-derivation function: Miyaguchi-Preneel over the
 // concatenation key || constant, starting from a zero chaining value.
 func KDF(key [BlockSize]byte, constant [BlockSize]byte) [BlockSize]byte {
-	var s [BlockSize]byte
-	chain, c := kdfCipher(key, &s)
-	return mpCompress(c, chain, constant, &s)
+	var c block
+	chain := kdfCipher(key, &c)
+	return mpCompress(&c, chain, constant)
 }
 
 // kdfPair derives the memory-update protocol's key pair from key:
@@ -261,9 +259,9 @@ func KDF(key [BlockSize]byte, constant [BlockSize]byte) [BlockSize]byte {
 // start with the same compression of key, so they share its output and
 // the one key schedule their second compressions run under.
 func kdfPair(key [BlockSize]byte) (enc, mac [BlockSize]byte) {
-	var s [BlockSize]byte
-	chain, c := kdfCipher(key, &s)
-	return mpCompress(c, chain, KeyUpdateEncC, &s), mpCompress(c, chain, KeyUpdateMacC, &s)
+	var c block
+	chain := kdfCipher(key, &c)
+	return mpCompress(&c, chain, KeyUpdateEncC), mpCompress(&c, chain, KeyUpdateMacC)
 }
 
 // SHE derivation constants (SHE spec v1.1 §9.2). The embedded bytes spell

@@ -46,8 +46,10 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 }
 
 func TestCMACSubkeysRFC4493(t *testing.T) {
-	var l [BlockSize]byte
-	k1, k2 := cmacSubkeys(expand(mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c")), &l)
+	key := mustBlock(t, "2b7e151628aed2a6abf7158809cf4f3c")
+	var c block
+	c.expand(&key)
+	k1, k2 := cmacSubkeys(&c)
 	if want := mustHex(t, "fbeed618357133667c85e08f7236a8de"); !bytes.Equal(k1[:], want) {
 		t.Errorf("K1=%x", k1)
 	}
@@ -136,17 +138,17 @@ func TestVerifyCMACTruncated(t *testing.T) {
 }
 
 func TestCBCRoundTrip(t *testing.T) {
-	key := mustHex(t, "000102030405060708090a0b0c0d0e0f")
+	key := mustBlock(t, "000102030405060708090a0b0c0d0e0f")
 	iv := mustHex(t, "101112131415161718191a1b1c1d1e1f")
 	plain := make([]byte, 64)
 	for i := range plain {
 		plain[i] = byte(i)
 	}
-	ct, err := encryptCBC(key, iv, plain)
+	ct, err := encryptCBC(&key, iv, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decryptCBC(key, iv, ct)
+	back, err := decryptCBC(&key, iv, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +161,9 @@ func TestCBCRoundTrip(t *testing.T) {
 }
 
 func TestECBRoundTripAndAlignment(t *testing.T) {
-	key := mustHex(t, "000102030405060708090a0b0c0d0e0f")
+	key := mustBlock(t, "000102030405060708090a0b0c0d0e0f")
 	plain := make([]byte, 32)
-	ct, err := encryptECB(key, plain)
+	ct, err := encryptECB(&key, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +171,17 @@ func TestECBRoundTripAndAlignment(t *testing.T) {
 	if !bytes.Equal(ct[:16], ct[16:]) {
 		t.Fatal("ECB of equal blocks differs")
 	}
-	back, err := decryptECB(key, ct)
+	back, err := decryptECB(&key, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, plain) {
 		t.Fatal("ECB round trip failed")
 	}
-	if _, err := encryptECB(key, make([]byte, 15)); err == nil {
+	if _, err := encryptECB(&key, make([]byte, 15)); err == nil {
 		t.Fatal("unaligned ECB accepted")
 	}
-	if _, err := decryptECB(key, make([]byte, 15)); err == nil {
+	if _, err := decryptECB(&key, make([]byte, 15)); err == nil {
 		t.Fatal("unaligned ECB decrypt accepted")
 	}
 }

@@ -135,9 +135,11 @@ type Engine struct {
 	bootVerified bool
 	bootDone     bool
 
-	// Leak is an optional side-channel tap: when non-nil it observes every
-	// AES key-use with the key bytes and the processed block, feeding the
-	// power-trace model in internal/sidechannel.
+	// Leak is an optional side-channel tap: when non-nil, GenerateMAC,
+	// EncryptECB and EncryptCBC pass it their key bytes and first input
+	// block, feeding the power-trace model in internal/sidechannel. The
+	// other commands (VerifyMAC, DecryptCBC, LoadKey, DefineBootMAC and
+	// SecureBoot) do not call it.
 	Leak func(op string, key, block []byte)
 
 	// base is the post-construction snapshot recorded by MarkBaseline for
@@ -277,7 +279,7 @@ func (e *Engine) EncryptECB(id KeyID, plain []byte) ([]byte, error) {
 	if e.Leak != nil {
 		e.Leak("enc", k[:], firstBlock(plain))
 	}
-	return encryptECB(k[:], plain)
+	return encryptECB(&k, plain)
 }
 
 // EncryptCBC encrypts block-aligned data with the given IV (CMD_ENC_CBC).
@@ -289,7 +291,7 @@ func (e *Engine) EncryptCBC(id KeyID, iv, plain []byte) ([]byte, error) {
 	if e.Leak != nil {
 		e.Leak("enc", k[:], firstBlock(plain))
 	}
-	return encryptCBC(k[:], iv, plain)
+	return encryptCBC(&k, iv, plain)
 }
 
 // DecryptCBC decrypts block-aligned data with the given IV (CMD_DEC_CBC).
@@ -298,7 +300,7 @@ func (e *Engine) DecryptCBC(id KeyID, iv, ct []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decryptCBC(k[:], iv, ct)
+	return decryptCBC(&k, iv, ct)
 }
 
 // LoadPlainKey loads the volatile RAM_KEY in plaintext (CMD_LOAD_PLAIN_KEY).

@@ -52,10 +52,13 @@ func BuildUpdate(uid UID, target, authID KeyID, authKey, newKey [BlockSize]byte,
 	// place.
 	packCounterFlags(req.M2[:16], counter, flags.pack())
 	copy(req.M2[16:], newKey[:])
-	cbcEncrypt(expand(k1[:]), zeroBlock[:], req.M2[:], req.M2[:])
+	var c block
+	c.expand(&k1)
+	cbcEncrypt(&c, zeroBlock[:], req.M2[:], req.M2[:])
 
 	m := req.m1m2()
-	cmacInto(expand(k2[:]), &req.M3, m[:])
+	c.expand(&k2)
+	cmacInto(&c, &req.M3, m[:])
 	return &req, nil
 }
 
@@ -136,14 +139,12 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 
 	k1, k2 := kdfPair(auth.key)
 
-	// s is the block scratch the ciphers write through.
-	var s struct {
-		mac   [BlockSize]byte
-		plain [2 * BlockSize]byte
-	}
+	var c block
+	c.expand(&k2)
+	var mac [BlockSize]byte
 	m := req.m1m2()
-	cmacInto(expand(k2[:]), &s.mac, m[:])
-	if subtle.ConstantTimeCompare(s.mac[:], req.M3[:]) != 1 {
+	cmacInto(&c, &mac, m[:])
+	if subtle.ConstantTimeCompare(mac[:], req.M3[:]) != 1 {
 		return nil, ErrUpdateAuth
 	}
 
@@ -158,8 +159,11 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 		}
 	}
 
-	cbcDecrypt(expand(k1[:]), zeroBlock[:], s.plain[:], req.M2[:])
-	counter, flagBits, ok := unpackCounterFlags(s.plain[:16])
+	c.expand(&k1)
+	c.invert()
+	var plain [2 * BlockSize]byte
+	cbcDecrypt(&c, zeroBlock[:], plain[:], req.M2[:])
+	counter, flagBits, ok := unpackCounterFlags(plain[:16])
 	if !ok {
 		return nil, ErrUpdateAuth
 	}
@@ -168,7 +172,7 @@ func (e *Engine) LoadKey(req *UpdateRequest) (*UpdateConfirmation, error) {
 	}
 
 	var newKey [BlockSize]byte
-	copy(newKey[:], s.plain[16:])
+	copy(newKey[:], plain[16:])
 	tslot.key = newKey
 	tslot.counter = counter
 	tslot.flags = unpackFlags(flagBits)
@@ -185,10 +189,13 @@ func confirm(m1 [16]byte, newKey [BlockSize]byte, counter uint32) *UpdateConfirm
 	var conf UpdateConfirmation
 	copy(conf.M4[:16], m1[:])
 	// counter(28) | 1 | 0... — the set bit marks a successful write.
-	proof := conf.M4[16:]
-	binary.BigEndian.PutUint64(proof, uint64(counter)<<36|1<<35)
-	expand(k3[:]).Encrypt(proof, proof)
-	cmacInto(expand(k4[:]), &conf.M5, conf.M4[:])
+	proof := (*[BlockSize]byte)(conf.M4[16:])
+	binary.BigEndian.PutUint64(proof[:], uint64(counter)<<36|1<<35)
+	var c block
+	c.expand(&k3)
+	c.encrypt(proof, proof)
+	c.expand(&k4)
+	cmacInto(&c, &conf.M5, conf.M4[:])
 	return &conf
 }
 
@@ -203,12 +210,14 @@ func VerifyConfirmation(conf *UpdateConfirmation, uid UID, target, authID KeyID,
 	if !bytes.Equal(conf.M4[:16], m1[:]) {
 		return fmt.Errorf("she: confirmation M1 mismatch")
 	}
+	var c block
+	c.expand(&k4)
 	var mac [BlockSize]byte
-	cmacInto(expand(k4[:]), &mac, conf.M4[:])
+	cmacInto(&c, &mac, conf.M4[:])
 	if subtle.ConstantTimeCompare(mac[:], conf.M5[:]) != 1 {
 		return fmt.Errorf("she: confirmation M5 mismatch")
 	}
-	proof, err := decryptECB(k3[:], conf.M4[16:])
+	proof, err := decryptECB(&k3, conf.M4[16:])
 	if err != nil {
 		return err
 	}
